@@ -18,7 +18,7 @@ from .harness import (ALICE, BOB, Action, BlqmsReport, CheckResult,
                       RandomnessSpace, RunRecord, SampleStats, Scenario,
                       ScenarioResult, Transcript, check_exact_blqms,
                       empirical_moments, output_distribution, pair_label,
-                      run, sample_distribution, tail_mass, worker_count)
+                      run, sample_distribution, tail_mass)
 from .protocols import (PROTOCOL_NAMES, ConstantProtocol, SendAllReplyProtocol,
                         SpherePairSampler, TonerBaconProtocol, make_protocol)
 from .dj import (RejectCertificate, auy_check, auy_min_n1, check_promise,
@@ -57,5 +57,5 @@ __all__ = [
     "predict_expectations", "predict_joint_probs", "probs_to_expectations",
     "projector_to_observable", "promise_pairs", "promise_scenarios", "run",
     "sample_distribution", "sign_vector_observable", "sign_vector_projector",
-    "singlet", "tail_mass", "verify_certificate", "worker_count",
+    "singlet", "tail_mass", "verify_certificate",
 ]

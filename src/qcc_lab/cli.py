@@ -50,8 +50,8 @@ from .dj import (auy_min_n1, check_promise, n0_certificate, n0_upper_bound,
 from .errors import (InvariantError, NonHaltingError, PartitionError,
                      QccLabError)
 from .harness import (ALICE, BOB, RandomnessSpace, check_exact_blqms,
-                      empirical_moments, output_distribution, pair_label,
-                      sample_distribution)
+                      describe_input, empirical_moments, output_distribution,
+                      pair_label, sample_distribution)
 from .oracle import (BinaryObservable, DensityMatrix, JointProbs, Projector,
                      SignVector, bloch_observable, maximally_entangled,
                      observable_to_projector, predict_joint_probs,
@@ -669,8 +669,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PartitionError, NonHaltingError) as exc:
+    except PartitionError as exc:
         print(f"finding: {exc}", file=sys.stderr)
+        if exc.witness is not None:
+            print(f"witness: {describe_input(exc.witness)}", file=sys.stderr)
+        return 3
+    except NonHaltingError as exc:
+        print(f"finding: {exc}", file=sys.stderr)
+        if exc.partial_transcript is not None:
+            print(f"partial transcript: {exc.partial_transcript.tokens()}",
+                  file=sys.stderr)
         return 3
     except QccLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

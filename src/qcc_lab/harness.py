@@ -20,8 +20,6 @@ this, and `verify_certificate` documents the same restriction.
 from __future__ import annotations
 
 import abc
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -199,22 +197,6 @@ class Protocol(abc.ABC):
         return None
 
 
-def worker_count() -> int:
-    """Thread cap from QCC_LAB_THREADS (default 1; aggregation stays ordered)."""
-    raw = os.environ.get("QCC_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items: Sequence):
-    if worker_count() == 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        return list(pool.map(fn, items))
-
-
 def run(protocol: Protocol, input_a, input_b, lam, *, cap: Optional[int] = None,
         lam_index: Optional[int] = None) -> RunRecord:
     """Execute one deterministic run and record outputs, transcript, cost."""
@@ -390,7 +372,8 @@ class BlqmsReport:
 
 
 def _law_errors(computed: JointProbs, target: JointProbs) -> tuple[float, float]:
-    deltas = [abs(c - t) for c, t in zip(
+    # equal entries give an exact 0 without a subtraction
+    deltas = [0 if c == t else abs(c - t) for c, t in zip(
         (computed.p_pp, computed.p_mp, computed.p_pm, computed.p_mm),
         (target.p_pp, target.p_mp, target.p_pm, target.p_mm))]
     return float(max(deltas)), float(deltas[0])
@@ -424,7 +407,7 @@ def check_exact_blqms(protocol: Protocol, scenarios: Iterable[Scenario], space=N
                 passed_restricted=error_pp <= tol,
             )
 
-        results = _map_ordered(check, scenarios)
+        results = [check(scenario) for scenario in scenarios]
         mode = "exact" if all(r.computed.exact and r.target.exact for r in results) else "float"
         return BlqmsReport(tuple(results), mode, None, None)
 
@@ -437,7 +420,7 @@ def check_exact_blqms(protocol: Protocol, scenarios: Iterable[Scenario], space=N
         return ScenarioResult(scenario.label, stats.probs, scenario.target,
                               error_max, error_pp, None, None)
 
-    results = _map_ordered(estimate, list(enumerate(scenarios)))
+    results = [estimate(indexed) for indexed in enumerate(scenarios)]
     return BlqmsReport(tuple(results), "sampled", samples, seed)
 
 
@@ -513,7 +496,7 @@ def empirical_moments(protocol: Protocol, pairs: Sequence[tuple], space=None, *,
             }
             return PairMoments(pair_label(input_a, input_b), moments, tails)
 
-        return MomentReport(tuple(_map_ordered(measure, list(pairs))),
+        return MomentReport(tuple(measure(pair) for pair in pairs),
                             k_max, "exact", None, None)
 
     def estimate(indexed) -> PairMoments:
@@ -531,8 +514,8 @@ def empirical_moments(protocol: Protocol, pairs: Sequence[tuple], space=None, *,
         return PairMoments(pair_label(input_a, input_b), tuple(moments), tails,
                            tuple(stderrs))
 
-    entries = _map_ordered(estimate, list(enumerate(pairs)))
-    return MomentReport(tuple(entries), k_max, "sampled", samples, seed)
+    entries = tuple(estimate(indexed) for indexed in enumerate(pairs))
+    return MomentReport(entries, k_max, "sampled", samples, seed)
 
 
 def tail_mass(protocol: Protocol, input_a, input_b, space: RandomnessSpace,

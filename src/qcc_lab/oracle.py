@@ -14,14 +14,25 @@ Conventions:
       family P_a = (1/n) |a><a| on the maximally entangled state; this
       family is handled in exact rational arithmetic.  Everything else runs
       in double precision under the tolerances in `tolerances`.
+
+Exact traces Tr[(A (x) B) sigma] go through `_trace_on_state`.  A state
+built by `maximally_entangled(n)` carries a structural tag, set there and
+nowhere else, and on it the trace uses the identity
+
+    Tr[(A (x) B) Phi] = sum_ij A_ij B_ij / n
+
+on integer numerators, without forming the n^2 x n^2 Kronecker product.
+Every other exact state, including one built by value from the same
+entries, takes the reference path: the Kronecker product and `trace_dot`.
+States are never recognized by value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator, Optional, Union
 
 import numpy as np
 
@@ -175,7 +186,14 @@ class SignVector:
         """Accepts '+-+-' or comma-separated '+1,-1,1,-1'."""
         text = text.strip()
         if "," in text:
-            return cls(tuple(int(tok) for tok in text.split(",")))
+            coords = []
+            for tok in text.split(","):
+                try:
+                    coords.append(int(tok))
+                except ValueError:
+                    raise InvariantError(
+                        f"bad sign-vector token {tok!r} in {text!r}") from None
+            return cls(tuple(coords))
         if set(text) <= {"+", "-"}:
             return cls(tuple(1 if ch == "+" else -1 for ch in text))
         raise InvariantError(f"cannot parse sign vector from {text!r}")
@@ -308,6 +326,8 @@ class DensityMatrix:
     """Shared state of two n-dimensional systems: PSD, unit trace, n^2 x n^2."""
 
     entries: MatrixData
+    # local dimension n when built by `maximally_entangled(n)`; set only there
+    _entangled_n: Optional[int] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         data = _coerce_entries(self.entries)
@@ -340,9 +360,10 @@ class DensityMatrix:
         return _is_exact(self.entries)
 
 
-def _check_number(name: str, value: Number, low, high) -> None:
+def _check_number(name: str, value: Number, low: int, high: int) -> None:
     if isinstance(value, Fraction):
-        if not (low <= value <= high):
+        num, den = value.numerator, value.denominator  # den > 0
+        if not (low * den <= num <= high * den):
             raise InvariantError(f"{name} = {value} outside [{low}, {high}]")
         return
     # float values are admitted within operator tolerance; producers clamp
@@ -435,6 +456,29 @@ def _trace_kron_exact(left: RationalMatrix, right: RationalMatrix, state: Ration
     return left.kron(right).trace_dot(state)
 
 
+def _entangled_sum(left: RationalMatrix, right: RationalMatrix,
+                   state: DensityMatrix) -> Optional[int]:
+    """Sum_ij left.num_ij * right.num_ij when the state is tagged, else None.
+
+    Tr[(left (x) right) Phi] is this sum over n * left.den * right.den for
+    the tagged state Phi = maximally_entangled(n) and n x n operands.
+    """
+    n = state._entangled_n
+    if n is None or left.shape != (n, n) or right.shape != (n, n):
+        return None
+    a, b = _paired_for_products(left.num, right.num, left.num.size)
+    return int((a * b).sum())
+
+
+def _trace_on_state(left: RationalMatrix, right: RationalMatrix,
+                    state: DensityMatrix) -> Fraction:
+    """Exact Tr[(left (x) right) state]: the identity when tagged, else kron."""
+    total = _entangled_sum(left, right, state)
+    if total is None:
+        return _trace_kron_exact(left, right, state.entries)
+    return Fraction(total, state._entangled_n * left.den * right.den)
+
+
 def _trace_kron_float(left: Array, right: Array, state: Array) -> float:
     value = complex((np.kron(left, right) * state.T).sum())
     if abs(value.imag) > TRACE_ATOL:
@@ -456,13 +500,24 @@ def predict_joint_probs(proj_a: Projector, proj_b: Projector, state: DensityMatr
     """
     _check_product_dim(proj_a.dim, proj_b.dim, state)
     if proj_a.exact and proj_b.exact and state.exact:
-        pa, pb, sigma = proj_a.entries, proj_b.entries, state.entries
-        p_pp = _trace_kron_exact(pa, pb, sigma)
-        p_mp = _trace_kron_exact(pa.one_minus(), pb, sigma)
-        p_pm = _trace_kron_exact(pa, pb.one_minus(), sigma)
-        probs = JointProbs.from_plus_parts(p_pp, p_mp, p_pm)
+        pa, pb = proj_a.entries, proj_b.entries
+        total = _entangled_sum(pa, pb, state)
+        if total is None:
+            p_pp = _trace_on_state(pa, pb, state)
+            p_mp = _trace_on_state(pa.one_minus(), pb, state)
+            p_pm = _trace_on_state(pa, pb.one_minus(), state)
+            probs = JointProbs.from_plus_parts(p_pp, p_mp, p_pm)
+        else:
+            # over the same denominator, (1 - P) (x) Q on Phi has numerator
+            # sum_ij (d_P delta_ij - P_ij) Q_ij = d_P tr(Q) - total, and P (x) (1 - Q)
+            # likewise; diagonals are summed as Python ints so no int64 sum wraps
+            den = state._entangled_n * pa.den * pb.den
+            mp = pa.den * sum(map(int, pb.num.diagonal())) - total
+            pm = pb.den * sum(map(int, pa.num.diagonal())) - total
+            probs = JointProbs(Fraction(total, den), Fraction(mp, den),
+                               Fraction(pm, den), Fraction(den - total - mp - pm, den))
         for name, value in probs.as_dict().items():
-            if not (0 <= value <= 1):
+            if not (0 <= value.numerator <= value.denominator):
                 raise InvariantError(f"exact probability {name} = {value} outside [0, 1]")
         return probs
     pa, sigma = _to_float(proj_a.entries), _to_float(state.entries)
@@ -491,13 +546,13 @@ def predict_expectations(
     """Correlator and marginals of the two observables on the shared state."""
     _check_product_dim(obs_a.dim, obs_b.dim, state)
     if obs_a.exact and obs_b.exact and state.exact:
-        a, b, sigma = obs_a.entries, obs_b.entries, state.entries
+        a, b = obs_a.entries, obs_b.entries
         eye_a = RationalMatrix.identity(a.dim)
         eye_b = RationalMatrix.identity(b.dim)
         return ExpectationTriple(
-            _admit_expectation("e_ab", _trace_kron_exact(a, b, sigma)),
-            _admit_expectation("e_a", _trace_kron_exact(a, eye_b, sigma)),
-            _admit_expectation("e_b", _trace_kron_exact(eye_a, b, sigma)),
+            _admit_expectation("e_ab", _trace_on_state(a, b, state)),
+            _admit_expectation("e_a", _trace_on_state(a, eye_b, state)),
+            _admit_expectation("e_b", _trace_on_state(eye_a, b, state)),
         )
     a, sigma = _to_float(obs_a.entries), _to_float(state.entries)
     b = _to_float(obs_b.entries)
@@ -549,7 +604,9 @@ def maximally_entangled(n: int, exact: bool = True) -> DensityMatrix:
         for j in range(n):
             num[i * (n + 1), j * (n + 1)] = 1
     if exact:
-        return DensityMatrix(RationalMatrix(num, n))
+        state = DensityMatrix(RationalMatrix(num, n))
+        object.__setattr__(state, "_entangled_n", n)  # entries built from n above
+        return state
     return DensityMatrix(num.astype(complex) / n)
 
 

@@ -4,7 +4,11 @@ import json
 
 import pytest
 
+from qcc_lab import cli
 from qcc_lab.cli import main
+from qcc_lab.errors import PartitionError
+from qcc_lab.harness import ALICE, Action, Protocol, RandomnessSpace
+from qcc_lab.oracle import SignVector
 
 
 def run_cli(capsys, *argv):
@@ -264,6 +268,38 @@ def test_reduce_constant_emits_witness(capsys):
     assert witness["measured_p_pp"] == pytest.approx(1.0)
     assert witness["target_p_pp"] == pytest.approx(0.5)
     assert report["partition"] is None
+
+
+class Chatty(Protocol):
+    """Alice sends 1 and Bob answers 0, forever; every run overruns its budget."""
+
+    name = "chatty"
+    lambda_space = RandomnessSpace.uniform([0])
+
+    def step(self, party, own_input, lam, received):
+        return Action(send=(1,) if party is ALICE else (0,))
+
+
+def test_nonhalting_finding_prints_partial_transcript(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "make_protocol", lambda name, **params: Chatty())
+    code, out, err = run_cli(capsys, "simulate", "--protocol", "constant")
+    assert code == 3
+    assert out == ""
+    cap = Chatty().default_cap(SignVector((1, 1)), SignVector((1, 1)))
+    assert f"finding: chatty exceeded the {cap}-bit budget" in err
+    assert f"partial transcript: {'A1B0' * (cap // 2)}\n" in err
+
+
+def test_partition_finding_prints_witness(capsys, monkeypatch):
+    def broken(a, partition, protocol):
+        raise PartitionError("replay broke the cell promise", witness=a)
+
+    monkeypatch.setattr(cli, "build_certificate", broken)
+    code, out, err = run_cli(capsys, "reduce", "--protocol", "send_all_reply",
+                             "--n", "2")
+    assert code == 3
+    assert out == ""
+    assert err == "finding: replay broke the cell promise\nwitness: --\n"
 
 
 def test_reduce_tight_budget_fails_tail(capsys):

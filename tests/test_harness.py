@@ -10,7 +10,7 @@ from qcc_lab.harness import (ALICE, BOB, Action, CheckResult, Party, Protocol,
                              RandomnessSpace, Scenario, Transcript,
                              check_exact_blqms, empirical_moments,
                              output_distribution, run, sample_distribution,
-                             tail_mass, worker_count)
+                             tail_mass)
 from qcc_lab.oracle import JointProbs, SignVector
 
 
@@ -167,22 +167,3 @@ def test_check_exact_blqms_sampled_mode():
     assert report.mode == "sampled"
     assert report.all_full is None and report.all_restricted is None
     assert report.worst_error == 0.0  # the law is a point mass
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("QCC_LAB_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("QCC_LAB_THREADS", "junk")
-    assert worker_count() == 1
-    monkeypatch.delenv("QCC_LAB_THREADS")
-    assert worker_count() == 1
-
-
-def test_threaded_aggregation_matches_single(monkeypatch):
-    p = TwoBranch()
-    pairs = [(None, None)] * 3
-    single = empirical_moments(p, pairs, k_max=2)
-    monkeypatch.setenv("QCC_LAB_THREADS", "3")
-    threaded = empirical_moments(p, pairs, k_max=2)
-    assert [e.moments for e in threaded.entries] == \
-        [e.moments for e in single.entries]

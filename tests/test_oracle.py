@@ -1,10 +1,12 @@
 """Exact-arithmetic core: rational matrices, wrappers, and the joint law."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from qcc_lab import oracle
 from qcc_lab.errors import (DimensionMismatchError, InvariantError,
                             PromiseViolationError)
 from qcc_lab.oracle import (BinaryObservable, DensityMatrix, ExpectationTriple,
@@ -71,6 +73,9 @@ def test_sign_vector_parse_both_formats():
         SignVector.parse("+-+")  # odd length
     with pytest.raises(InvariantError):
         SignVector.parse("+0+-")
+    for text, token in ((",", "''"), ("+,-", "'+'"), ("a,b", "'a'"), ("1,,1", "''")):
+        with pytest.raises(InvariantError, match=re.escape(f"token {token}")):
+            SignVector.parse(text)
 
 
 def test_sign_vector_roundtrips():
@@ -285,3 +290,107 @@ def test_target_probability_rejects_off_promise():
         dj_target_probability(a, b)
     # the general closed form still applies off-promise
     assert joint_plus_probability(a, b) == Fraction(4, 64)
+
+
+# --- maximally entangled identity against the kron reference ---------------
+
+
+def by_value(state):
+    """The same entries without the structural tag: takes the kron path."""
+    return DensityMatrix(state.entries)
+
+
+@pytest.fixture
+def kron_calls(monkeypatch):
+    calls = []
+    reference = oracle._trace_kron_exact
+
+    def counted(left, right, state):
+        calls.append(1)
+        return reference(left, right, state)
+
+    monkeypatch.setattr(oracle, "_trace_kron_exact", counted)
+    return calls
+
+
+def assert_identity_matches_kron(projectors, state):
+    """Every ordered pair: the tagged path equals the kron path exactly."""
+    reference = by_value(state)
+    observables = [projector_to_observable(p) for p in projectors]
+    for pa in projectors:
+        for pb in projectors:
+            fast = predict_joint_probs(pa, pb, state)
+            assert fast == predict_joint_probs(pa, pb, reference)
+            assert fast.exact
+    for oa in observables:
+        for ob in observables:
+            fast = predict_expectations(oa, ob, state)
+            assert fast == predict_expectations(oa, ob, reference)
+            assert fast.exact
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_identity_matches_kron_on_sign_vectors(n):
+    projectors = [sign_vector_projector(v) for v in SignVector.all_vectors(n)]
+    assert_identity_matches_kron(projectors, maximally_entangled(n))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_identity_matches_kron_on_higher_rank_projectors(n):
+    vectors = list(SignVector.all_vectors(n))
+    diagonal = [Projector(RationalMatrix(np.diag(v.to_bits()), 1)) for v in vectors]
+    rank_one = [sign_vector_projector(v) for v in vectors[:4]]
+    # P_a + P_b for orthogonal a, b: rank two with denominator n
+    a = vectors[0]
+    rank_two = [Projector(RationalMatrix(
+        sign_vector_projector(a).entries.num + sign_vector_projector(b).entries.num, n))
+        for b in vectors if a.dot(b) == 0][:4]
+    projectors = diagonal + rank_two + [p.complement() for p in diagonal + rank_one]
+    assert_identity_matches_kron(projectors, maximally_entangled(n))
+
+
+def test_identity_matches_kron_on_wide_numerators():
+    """Python-int numerators past the int64 range, on both paths."""
+    scale = 2**70
+    n = 4
+    projectors = []
+    for v in list(SignVector.all_vectors(n))[:6]:
+        p = sign_vector_projector(v).entries
+        projectors.append(Projector(RationalMatrix(p.num.astype(object) * scale,
+                                                   p.den * scale)))
+    projectors += [p.complement() for p in projectors[:2]]
+    state = maximally_entangled(n)
+    reference = by_value(state)
+    for pa in projectors:
+        for pb in projectors:
+            assert predict_joint_probs(pa, pb, state) == \
+                predict_joint_probs(pa, pb, reference)
+
+
+def test_tagged_state_skips_kron(kron_calls):
+    a, b = SignVector.parse("++--"), SignVector.parse("+-+-")
+    state = maximally_entangled(4)
+    predict_joint_probs(sign_vector_projector(a), sign_vector_projector(b), state)
+    predict_expectations(sign_vector_observable(a), sign_vector_observable(b), state)
+    assert kron_calls == []
+
+
+def test_state_built_by_value_takes_kron(kron_calls):
+    a, b = SignVector.parse("++--"), SignVector.parse("+-+-")
+    state = by_value(maximally_entangled(4))
+    assert state.entries.equals(maximally_entangled(4).entries)
+    predict_joint_probs(sign_vector_projector(a), sign_vector_projector(b), state)
+    assert len(kron_calls) == 3
+    predict_expectations(sign_vector_observable(a), sign_vector_observable(b), state)
+    assert len(kron_calls) == 6
+
+
+def test_unequal_party_dims_take_kron(kron_calls):
+    """1 x 4 party dims match a 4 x 4 state, but the identity needs n x n."""
+    state = maximally_entangled(2)
+    scalar = Projector(RationalMatrix(np.array([[1]]), 1))
+    wide = Projector(RationalMatrix(np.diag([1, 0, 0, 1]), 1))
+    probs = predict_joint_probs(scalar, wide, state)
+    assert len(kron_calls) == 3
+    assert probs == predict_joint_probs(scalar, wide, by_value(state))
+    assert probs.p_pp == 1  # the diagonal of Phi lies on |00> and |11>
