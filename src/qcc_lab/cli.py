@@ -49,14 +49,14 @@ from .dj import (auy_min_n1, check_promise, n0_certificate, n0_upper_bound,
                  RejectCertificate)
 from .errors import (InvariantError, NonHaltingError, PartitionError,
                      QccLabError)
-from .harness import (ALICE, BOB, RandomnessSpace, check_exact_blqms,
-                      describe_input, empirical_moments, output_distribution,
-                      pair_label, sample_distribution)
+from .harness import (ALICE, BOB, Protocol, RandomnessSpace,
+                      check_exact_blqms, describe_input, empirical_moments,
+                      output_distribution, sample_distribution)
 from .oracle import (BinaryObservable, DensityMatrix, JointProbs, Projector,
                      SignVector, bloch_observable, maximally_entangled,
                      observable_to_projector, predict_joint_probs,
                      probs_to_expectations, sign_vector_projector, singlet)
-from .protocols import PROTOCOL_NAMES, make_protocol
+from .protocols import PROTOCOLS, make_protocol, protocol_parameters
 from .reduction import (build_certificate, check_tail_hypothesis,
                         contradiction_holds, m_of_n, moment_bound_forms,
                         partition_inputs, verify_certificate)
@@ -171,15 +171,10 @@ def _parse_sign_vector(value) -> SignVector:
     if isinstance(value, str):
         return SignVector.parse(value)
     if isinstance(value, (list, tuple)):
-        return SignVector(tuple(int(x) for x in value))
+        if any(isinstance(x, bool) or not isinstance(x, int) for x in value):
+            raise InvariantError(f'"vector" entries must be integers, got {value!r}')
+        return SignVector(tuple(value))
     raise InvariantError(f"expected a sign vector, got {value!r}")
-
-
-def _parse_unit3(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise InvariantError(f"expected three comma-separated components, got {text!r}")
-    return tuple(float(p) for p in parts)
 
 
 def _parse_matrix(rows) -> np.ndarray:
@@ -239,21 +234,15 @@ def _load_scenario(path: str) -> tuple[Projector, Projector, DensityMatrix]:
     return proj_a, proj_b, state
 
 
-def _load_protocol_config(path: Optional[str]) -> dict:
-    if path is None:
-        return {}
-    with open(path, encoding="utf-8") as handle:
-        config = json.load(handle)
-    if not isinstance(config, dict):
-        raise InvariantError("protocol config must be a JSON object")
-    return config
-
-
-def _build_protocol(args) -> object:
-    params = _load_protocol_config(getattr(args, "protocol_config", None))
-    n = getattr(args, "n", None)
-    if args.protocol == "send_all_reply" and n is not None:
-        params.setdefault("n", n)
+def _build_protocol(args) -> Protocol:
+    params = {}
+    if args.protocol_config is not None:
+        with open(args.protocol_config, encoding="utf-8") as handle:
+            params = json.load(handle)
+        if not isinstance(params, dict):
+            raise InvariantError("protocol config must be a JSON object")
+    if args.n is not None and "n" in protocol_parameters(PROTOCOLS[args.protocol]):
+        params.setdefault("n", args.n)
     return make_protocol(args.protocol, **params)
 
 
@@ -266,10 +255,16 @@ def _require_even_n(n: int) -> int:
 EXHAUSTIVE_N_LIMIT = 16  # 2^n enumeration beyond this is not desk-scale
 
 
-def _guard_exhaustive(n: int) -> None:
+def _promise_front(args) -> tuple[int, Protocol]:
+    """Shared front of verify and reduce: a checked n and a sign-vector protocol."""
+    n = _require_even_n(args.n)
     if n > EXHAUSTIVE_N_LIMIT:
         raise InvariantError(
             f"exhaustive enumeration is capped at n = {EXHAUSTIVE_N_LIMIT}, got {n}")
+    kind = PROTOCOLS[args.protocol].input_kind
+    if kind != Protocol.input_kind:
+        raise InvariantError(f"{args.command} needs sign vectors; {args.protocol} takes {kind}s")
+    return n, _build_protocol(args)
 
 
 # ---------------------------------------------------------------------------
@@ -302,25 +297,21 @@ def cmd_predict(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.protocol == "toner_bacon":
-        if args.a is None or args.b is None:
-            raise InvariantError("toner_bacon needs --a and --b unit 3-vectors")
-        input_a, input_b = _parse_unit3(args.a), _parse_unit3(args.b)
-    elif args.protocol == "send_all_reply":
-        if args.a is None or args.b is None:
-            raise InvariantError("send_all_reply needs --a and --b sign vectors")
-        input_a, input_b = SignVector.parse(args.a), SignVector.parse(args.b)
-        if args.n is None:
-            args.n = input_a.n
-    else:
-        input_a = SignVector.parse(args.a) if args.a else SignVector((1, 1))
-        input_b = SignVector.parse(args.b) if args.b else input_a
+    contract = PROTOCOLS[args.protocol]
+    if contract.default_input is None and not (args.a and args.b):
+        raise InvariantError(
+            f"{args.protocol} needs --a and --b {contract.input_kind}s")
+    # with a default input, --a falls back to it and --b to Alice's input
+    input_a = contract.parse_input(args.a or contract.default_input)
+    input_b = contract.parse_input(args.b) if args.b else input_a
+    if args.n is None and "n" in protocol_parameters(contract):
+        args.n = len(input_a)
     protocol = _build_protocol(args)
     report = {
         "command": "simulate",
         "protocol": args.protocol,
-        "input_a": args.a if args.a else input_a.to_text(),
-        "input_b": args.b if args.b else input_b.to_text(),
+        "input_a": args.a or describe_input(input_a),
+        "input_b": args.b or describe_input(input_b),
         "seed": args.seed,
     }
     if args.samples is None:
@@ -352,13 +343,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    n = _require_even_n(args.n)
-    _guard_exhaustive(n)
-    if args.protocol == "toner_bacon":
-        raise InvariantError(
-            "verify enumerates sign-vector promise pairs; audit toner_bacon "
-            "with simulate against the singlet expectations")
-    protocol = _build_protocol(args)
+    n, protocol = _promise_front(args)
     space = protocol.lambda_space
     if args.samples is None and not isinstance(space, RandomnessSpace):
         raise InvariantError(
@@ -452,12 +437,7 @@ def cmd_dj_bounds(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    n = _require_even_n(args.n)
-    _guard_exhaustive(n)
-    if args.protocol == "toner_bacon":
-        raise InvariantError("reduce needs a sign-vector protocol "
-                             "(send_all_reply or constant)")
-    protocol = _build_protocol(args)
+    n, protocol = _promise_front(args)
     space = protocol.lambda_space
     if not isinstance(space, RandomnessSpace):
         raise InvariantError("reduce needs a finite randomness space")
@@ -469,7 +449,6 @@ def cmd_reduce(args) -> int:
         "M": threshold,
         "seed": args.seed,
     }
-    failed = False
 
     # the partition construction presumes the protocol reproduces the
     # target acceptance mass on every promise pair; audit that first
@@ -498,7 +477,6 @@ def cmd_reduce(args) -> int:
         "worst_pair": tail.worst_pair,
         "pairs_checked": tail.pairs_checked,
     }
-    failed = failed or not tail.ok
 
     try:
         partition = partition_inputs(protocol, n, threshold, space)
@@ -514,41 +492,37 @@ def cmd_reduce(args) -> int:
         "within_bound": partition.within_bound,
         "table_digest": table.digest,
     }
-    failed = failed or not partition.within_bound
 
-    total = passed = 0
-    max_bits = 0
-    for a in SignVector.all_vectors(n):
+    # a's honest certificate on every promise pair: completeness needs equal
+    # inputs jointly accepted, soundness needs every reject pair refused
+    total = passed = reject_pairs = jointly_accepted = max_bits = 0
+    for a, b in promise_pairs(n):
         cert = build_certificate(a, partition, protocol)
         max_bits = max(max_bits, cert.bit_length)
         ok_a = verify_certificate(ALICE, a, cert, table, protocol)
-        ok_b = verify_certificate(BOB, a, cert, table, protocol)
-        total += 1
-        passed += bool(ok_a.accepted and ok_b.accepted)
+        ok_b = verify_certificate(BOB, b, cert, table, protocol)
+        accepted = bool(ok_a.accepted and ok_b.accepted)
+        if a == b:
+            total += 1
+            passed += accepted
+        else:
+            reject_pairs += 1
+            jointly_accepted += accepted
     report["completeness"] = {"ok": passed == total, "passed": passed,
                               "total": total}
-    failed = failed or passed != total
-
-    reject_pairs = [(a, b) for a, b in promise_pairs(n) if a.dot(b) == 0]
-    jointly_accepted = 0
-    for a, b in reject_pairs:
-        cert = build_certificate(a, partition, protocol)
-        ok_a = verify_certificate(ALICE, a, cert, table, protocol)
-        ok_b = verify_certificate(BOB, b, cert, table, protocol)
-        jointly_accepted += bool(ok_a.accepted and ok_b.accepted)
     report["soundness"] = {"ok": jointly_accepted == 0,
-                           "pairs": len(reject_pairs),
+                           "pairs": reject_pairs,
                            "jointly_accepted": jointly_accepted}
-    failed = failed or jointly_accepted > 0
 
     reference_bits = 2 * math.log2(n) + 2 * threshold
     report["certificate_bits"] = {"max": max_bits,
                                   "reference": reference_bits,
                                   "within_reference": max_bits <= reference_bits}
-    failed = failed or max_bits > reference_bits
 
     _emit(canonical_json(report), args.out)
-    return 3 if failed else 0
+    ok = (tail.ok and partition.within_bound and passed == total
+          and jointly_accepted == 0 and max_bits <= reference_bits)
+    return 0 if ok else 3
 
 
 def cmd_bounds(args) -> int:
@@ -604,8 +578,8 @@ def build_parser() -> argparse.ArgumentParser:
     predict.set_defaults(func=cmd_predict)
 
     simulate = commands.add_parser("simulate", help="run a protocol on one pair")
-    simulate.add_argument("--protocol", required=True, choices=PROTOCOL_NAMES)
-    simulate.add_argument("--n", type=int, help="input length (send_all_reply)")
+    simulate.add_argument("--protocol", required=True, choices=sorted(PROTOCOLS))
+    simulate.add_argument("--n", type=int, help="protocol parameter n (default: length of --a)")
     simulate.add_argument("--a", help="Alice's input (sign vector or x,y,z)")
     simulate.add_argument("--b", help="Bob's input (sign vector or x,y,z)")
     simulate.add_argument("--samples", type=int,
@@ -617,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = commands.add_parser(
         "verify", help="audit the output law against all promise-pair targets")
-    verify.add_argument("--protocol", required=True, choices=PROTOCOL_NAMES)
+    verify.add_argument("--protocol", required=True, choices=sorted(PROTOCOLS))
     verify.add_argument("--n", type=int, required=True)
     verify.add_argument("--samples", type=int,
                         help="sampled mode (no pass flags, errors only)")
@@ -648,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     reduce_cmd = commands.add_parser(
         "reduce", help="tail check, partition, and certificate round trip")
-    reduce_cmd.add_argument("--protocol", required=True, choices=PROTOCOL_NAMES)
+    reduce_cmd.add_argument("--protocol", required=True, choices=sorted(PROTOCOLS))
     reduce_cmd.add_argument("--n", type=int, required=True)
     reduce_cmd.add_argument("--M", type=int,
                             help="bit budget (default n + 2)")

@@ -165,6 +165,11 @@ class Protocol(abc.ABC):
 
     name: str = "protocol"
     lambda_space = None  # natural randomness source; subclasses set it
+    # input contract, read from the class: the input kind named in errors,
+    # its text parser, and the text used when none is given (None: required)
+    input_kind: str = "sign vector"
+    parse_input = staticmethod(SignVector.parse)
+    default_input: Optional[str] = None
 
     @abc.abstractmethod
     def step(self, party: Party, own_input, lam, received: tuple[int, ...]) -> Action:

@@ -70,6 +70,12 @@ def _paired_for_products(a: Array, b: Array, terms: int) -> tuple[Array, Array]:
     return a, b
 
 
+def _affine(num: Array, coef: int, shift: int = 0) -> Array:
+    """coef * num + shift * I, exact: object dtype if int64 could overflow."""
+    a, _ = _paired_for_products(num, np.array([shift]), abs(coef) + 1)
+    return coef * a + shift * np.eye(*a.shape, dtype=a.dtype)
+
+
 @dataclass(frozen=True, eq=False)
 class RationalMatrix:
     """Exact real matrix: integer numerators over one positive denominator."""
@@ -111,8 +117,7 @@ class RationalMatrix:
     def equals(self, other: "RationalMatrix") -> bool:
         if self.shape != other.shape:
             return False
-        a, b = _paired_for_products(self.num, other.num, 1)
-        return bool((a * other.den == b * self.den).all())
+        return bool((_affine(self.num, other.den) == _affine(other.num, self.den)).all())
 
     def kron(self, other: "RationalMatrix") -> "RationalMatrix":
         a, b = _paired_for_products(self.num, other.num, 1)
@@ -124,8 +129,9 @@ class RationalMatrix:
 
     def one_minus(self) -> "RationalMatrix":
         """Identity minus self (square matrices only)."""
-        eye = np.eye(self.dim, dtype=self.num.dtype if self.num.dtype == object else np.int64)
-        return RationalMatrix(self.den * eye - self.num, self.den)
+        if self.shape[0] != self.shape[1]:
+            raise InvariantError(f"one_minus needs a square matrix, got shape {self.shape}")
+        return RationalMatrix(_affine(self.num, -1, self.den), self.den)
 
     def trace(self) -> Fraction:
         return Fraction(int(self.num.trace()), self.den)
@@ -296,9 +302,7 @@ class Projector:
         object.__setattr__(self, "entries", data)
         _check_hermitian(data, "projector")
         if _is_exact(data):
-            square = data @ data
-            scaled = RationalMatrix(data.num * data.den, data.den * data.den)
-            if not square.equals(scaled):
+            if not (data @ data).equals(data):
                 raise InvariantError("projector is not idempotent (exact mode)")
         else:
             residue = float(np.abs(data @ data - data).max())
@@ -431,8 +435,7 @@ def observable_to_projector(obs: BinaryObservable) -> Projector:
     """P = (A + 1) / 2."""
     data = obs.entries
     if _is_exact(data):
-        eye = np.eye(data.dim, dtype=np.int64)
-        return Projector(RationalMatrix(data.num + data.den * eye, 2 * data.den))
+        return Projector(RationalMatrix(_affine(data.num, 1, data.den), 2 * data.den))
     return Projector((data + np.eye(data.shape[0])) / 2)
 
 
@@ -440,8 +443,7 @@ def projector_to_observable(proj: Projector) -> BinaryObservable:
     """A = 2P - 1."""
     data = proj.entries
     if _is_exact(data):
-        eye = np.eye(data.dim, dtype=np.int64)
-        return BinaryObservable(RationalMatrix(2 * data.num - data.den * eye, data.den))
+        return BinaryObservable(RationalMatrix(_affine(data.num, 2, -data.den), data.den))
     return BinaryObservable(2 * data - np.eye(data.shape[0]))
 
 

@@ -13,12 +13,16 @@ Three constructions with very different cost profiles:
 The send-all-reply construction is this package's own exact baseline for
 the restricted sign-vector family; it makes no claim about simulating
 arbitrary measurements with bounded communication.
+
+A new protocol is one dataclass, whose init fields are its integer
+parameters and whose class attributes carry its input contract, plus
+one entry in `PROTOCOLS`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -162,6 +166,14 @@ class TonerBaconProtocol(Protocol):
 
     name = "toner_bacon"
     lambda_space = SpherePairSampler()
+    input_kind = "unit 3-vector"
+
+    @staticmethod
+    def parse_input(text: str) -> tuple[float, float, float]:
+        parts = text.split(",")
+        if len(parts) != 3:
+            raise InvariantError(f"expected three comma-separated components, got {text!r}")
+        return tuple(float(p) for p in parts)
 
     def step(self, party: Party, own_input, lam, received: tuple[int, ...]) -> Action:
         own = _unit3(own_input)
@@ -211,6 +223,7 @@ class ConstantProtocol(Protocol):
 
     name = "constant"
     lambda_space = RandomnessSpace.uniform((0,))
+    default_input = "++"
 
     def __post_init__(self):
         if self.y_a not in (-1, 1) or self.y_b not in (-1, 1):
@@ -220,38 +233,38 @@ class ConstantProtocol(Protocol):
         return Action(output=self.y_a if party is ALICE else self.y_b)
 
 
-def _build_send_all_reply(params: dict) -> SendAllReplyProtocol:
-    if "n" not in params:
-        raise InvariantError("send_all_reply needs parameter n")
-    return SendAllReplyProtocol(n=int(params["n"]),
-                                grid_size=params.get("grid_size"))
-
-
-def _build_toner_bacon(params: dict) -> TonerBaconProtocol:
-    return TonerBaconProtocol()
-
-
-def _build_constant(params: dict) -> ConstantProtocol:
-    return ConstantProtocol(y_a=int(params.get("y_a", 1)),
-                            y_b=int(params.get("y_b", 1)))
-
-
-_FACTORIES = {
-    "send_all_reply": (_build_send_all_reply, {"n", "grid_size"}),
-    "toner_bacon": (_build_toner_bacon, set()),
-    "constant": (_build_constant, {"y_a", "y_b"}),
+PROTOCOLS: dict[str, type[Protocol]] = {
+    cls.name: cls
+    for cls in (SendAllReplyProtocol, TonerBaconProtocol, ConstantProtocol)
 }
 
-PROTOCOL_NAMES = tuple(sorted(_FACTORIES))
+PROTOCOL_NAMES = tuple(sorted(PROTOCOLS))
+
+
+def protocol_parameters(cls: type[Protocol]) -> dict[str, bool]:
+    """A protocol dataclass's constructor parameters: name -> required."""
+    return {f.name: f.default is MISSING and f.default_factory is MISSING
+            for f in fields(cls) if f.init}
 
 
 def make_protocol(name: str, **params) -> Protocol:
-    """Build a registered protocol by name; unknown names or keys error."""
-    if name not in _FACTORIES:
-        raise InvariantError(f"unknown protocol {name!r}; choose from {PROTOCOL_NAMES}")
-    factory, allowed = _FACTORIES[name]
+    """Build a registered protocol by name from integer parameters.
+
+    The accepted and required parameters are the class's init fields;
+    unknown names, stray or missing keys and non-integer values error.
+    """
+    if name not in PROTOCOLS:
+        raise InvariantError(f"unknown protocol {name!r}; choose from {sorted(PROTOCOLS)}")
+    cls = PROTOCOLS[name]
+    accepted = protocol_parameters(cls)
     supplied = {k: v for k, v in params.items() if v is not None}
-    stray = set(supplied) - allowed
+    stray = set(supplied) - set(accepted)
     if stray:
         raise InvariantError(f"{name} does not accept parameters {sorted(stray)}")
-    return factory(supplied)
+    missing = [k for k, required in accepted.items() if required and k not in supplied]
+    if missing:
+        raise InvariantError(f"{name} needs parameters {missing}")
+    for key, value in supplied.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InvariantError(f"{name} parameter {key} must be an integer, got {value!r}")
+    return cls(**{k: int(v) for k, v in supplied.items()})

@@ -1,13 +1,14 @@
 """From cheap-on-average protocols to one-sided certificates.
 
-Pipeline: check that no diagonal input pair puts randomness mass 1/(2n)
-or more on runs costing at least M bits; greedily partition the 2^n sign
-vectors into cells, each owning one shared-randomness point that makes
-every member accept below budget; then a certificate for "my input is in
-your cell" is just the cell index plus the full run transcript, which one
-party alone can replay and audit.  The formula evaluators at the bottom
-quantify why such certificates cannot stay short for protocols that are
-cheap at every order.
+Pipeline: check that no promise input pair, equal (diagonal) or at
+a.b = 0, puts randomness mass 1/(2n) or more on runs costing at least M
+bits (the partition itself runs only diagonal pairs); greedily partition
+the 2^n sign vectors into cells, each owning one shared-randomness point
+that makes every member accept below budget; then a certificate for "my
+input is in your cell" is just the cell index plus the full run
+transcript, which one party alone can replay and audit.  The formula
+evaluators at the bottom quantify why such certificates cannot stay
+short for protocols that are cheap at every order.
 
 Certificate wire format (MSB-first, zero-padded to a byte boundary):
 

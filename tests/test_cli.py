@@ -1,14 +1,16 @@
 """CLI behavior: reports, exit codes, determinism, file output."""
 
 import json
+from dataclasses import dataclass
 
 import pytest
 
-from qcc_lab import cli
+from qcc_lab import cli, protocols
 from qcc_lab.cli import main
-from qcc_lab.errors import PartitionError
+from qcc_lab.errors import InvariantError, PartitionError
 from qcc_lab.harness import ALICE, Action, Protocol, RandomnessSpace
 from qcc_lab.oracle import SignVector
+from qcc_lab.protocols import TonerBaconProtocol
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +113,12 @@ def test_predict_bad_scenarios(tmp_path, capsys):
         "alice": {"vector": "++", "bloch": [0, 0, 1]},
         "bob": {"bloch": [0, 0, 1]}}, "two.json")
     assert run_cli(capsys, "predict", "--scenario", two_kinds)[0] == 2
+    for vector in ([1.9, -1], [[1], -1], [True, -1]):
+        path = write_scenario(tmp_path, {
+            "state": "maximally_entangled", "n": 2,
+            "alice": {"vector": vector}, "bob": {"vector": "++"}}, "vec.json")
+        code, _, err = run_cli(capsys, "predict", "--scenario", path)
+        assert code == 2 and '"vector" entries must be integers' in err
 
 
 def test_simulate_send_all_reply_exact(capsys):
@@ -123,6 +131,9 @@ def test_simulate_send_all_reply_exact(capsys):
     assert report["probs"]["p_mp"] == "1/4"
     assert report["t_mean"] == "5/1"
     assert report["expectations_float"]["e_ab"] == pytest.approx(0.0)
+    code, _, err = run_cli(capsys, "simulate", "--protocol", "send_all_reply",
+                           "--a", "++--")
+    assert code == 2 and "needs --a and --b sign vectors" in err
 
 
 def test_simulate_constant_exact(capsys):
@@ -132,6 +143,13 @@ def test_simulate_constant_exact(capsys):
     assert report["probs"]["p_pp"] == "1/1"
     assert report["t_mean"] == "0/1"
     assert report["expectations_float"]["e_ab"] == pytest.approx(1.0)
+    assert (report["input_a"], report["input_b"]) == ("++", "++")
+    # --b defaults to Alice's input, echoed in its canonical form
+    code, out, _ = run_cli(capsys, "simulate", "--protocol", "constant",
+                           "--a=+1,-1")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["input_a"], report["input_b"]) == ("+1,-1", "+-")
 
 
 def test_simulate_toner_bacon_sampled(capsys):
@@ -149,6 +167,9 @@ def test_simulate_toner_bacon_sampled(capsys):
     # no finite randomness space, so exact mode is unavailable
     assert run_cli(capsys, "simulate", "--protocol", "toner_bacon",
                    "--a", "0,0,1", "--b", "0,0,1")[0] == 2
+    code, _, err = run_cli(capsys, "simulate", "--protocol", "toner_bacon",
+                           "--b", "0,0,1", "--samples", "10")
+    assert code == 2 and "needs --a and --b unit 3-vectors" in err
 
 
 def test_simulate_protocol_config(tmp_path, capsys):
@@ -164,6 +185,18 @@ def test_simulate_protocol_config(tmp_path, capsys):
     assert run_cli(capsys, "simulate", "--protocol", "send_all_reply",
                    "--a", "++", "--b", "++",
                    "--protocol-config", str(bad))[0] == 2
+    # JSON values are checked, not coerced
+    for protocol, doc in (("send_all_reply", {"grid_size": 64.9}),
+                          ("send_all_reply", {"n": 4.7}),
+                          ("send_all_reply", {"n": [4]}),
+                          ("constant", {"y_a": True})):
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "simulate", "--protocol", protocol,
+                                 "--a", "++++", "--b", "++++",
+                                 "--protocol-config", str(bad))
+        key = next(iter(doc))
+        assert code == 2 and out == ""
+        assert f"parameter {key} must be an integer" in err
 
 
 def test_verify_send_all_reply_passes(capsys):
@@ -369,3 +402,74 @@ def test_entrypoint_exits(tmp_path, capsys, monkeypatch):
         entrypoint()
     assert excinfo.value.code == 0
     capsys.readouterr()
+
+
+# --- the protocol registry ---------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class Parity(Protocol):
+    """n = 2 only: Alice sends a1*a2 as one bit, Bob copies or flips her
+    uniform output; exact on the promise, where a != b flips one sign."""
+
+    n: int
+
+    name = "parity"
+    lambda_space = RandomnessSpace.uniform((1, -1))
+
+    def __post_init__(self):
+        if self.n != 2:
+            raise InvariantError(f"parity needs n = 2, got {self.n}")
+
+    def step(self, party, own_input, lam, received):
+        parity = own_input[0] * own_input[1]
+        if party is ALICE:
+            return Action(send=((1 + parity) // 2,), output=lam)
+        if not received:
+            return Action()
+        return Action(output=lam * parity * (2 * received[0] - 1))
+
+
+@dataclass(frozen=True, eq=False)
+class Spins(Protocol):
+    """Takes unit 3-vectors; both parties output +1 with no bits sent."""
+
+    name = "spins"
+    lambda_space = RandomnessSpace.uniform((0,))
+    input_kind = TonerBaconProtocol.input_kind
+    parse_input = staticmethod(TonerBaconProtocol.parse_input)
+
+    def step(self, party, own_input, lam, received):
+        return Action(output=1)
+
+
+def test_registered_protocol_runs_through_cli(capsys, monkeypatch):
+    monkeypatch.setitem(protocols.PROTOCOLS, "parity", Parity)
+    code, out, _ = run_cli(capsys, "simulate", "--protocol", "parity",
+                           "--a", "++", "--b=-+")
+    assert code == 0
+    report = json.loads(out)
+    assert report["mode"] == "exact"
+    assert report["probs"] == {"p_pp": "0/1", "p_mp": "1/2",
+                               "p_pm": "1/2", "p_mm": "0/1"}
+    assert report["t_mean"] == "1/1"
+    # --n reaches the protocol's n field
+    assert run_cli(capsys, "simulate", "--protocol", "parity", "--n", "4",
+                   "--a", "++", "--b", "++")[0] == 2
+    code, out, _ = run_cli(capsys, "verify", "--protocol", "parity", "--n", "2")
+    assert code == 0
+    report = json.loads(out)
+    assert report["all_full"] is True and report["scenarios"] == 12
+
+
+def test_promise_commands_refuse_non_sign_vector_protocols(capsys, monkeypatch):
+    monkeypatch.setitem(protocols.PROTOCOLS, "spins", Spins)
+    code, out, _ = run_cli(capsys, "simulate", "--protocol", "spins",
+                           "--a", "0,0,1", "--b", "1,0,0")
+    assert code == 0
+    assert json.loads(out)["input_b"] == "1,0,0"
+    for command in ("verify", "reduce"):
+        code, out, err = run_cli(capsys, command, "--protocol", "spins",
+                                 "--n", "2")
+        assert code == 2 and out == ""
+        assert "takes unit 3-vectors" in err

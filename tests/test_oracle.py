@@ -111,6 +111,17 @@ def test_projector_rejects_non_idempotent():
         Projector(np.array([[0.5, 0.0], [0.0, 0.7]]))
     with pytest.raises(InvariantError):
         Projector(np.array([[0.0, 1.0], [0.0, 0.0]]))  # not Hermitian
+    # diag(1, 0) over 2^40: num * den leaves int64, idempotence stays exact
+    big = 2**40
+    Projector(RationalMatrix(np.array([[big, 0], [0, 0]]), big))
+    with pytest.raises(InvariantError):
+        Projector(RationalMatrix(np.array([[big, 0], [0, big // 2]]), big))
+    with pytest.raises(InvariantError):
+        Projector(RationalMatrix(np.array([[big + 1, 0], [0, 0]]), big))
+    huge = 2**70
+    Projector(RationalMatrix(np.array([[huge, 0], [0, 0]], dtype=object), huge))
+    with pytest.raises(InvariantError):
+        Projector(RationalMatrix(np.array([[huge, 0], [0, 1]], dtype=object), huge))
 
 
 def test_projector_complement():
@@ -125,6 +136,16 @@ def test_observable_projector_conversion():
     p = observable_to_projector(a)
     back = projector_to_observable(p)
     assert back.entries.equals(a.entries)
+    # object-dtype numerators over a denominator past int64
+    huge = 2**70
+    z = BinaryObservable(RationalMatrix(
+        np.array([[huge, 0], [0, -huge]], dtype=object), huge))
+    p = observable_to_projector(z)
+    assert p.entries.equals(RationalMatrix(np.array([[1, 0], [0, 0]]), 1))
+    assert projector_to_observable(p).entries.equals(z.entries)
+    q = Projector(RationalMatrix(np.array([[0, 0], [0, huge]], dtype=object), huge))
+    assert projector_to_observable(q).entries.equals(
+        RationalMatrix(np.array([[-1, 0], [0, 1]]), 1))
 
 
 def test_observable_requires_involution():

@@ -250,3 +250,14 @@ def test_registry_names_and_dispatch():
         make_protocol("toner_bacon", n=4)
     with pytest.raises(InvariantError):
         make_protocol("send_all_reply")  # n is required
+    assert make_protocol("send_all_reply", n=np.int64(2)).n == 2
+    # parameters are integers: no float, bool or list is coerced
+    for name, key, value in (("send_all_reply", "n", 4.7),
+                             ("send_all_reply", "n", [4]),
+                             ("send_all_reply", "n", True),
+                             ("send_all_reply", "grid_size", 64.9),
+                             ("constant", "y_a", True),
+                             ("constant", "y_b", -1.0)):
+        params = {"n": 4, key: value} if name == "send_all_reply" else {key: value}
+        with pytest.raises(InvariantError, match=f"parameter {key} must be an integer"):
+            make_protocol(name, **params)
