@@ -58,7 +58,7 @@ from .oracle import (BinaryObservable, DensityMatrix, JointProbs, Projector,
                      probs_to_expectations, sign_vector_projector, singlet)
 from .protocols import PROTOCOLS, make_protocol, protocol_parameters
 from .reduction import (build_certificate, check_tail_hypothesis,
-                        contradiction_holds, m_of_n, moment_bound_forms,
+                        contradiction_holds, m_of_n, moment_bound,
                         partition_inputs, verify_certificate)
 
 
@@ -530,16 +530,12 @@ def cmd_bounds(args) -> int:
     for n in args.n:
         _require_even_n(n)
         for k in args.k:
-            direct, via_threshold = moment_bound_forms(n, k)
-            if not math.isclose(direct, via_threshold, rel_tol=1e-12):
-                raise InvariantError(
-                    f"moment bound arrangements disagree at n={n}, k={k}")
             rows.append({
                 "n": n,
                 "k": k,
                 "n1_lower_bound": n1_lower_bound(n),
                 "m_of_n": m_of_n(n),
-                "moment_bound": direct,
+                "moment_bound": moment_bound(n, k),
                 "contradiction": contradiction_holds(n),
             })
     if args.format == "csv":

@@ -20,15 +20,17 @@ this, and `verify_certificate` documents the same restriction.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import InvariantError, NonHaltingError, ProtocolError
-from .oracle import JointProbs, SignVector
+from .oracle import _INT64_SAFE, JointProbs, SignVector
 from .tolerances import TRACE_ATOL
 
 
@@ -43,6 +45,8 @@ class Party(Enum):
 
 ALICE = Party.ALICE
 BOB = Party.BOB
+# (y_A, y_B) in JointProbs order; also the order of cumulative quantile cuts
+OUTCOMES = ((1, 1), (-1, 1), (1, -1), (-1, -1))
 
 
 @dataclass(frozen=True)
@@ -123,12 +127,29 @@ class RunRecord:
         return int(self.y_a == 1 and self.y_b == 1)
 
 
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[np.ndarray, int]:
+    """Rationals as integer numerators over their least common denominator:
+    int64 while den and every sum of them stay below `_INT64_SAFE`, else object."""
+    den = math.lcm(*(v.denominator for v in values))
+    nums = np.array([v.numerator * (den // v.denominator) for v in values], dtype=object)
+    if max(den, int(np.abs(nums).max()) * len(nums)) < _INT64_SAFE:
+        nums = nums.astype(np.int64)
+    nums.setflags(write=False)
+    return nums, den
+
+
 @dataclass(frozen=True, eq=False)
 class RandomnessSpace:
-    """Finite weighted set of shared-randomness points; weights sum to 1."""
+    """Finite weighted set of shared-randomness points; weights sum to 1.
+
+    The weights are also held as integer `numerators` over one common
+    denominator `den`, so every exact mass is an integer sum divided once.
+    """
 
     points: tuple
     weights: tuple[Fraction, ...]
+    numerators: np.ndarray = field(init=False, repr=False)
+    den: int = field(init=False, repr=False)
 
     def __post_init__(self):
         points = tuple(self.points)
@@ -137,12 +158,16 @@ class RandomnessSpace:
             raise InvariantError("randomness space needs at least one point")
         if len(points) != len(weights):
             raise InvariantError(f"{len(points)} points vs {len(weights)} weights")
-        if any(w < 0 for w in weights):
+        numerators, den = _over_common_denominator(weights)
+        if (numerators < 0).any():
             raise InvariantError("weights must be nonnegative")
-        if sum(weights) != 1:
-            raise InvariantError(f"weights sum to {sum(weights)}, expected 1")
+        if numerators.sum() != den:
+            raise InvariantError(
+                f"weights sum to {Fraction(int(numerators.sum()), den)}, expected 1")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def uniform(cls, points) -> "RandomnessSpace":
@@ -152,9 +177,20 @@ class RandomnessSpace:
     def __len__(self) -> int:
         return len(self.points)
 
+    @cached_property
+    def rational_points(self) -> Optional[tuple[np.ndarray, int]]:
+        """The points as integer numerators over one denominator, or None
+        unless every point is a Fraction."""
+        if not all(isinstance(lam, Fraction) for lam in self.points):
+            return None
+        return _over_common_denominator(self.points)
+
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        return np.cumsum(np.array([float(w) for w in self.weights]))
+
     def sample_index(self, rng: np.random.Generator) -> int:
-        cdf = np.cumsum(np.array([float(w) for w in self.weights]))
-        return int(np.searchsorted(cdf, rng.random(), side="right"))
+        return int(np.searchsorted(self._cdf, rng.random(), side="right"))
 
     def sample(self, rng: np.random.Generator):
         return self.points[self.sample_index(rng)]
@@ -186,7 +222,8 @@ class Protocol(abc.ABC):
         return 10 * n + 64
 
     def outcome_table(self, input_a, input_b, space: RandomnessSpace):
-        """Optional fast path: per-point (y_a, y_b, t) rows matching `run`.
+        """Optional fast path: aligned integer arrays (y_a, y_b, t), one
+        entry per point of the space in its order, matching `run`.
 
         Return None to use the generic per-point runner.  Implementations
         must agree with `run` exactly; tests replay random points.
@@ -247,20 +284,23 @@ def run(protocol: Protocol, input_a, input_b, lam, *, cap: Optional[int] = None,
 
 
 def _finite_rows(protocol: Protocol, input_a, input_b,
-                 space: RandomnessSpace) -> list[tuple[int, int, int]]:
-    rows = protocol.outcome_table(input_a, input_b, space)
-    if rows is not None:
-        rows = list(rows)
-        if len(rows) != len(space):
-            raise ProtocolError(
-                f"outcome_table returned {len(rows)} rows for {len(space)} points"
-            )
-        return rows
-    out = []
-    for index, lam in enumerate(space.points):
-        rec = run(protocol, input_a, input_b, lam, lam_index=index)
-        out.append((rec.y_a, rec.y_b, rec.t))
-    return out
+                 space: RandomnessSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    table = protocol.outcome_table(input_a, input_b, space)
+    if table is None:
+        records = (run(protocol, input_a, input_b, lam, lam_index=index)
+                   for index, lam in enumerate(space.points))
+        table = np.array([(r.y_a, r.y_b, r.t) for r in records]).T
+    columns = tuple(np.asarray(column, dtype=np.int64) for column in table)
+    if [column.shape for column in columns] != [(len(space),)] * 3:
+        raise ProtocolError(f"outcome_table returned shapes {[c.shape for c in columns]} "
+                            f"for (y_a, y_b, t) over {len(space)} points")
+    return columns
+
+
+def _mass(space: RandomnessSpace, mask: np.ndarray) -> int:
+    """Weight numerator, over `space.den`, of the points where mask holds;
+    exact in int64 too, since the numerators are nonnegative and sum to den."""
+    return int(space.numerators[mask].sum())
 
 
 def output_distribution(protocol: Protocol, input_a, input_b,
@@ -273,12 +313,9 @@ def output_distribution(protocol: Protocol, input_a, input_b,
     closed = protocol.exact_distribution(input_a, input_b, space)
     if closed is not None:
         return closed
-    mass = {(1, 1): Fraction(0), (-1, 1): Fraction(0),
-            (1, -1): Fraction(0), (-1, -1): Fraction(0)}
-    for (y_a, y_b, _), weight in zip(_finite_rows(protocol, input_a, input_b, space),
-                                     space.weights):
-        mass[(y_a, y_b)] += weight
-    return JointProbs(mass[(1, 1)], mass[(-1, 1)], mass[(1, -1)], mass[(-1, -1)])
+    y_a, y_b, _ = _finite_rows(protocol, input_a, input_b, space)
+    return JointProbs(*(Fraction(_mass(space, (y_a == a) & (y_b == b)), space.den)
+                        for a, b in OUTCOMES))
 
 
 @dataclass(frozen=True)
@@ -317,12 +354,8 @@ def sample_distribution(protocol: Protocol, input_a, input_b, space=None, *,
     space = space if space is not None else protocol.lambda_space
     rng = np.random.default_rng(seed)
     y_a, y_b, t = _sampled_rows(protocol, input_a, input_b, space, samples, rng)
-    probs = JointProbs(
-        float(np.count_nonzero((y_a == 1) & (y_b == 1))) / samples,
-        float(np.count_nonzero((y_a == -1) & (y_b == 1))) / samples,
-        float(np.count_nonzero((y_a == 1) & (y_b == -1))) / samples,
-        float(np.count_nonzero((y_a == -1) & (y_b == -1))) / samples,
-    )
+    probs = JointProbs(*(float(np.count_nonzero((y_a == a) & (y_b == b))) / samples
+                         for a, b in OUTCOMES))
     return SampleStats(probs, float(t.mean()), int(t.max()), samples, seed)
 
 
@@ -488,17 +521,14 @@ def empirical_moments(protocol: Protocol, pairs: Sequence[tuple], space=None, *,
 
         def measure(pair) -> PairMoments:
             input_a, input_b = pair
-            rows = _finite_rows(protocol, input_a, input_b, space)
+            _, _, t = _finite_rows(protocol, input_a, input_b, space)
+            cost_law = {cost: _mass(space, t == cost) for cost in np.unique(t).tolist()}
             moments = tuple(
-                sum((w * t**k for (_, _, t), w in zip(rows, space.weights)),
-                    start=Fraction(0))
+                Fraction(sum(cost**k * mass for cost, mass in cost_law.items()), space.den)
                 for k in range(1, k_max + 1)
             )
-            tails = {
-                m: sum((w for (_, _, t), w in zip(rows, space.weights) if t >= m),
-                       start=Fraction(0))
-                for m in tail_thresholds
-            }
+            tails = {m: Fraction(_mass(space, t >= m), space.den)
+                     for m in tail_thresholds}
             return PairMoments(pair_label(input_a, input_b), moments, tails)
 
         return MomentReport(tuple(measure(pair) for pair in pairs),
@@ -528,6 +558,5 @@ def tail_mass(protocol: Protocol, input_a, input_b, space: RandomnessSpace,
     """Exact randomness mass of runs with T >= threshold."""
     if not isinstance(space, RandomnessSpace):
         raise InvariantError("tail_mass needs a finite RandomnessSpace")
-    rows = _finite_rows(protocol, input_a, input_b, space)
-    return sum((w for (_, _, t), w in zip(rows, space.weights) if t >= threshold),
-               start=Fraction(0))
+    _, _, t = _finite_rows(protocol, input_a, input_b, space)
+    return Fraction(_mass(space, t >= threshold), space.den)

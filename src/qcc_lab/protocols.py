@@ -21,6 +21,7 @@ one entry in `PROTOCOLS`.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
@@ -30,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvariantError, PromiseViolationError
-from .harness import ALICE, Action, Party, Protocol, RandomnessSpace
+from .harness import ALICE, OUTCOMES, Action, Party, Protocol, RandomnessSpace
 from .oracle import JointProbs, SignVector
 
 
@@ -51,16 +52,6 @@ def _cumulative_law(a_coords: tuple, b_coords: tuple) -> tuple[Fraction, Fractio
     plus_plus = Fraction(dot * dot, n**3)
     marginal = Fraction(1, n)
     return plus_plus, marginal, 2 * marginal - plus_plus
-
-
-_QUANTILE_OUTCOMES = ((1, 1), (-1, 1), (1, -1), (-1, -1))
-
-
-def _quantile_outcome(lam: Fraction, cuts: tuple[Fraction, Fraction, Fraction]) -> tuple[int, int]:
-    for cut, outcome in zip(cuts, _QUANTILE_OUTCOMES):
-        if lam < cut:
-            return outcome
-    return _QUANTILE_OUTCOMES[3]
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,15 +98,23 @@ class SendAllReplyProtocol(Protocol):
             return Action()  # still waiting for Alice's coordinates
         heard = SignVector.from_bits(received[: self.n])
         cuts = _cumulative_law(heard.coords, own.coords)
-        y_a, y_b = _quantile_outcome(lam, cuts)
+        # the outcome is indexed by the number of cuts at or below lam
+        y_a, y_b = OUTCOMES[bisect.bisect_right(cuts, lam)]
         return Action(send=((1 + y_a) // 2,), output=y_b)
 
     def outcome_table(self, input_a, input_b, space):
         a = self._own_vector(input_a)
         b = self._own_vector(input_b)
-        cuts = _cumulative_law(a.coords, b.coords)
-        t = self.n + 1
-        return [(*_quantile_outcome(lam, cuts), t) for lam in space.points]
+        law = _cumulative_law(a.coords, b.coords)
+        grid = space.rational_points
+        if grid is None:
+            return None
+        # with lam = m / D for an integer m, cut <= lam iff ceil(cut D) <= m
+        positions, den = grid
+        cuts = np.array([-(-c.numerator * den // c.denominator) for c in law],
+                        dtype=positions.dtype)
+        outcomes = np.array(OUTCOMES)[np.searchsorted(cuts, positions, side="right")]
+        return outcomes[:, 0], outcomes[:, 1], np.full(len(space), self.n + 1)
 
     def exact_distribution(self, input_a, input_b, space) -> Optional[JointProbs]:
         # closed interval counts; exact only on this protocol's own grid

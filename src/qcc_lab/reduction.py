@@ -232,65 +232,39 @@ class DjCertificate:
         return cell_index_width(self.n) + 2 * len(self.transcript)
 
     def serialize(self) -> bytes:
-        bits: list[int] = []
-        _push_bits(bits, len(self.transcript), 16)
-        _push_bits(bits, self.j - 1, cell_index_width(self.n))
+        width = cell_index_width(self.n)
+        value = _append_field(_append_field(0, len(self.transcript), 16), self.j - 1, width)
         for party, payload in self.transcript:
-            bits.append(0 if party is ALICE else 1)
-            bits.append(payload)
-        return _pack_bits(bits)
+            value = _append_field(value, (0 if party is ALICE else 2) | payload, 2)
+        total = 16 + width + 2 * len(self.transcript)
+        return (value << (-total % 8)).to_bytes((total + 7) // 8, "big")
 
     @classmethod
     def deserialize(cls, blob: bytes, n: int) -> "DjCertificate":
         width = cell_index_width(n)
         if len(blob) < 2:
             raise InvariantError("certificate shorter than its count prefix")
-        bits = _unpack_bits(blob)
-        count = _take_int(bits, 0, 16)
+        count = int.from_bytes(blob[:2], "big")
         total = 16 + width + 2 * count
         if len(blob) != (total + 7) // 8:
             raise InvariantError(
                 f"certificate is {len(blob)} bytes, expected {(total + 7) // 8}")
-        if any(bits[total:]):
+        padding = 8 * len(blob) - total
+        value = int.from_bytes(blob, "big")
+        if value & ((1 << padding) - 1):
             raise InvariantError("nonzero padding bits")
-        j = _take_int(bits, 16, width) + 1
-        entries = []
-        for k in range(count):
-            offset = 16 + width + 2 * k
-            sender = ALICE if bits[offset] == 0 else Party.BOB
-            entries.append((sender, bits[offset + 1]))
-        return cls(n, j, Transcript(tuple(entries)))
+        value >>= padding
+        j = (value >> 2 * count) % (1 << width) + 1
+        pairs = ((value >> 2 * k) & 3 for k in reversed(range(count)))
+        entries = tuple((ALICE if pair < 2 else Party.BOB, pair & 1) for pair in pairs)
+        return cls(n, j, Transcript(entries))
 
 
-def _push_bits(bits: list[int], value: int, width: int) -> None:
-    if value < 0 or value >= 1 << width:
-        raise InvariantError(f"value {value} does not fit {width} bits")
-    bits.extend((value >> (width - 1 - i)) & 1 for i in range(width))
-
-
-def _pack_bits(bits: list[int]) -> bytes:
-    padded = bits + [0] * (-len(bits) % 8)
-    out = bytearray()
-    for i in range(0, len(padded), 8):
-        byte = 0
-        for b in padded[i:i + 8]:
-            byte = (byte << 1) | b
-        out.append(byte)
-    return bytes(out)
-
-
-def _unpack_bits(blob: bytes) -> list[int]:
-    bits = []
-    for byte in blob:
-        bits.extend((byte >> (7 - i)) & 1 for i in range(8))
-    return bits
-
-
-def _take_int(bits: list[int], start: int, width: int) -> int:
-    value = 0
-    for b in bits[start:start + width]:
-        value = (value << 1) | b
-    return value
+def _append_field(value: int, part: int, width: int) -> int:
+    """value followed by part as `width` more bits, MSB-first."""
+    if part < 0 or part >= 1 << width:
+        raise InvariantError(f"value {part} does not fit {width} bits")
+    return value << width | part
 
 
 def build_certificate(a: SignVector, partition: Partition,

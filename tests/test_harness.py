@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcc_lab.errors import InvariantError, NonHaltingError, ProtocolError
 from qcc_lab.harness import (ALICE, BOB, Action, CheckResult, Party, Protocol,
@@ -32,6 +33,17 @@ class TwoBranch(Protocol):
         if len(received) < 2:
             return Action()
         return Action((1,), output=1)
+
+
+class CostIsPoint(Protocol):
+    """At point c, Alice sends c one-bits; Bob outputs the parity of c."""
+
+    name = "cost_is_point"
+
+    def step(self, party, own, lam, received):
+        if party is ALICE:
+            return Action((1,) * lam, output=1)
+        return Action(output=1 if lam % 2 == 0 else -1)
 
 
 class Deadlocked(Protocol):
@@ -79,8 +91,15 @@ def test_randomness_space_validation():
         RandomnessSpace((0, 1), (Fraction(1, 2), Fraction(1, 3)))
     with pytest.raises(InvariantError):
         RandomnessSpace((), ())
+    with pytest.raises(InvariantError, match="nonnegative"):
+        RandomnessSpace((0, 1), (Fraction(3, 2), Fraction(-1, 2)))
+    # these numerators sum to 1 + 2^64, which int64 would wrap to 1
+    with pytest.raises(InvariantError, match="sum"):
+        RandomnessSpace(tuple(range(9)), (1,) + (2**61,) * 8)
     space = RandomnessSpace.uniform((0, 1, 2, 3))
     assert space.weights == (Fraction(1, 4),) * 4
+    assert space.den == 4 and space.numerators.tolist() == [1, 1, 1, 1]
+    assert space.numerators.dtype == np.int64
     picks = [space.sample_index(np.random.default_rng(0)) for _ in range(3)]
     assert picks[0] == picks[1] == picks[2]  # same seed, same draw
     rng = np.random.default_rng(0)
@@ -110,6 +129,21 @@ def test_two_branch_distribution_and_moments():
     assert entry.moments == (Fraction(2), Fraction(5))
     assert entry.tails == {2: Fraction(1, 2), 3: Fraction(1, 2), 4: Fraction(0)}
     assert report.worst(2) == Fraction(5)
+    assert tail_mass(p, None, None, p.lambda_space, 3) == Fraction(1, 2)
+
+
+def test_outcome_table_shape_is_checked():
+    class Misaligned(TwoBranch):
+        def outcome_table(self, input_a, input_b, space):
+            return self.table
+
+    p = Misaligned()
+    for table in (([1], [1], [1]), ([1, 1], [1, 1], [1, 3, 3]),
+                  [(1, 1, 1), (1, 1, 3)], ([1, 1], [1, 1])):
+        p.table = table
+        with pytest.raises(ProtocolError, match="outcome_table returned"):
+            tail_mass(p, None, None, p.lambda_space, 3)
+    p.table = ([1, 1], [1, 1], [1, 3])
     assert tail_mass(p, None, None, p.lambda_space, 3) == Fraction(1, 2)
 
 
@@ -167,3 +201,46 @@ def test_check_exact_blqms_sampled_mode():
     assert report.mode == "sampled"
     assert report.all_full is None and report.all_restricted is None
     assert report.worst_error == 0.0  # the law is a point mass
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(costs=st.lists(st.integers(0, 64), min_size=2, max_size=12),
+       data=st.data())
+def test_exact_masses_past_int64(costs, data):
+    """Law, moments E[T^k] and tails stay exact when the common weight
+    denominator, and T^k, are past int64."""
+    raw = [1] + data.draw(st.lists(st.integers(2**63, 2**80), min_size=len(costs) - 1,
+                                   max_size=len(costs) - 1))
+    weights = [Fraction(r, sum(raw)) for r in raw]
+    space = RandomnessSpace(tuple(costs), weights)
+    assert space.den == sum(raw) > 2**63 and space.numerators.dtype == object
+    thresholds = data.draw(st.lists(st.integers(0, 70), max_size=5))
+    p = CostIsPoint()
+
+    report = empirical_moments(p, [(None, None)], space, k_max=12,
+                               tail_thresholds=thresholds)
+    (entry,) = report.entries
+    assert entry.moments == tuple(sum((w * c**k for c, w in zip(costs, weights)),
+                                      start=Fraction(0)) for k in range(1, 13))
+    for m in thresholds:
+        expected = sum((w for c, w in zip(costs, weights) if c >= m), start=Fraction(0))
+        assert entry.tails[m] == expected
+        assert tail_mass(p, None, None, space, m) == expected
+    even = sum((w for c, w in zip(costs, weights) if c % 2 == 0), start=Fraction(0))
+    assert output_distribution(p, None, None, space) == JointProbs(
+        even, Fraction(0), 1 - even, Fraction(0))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(raw=st.lists(st.integers(0, 1000), min_size=1, max_size=30).filter(any),
+       seed=st.integers(0, 2**32 - 1))
+def test_sample_index_matches_per_draw_cdf(raw, seed):
+    """The CDF computed once draws the same sequence as rebuilding it on
+    every draw, so seeded reports do not move."""
+    space = RandomnessSpace(tuple(range(len(raw))),
+                            [Fraction(r, sum(raw)) for r in raw])
+    cached, rebuilt = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(1000):
+        cdf = np.cumsum(np.array([float(w) for w in space.weights]))
+        expected = int(np.searchsorted(cdf, rebuilt.random(), side="right"))
+        assert space.sample_index(cached) == expected

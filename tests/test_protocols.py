@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcc_lab.errors import InvariantError, PromiseViolationError
 from qcc_lab.harness import (RandomnessSpace, Scenario, check_exact_blqms,
@@ -61,7 +62,8 @@ def test_outcome_table_matches_generic_runner():
         b = SignVector.parse(b_text)
         table = p.outcome_table(a, b, p.lambda_space)
         replayed = [run(p, a, b, lam) for lam in p.lambda_space.points]
-        assert table == [(r.y_a, r.y_b, r.t) for r in replayed]
+        np.testing.assert_array_equal(np.column_stack(table),
+                                      [(r.y_a, r.y_b, r.t) for r in replayed])
 
 
 def test_outcome_table_on_foreign_space():
@@ -69,8 +71,53 @@ def test_outcome_table_on_foreign_space():
     coarse = RandomnessSpace.uniform((Fraction(0), Fraction(1, 2)))
     a = SignVector.parse("++")
     table = p.outcome_table(a, a, coarse)
-    assert table == [(r.y_a, r.y_b, r.t)
-                     for r in (run(p, a, a, lam) for lam in coarse.points)]
+    np.testing.assert_array_equal(
+        np.column_stack(table),
+        [(r.y_a, r.y_b, r.t) for r in (run(p, a, a, lam) for lam in coarse.points)])
+    # points that are not all Fractions are left to the generic runner
+    assert p.outcome_table(a, a, RandomnessSpace.uniform((0, 1))) is None
+
+
+@st.composite
+def promise_pair(draw, n):
+    """A sign vector a and a partner b with a.b in {n, 0}."""
+    a = tuple(draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)))
+    flipped = set(draw(st.permutations(range(n)))[: n // 2]) if draw(st.booleans()) else ()
+    b = tuple(-c if i in flipped else c for i, c in enumerate(a))
+    return SignVector(a), SignVector(b)
+
+
+@st.composite
+def foreign_space(draw, n):
+    """Fraction points over denominators that are not multiples of n^3,
+    one past int64 among them, in and beyond [0, 1)."""
+    den = draw(st.sampled_from((7, 9, 3 * n**3 + 1, 7 * 2**64 + 1)))
+    numerators = draw(st.lists(st.integers(-den, 2 * den), min_size=1, max_size=40))
+    return RandomnessSpace.uniform(tuple(Fraction(k, den) for k in numerators))
+
+
+def assert_table_matches_runs(p, a, b, space):
+    table = p.outcome_table(a, b, space)
+    assert all(column.shape == (len(space),) for column in table)
+    np.testing.assert_array_equal(
+        np.column_stack(table),
+        [(r.y_a, r.y_b, r.t) for r in (run(p, a, b, lam) for lam in space.points)])
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_outcome_table_matches_run_everywhere(n, data):
+    """Differential: the integer searchsorted table against `run` at every
+    point of the own grid, a refined grid and foreign Fraction spaces."""
+    a, b = data.draw(promise_pair(n))
+    own = SendAllReplyProtocol(n)
+    refined = SendAllReplyProtocol(n, grid_size=2 * n**3)
+    assert_table_matches_runs(own, a, b, own.lambda_space)
+    assert_table_matches_runs(refined, a, b, refined.lambda_space)
+    assert_table_matches_runs(own, a, b, data.draw(foreign_space(n)))
+    sevenths = RandomnessSpace.uniform(tuple(Fraction(k, 7) for k in range(7)))
+    assert_table_matches_runs(own, a, b, sevenths)
 
 
 def test_exact_distribution_matches_enumeration():

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcc_lab.errors import InvariantError, PartitionError
 from qcc_lab.harness import (ALICE, BOB, Action, Protocol, RandomnessSpace,
@@ -146,7 +147,7 @@ def test_certificate_bit_lengths():
 
 def test_certificate_serialize_roundtrip():
     rng = random.Random(5)
-    for n in (2, 4, 6):
+    for n in (2, 4, 6, 10):
         for count in range(7):
             entries = tuple(
                 (ALICE if rng.random() < 0.5 else BOB, rng.randrange(2))
@@ -158,6 +159,30 @@ def test_certificate_serialize_roundtrip():
             expected_bytes = (16 + cell_index_width(n) + 2 * count + 7) // 8
             assert len(blob) == expected_bytes
             assert DjCertificate.deserialize(blob, n) == cert
+
+
+def test_certificate_serialize_pinned_bytes():
+    # count 5 (16 bits) | j - 1 = 22 (5 bits) | A1 A0 A1 A1 B0 as (sender,
+    # payload) pairs 01 00 01 01 10 | one zero padding bit
+    cert = DjCertificate(4, 23, Transcript.from_tokens("A1A0A1A1B0"))
+    assert cert.serialize() == bytes.fromhex("0005b22c")
+    assert DjCertificate.deserialize(bytes.fromhex("0005b22c"), 4) == cert
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.sampled_from((2, 4, 6, 10)), count=st.integers(0, 20),
+       slack=st.integers(-1, 1), data=st.data())
+def test_certificate_deserialize_arbitrary_bytes(n, count, slack, data):
+    """A count prefix and arbitrary bytes, of the framed length or one off,
+    either decode to a certificate that serializes back to them or are
+    refused with InvariantError."""
+    size = (16 + cell_index_width(n) + 2 * count + 7) // 8 - 2 + slack
+    blob = count.to_bytes(2, "big") + data.draw(st.binary(min_size=size, max_size=size))
+    try:
+        cert = DjCertificate.deserialize(blob, n)
+    except InvariantError:
+        return
+    assert cert.serialize() == blob
 
 
 def test_certificate_serialize_rejects_tampering():
