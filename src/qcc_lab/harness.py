@@ -47,6 +47,7 @@ ALICE = Party.ALICE
 BOB = Party.BOB
 # (y_A, y_B) in JointProbs order; also the order of cumulative quantile cuts
 OUTCOMES = ((1, 1), (-1, 1), (1, -1), (-1, -1))
+_BITS = frozenset((0, 1))
 
 
 @dataclass(frozen=True)
@@ -57,9 +58,10 @@ class Action:
     output: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "send", tuple(int(b) for b in self.send))
-        if any(b not in (0, 1) for b in self.send):
-            raise ProtocolError(f"sent bits must be 0/1, got {self.send}")
+        send = tuple(map(int, self.send))
+        object.__setattr__(self, "send", send)
+        if not _BITS.issuperset(send):
+            raise ProtocolError(f"sent bits must be 0/1, got {send}")
         if self.output is not None and self.output not in (-1, 1):
             raise ProtocolError(f"output must be +/-1, got {self.output!r}")
 
@@ -82,10 +84,15 @@ class Transcript:
     entries: tuple[tuple[Party, int], ...]
 
     def __post_init__(self):
-        entries = tuple((Party(p), int(b)) for p, b in self.entries)
-        if any(b not in (0, 1) for _, b in entries):
+        entries = tuple(self.entries)
+        senders, bits = zip(*entries, strict=True) if entries else ((), ())
+        bits = tuple(map(int, bits))
+        if not _BITS.issuperset(bits):
             raise InvariantError("transcript bits must be 0/1")
-        object.__setattr__(self, "entries", entries)
+        # counted by identity, so senders that are already a Party skip Party()
+        if senders.count(ALICE) + senders.count(BOB) != len(senders):
+            senders = tuple(map(Party, senders))
+        object.__setattr__(self, "entries", tuple(zip(senders, bits)))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -187,10 +194,14 @@ class RandomnessSpace:
 
     @cached_property
     def _cdf(self) -> np.ndarray:
-        return np.cumsum(np.array([float(w) for w in self.weights]))
+        """Float CDF, exactly 1.0 from the last positive weight on, so every
+        draw in [0, 1) lands on a point of positive weight."""
+        cdf = np.cumsum(np.array([float(w) for w in self.weights]))
+        cdf[np.flatnonzero(self.numerators)[-1]:] = 1.0
+        return cdf
 
     def sample_index(self, rng: np.random.Generator) -> int:
-        return int(np.searchsorted(self._cdf, rng.random(), side="right"))
+        return int(self._cdf.searchsorted(rng.random(), side="right"))
 
     def sample(self, rng: np.random.Generator):
         return self.points[self.sample_index(rng)]
@@ -244,34 +255,38 @@ def run(protocol: Protocol, input_a, input_b, lam, *, cap: Optional[int] = None,
     """Execute one deterministic run and record outputs, transcript, cost."""
     if cap is None:
         cap = protocol.default_cap(input_a, input_b)
-    received = {ALICE: [], BOB: []}
-    acted_at = {ALICE: -1, BOB: -1}
-    outputs: dict[Party, Optional[int]] = {ALICE: None, BOB: None}
-    own_input = {ALICE: input_a, BOB: input_b}
+    # per-party state, indexed 0 = Alice, 1 = Bob
+    parties = (ALICE, BOB)
+    own_input = (input_a, input_b)
+    received: tuple[list, list] = ([], [])
+    acted_at = [-1, -1]
+    outputs: list[Optional[int]] = [None, None]
     entries: list[tuple[Party, int]] = []
 
-    while outputs[ALICE] is None or outputs[BOB] is None:
+    while outputs[0] is None or outputs[1] is None:
         progressed = False
-        for party in (ALICE, BOB):
-            if outputs[party] is not None:
-                continue
-            if acted_at[party] >= len(received[party]):
-                continue  # nothing new since its last action
-            action = protocol.step(party, own_input[party], lam, tuple(received[party]))
+        for index in (0, 1):
+            heard = received[index]
+            if outputs[index] is not None or acted_at[index] >= len(heard):
+                continue  # halted, or nothing new since its last action
+            party = parties[index]
+            action = protocol.step(party, own_input[index], lam, tuple(heard))
             if not isinstance(action, Action):
                 raise ProtocolError(f"step returned {type(action).__name__}, not Action")
-            acted_at[party] = len(received[party])
+            acted_at[index] = len(heard)
             progressed = True
-            for bit in action.send:
-                if len(entries) >= cap:
+            send = action.send
+            if send:
+                room = max(cap - len(entries), 0)
+                entries.extend([(party, bit) for bit in send[:room]])
+                if len(send) > room:
                     raise NonHaltingError(
                         f"{protocol.name} exceeded the {cap}-bit budget",
                         partial_transcript=Transcript(tuple(entries)),
                     )
-                entries.append((party, bit))
-                received[party.peer].append(bit)
+                received[1 - index].extend(send)
             if action.output is not None:
-                outputs[party] = action.output
+                outputs[index] = action.output
         if not progressed:
             raise ProtocolError(
                 f"{protocol.name} deadlocked: no party can act "
@@ -279,7 +294,7 @@ def run(protocol: Protocol, input_a, input_b, lam, *, cap: Optional[int] = None,
             )
 
     transcript = Transcript(tuple(entries))
-    return RunRecord(outputs[ALICE], outputs[BOB], transcript, len(transcript),
+    return RunRecord(outputs[0], outputs[1], transcript, len(transcript),
                      lam, lam_index)
 
 

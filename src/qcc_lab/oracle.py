@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Optional, Union
 
 import numpy as np
@@ -44,17 +45,33 @@ Number = Union[Fraction, float]
 
 # int64 products stay exact below this; larger operands promote to object dtype
 _INT64_SAFE = 2**62
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 def _int_matrix(rows) -> Array:
-    arr = np.asarray(rows)
+    """Read-only integer numerators: int64 when every entry fits, else object.
+
+    Python-int input is built as an object array, so numpy never infers
+    uint64 or float64 for entries past int64; floats and bools are refused.
+    An object array given as such stays object.
+    """
+    given = isinstance(rows, np.ndarray)
+    arr = rows if given else np.array(rows, dtype=object)
     if arr.ndim != 2:
         raise InvariantError(f"matrix must be 2-D, got shape {arr.shape}")
-    if not issubclass(arr.dtype.type, (np.integer, np.object_)):
+    if arr.dtype == object:
+        kinds = set(map(type, arr.flat))
+        if not all(kind is int or issubclass(kind, np.integer) for kind in kinds):
+            names = sorted(kind.__name__ for kind in kinds)
+            raise InvariantError(f"exact matrices need integer entries, got {names}")
+    elif not issubclass(arr.dtype.type, np.integer):
         raise InvariantError(f"exact matrices need integer entries, got dtype {arr.dtype}")
-    if arr.dtype != object:
-        arr = arr.astype(np.int64)
-    arr = arr.copy()
+    if given and arr.dtype == object:
+        arr = arr.copy()
+    else:
+        fits = (arr.dtype.kind == "i" or arr.size == 0
+                or _INT64_MIN <= arr.min() and arr.max() <= _INT64_MAX)
+        arr = arr.astype(np.int64 if fits else object)
     arr.setflags(write=False)
     return arr
 
@@ -177,7 +194,11 @@ class SignVector:
         return sum(x * y for x, y in zip(self.coords, other.coords))
 
     def to_bits(self) -> tuple[int, ...]:
-        """Coordinate c maps to bit (1 + c) / 2."""
+        """Coordinate c maps to bit (1 + c) / 2; the same tuple on every call."""
+        return self._bits
+
+    @cached_property
+    def _bits(self) -> tuple[int, ...]:
         return tuple((1 + c) // 2 for c in self.coords)
 
     @classmethod

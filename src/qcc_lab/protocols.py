@@ -26,12 +26,13 @@ import math
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from typing import Optional
 
 import numpy as np
 
 from .errors import InvariantError, PromiseViolationError
-from .harness import ALICE, OUTCOMES, Action, Party, Protocol, RandomnessSpace
+from .harness import _BITS, ALICE, OUTCOMES, Action, Party, Protocol, RandomnessSpace
 from .oracle import JointProbs, SignVector
 
 
@@ -40,11 +41,13 @@ def _sgn(x: float) -> int:
     return 1 if x >= 0 else -1
 
 
-@lru_cache(maxsize=4096)
-def _cumulative_law(a_coords: tuple, b_coords: tuple) -> tuple[Fraction, Fraction, Fraction]:
-    """Cumulative joint-law thresholds for outcome order pp, mp, pm, mm."""
-    a, b = SignVector(a_coords), SignVector(b_coords)
-    n, dot = a.n, a.dot(b)
+@lru_cache(maxsize=None)
+def _cumulative_law(n: int, dot: int) -> tuple[Fraction, Fraction, Fraction]:
+    """Cumulative joint-law thresholds for outcome order pp, mp, pm, mm.
+
+    The law depends on the inputs only through n and a.b, so on the promise
+    the cache holds two keys per n; an off-promise a.b raises and is not kept.
+    """
     if dot not in (0, n):
         raise PromiseViolationError(
             f"send_all_reply inputs must satisfy the promise, got a.b = {dot}"
@@ -84,7 +87,7 @@ class SendAllReplyProtocol(Protocol):
 
     def _own_vector(self, value) -> SignVector:
         vec = value if isinstance(value, SignVector) else SignVector(tuple(value))
-        if vec.n != self.n:
+        if len(vec.coords) != self.n:
             raise InvariantError(f"input length {vec.n} does not match protocol n = {self.n}")
         return vec
 
@@ -94,10 +97,16 @@ class SendAllReplyProtocol(Protocol):
             if not received:
                 return Action(send=own.to_bits())
             return Action(output=2 * received[0] - 1)
-        if len(received) < self.n:
+        n = self.n
+        if len(received) < n:
             return Action()  # still waiting for Alice's coordinates
-        heard = SignVector.from_bits(received[: self.n])
-        cuts = _cumulative_law(heard.coords, own.coords)
+        heard = received[:n]
+        if not _BITS.issuperset(heard):
+            raise InvariantError(f"received bits must be 0/1, got {heard}")
+        # Alice's coordinate is 2h - 1 for heard bit h, so
+        # a.b = 2 * (sum of own coordinates where h = 1) - sum of own coordinates
+        coords = own.coords
+        cuts = _cumulative_law(n, 2 * sum(compress(coords, heard)) - sum(coords))
         # the outcome is indexed by the number of cuts at or below lam
         y_a, y_b = OUTCOMES[bisect.bisect_right(cuts, lam)]
         return Action(send=((1 + y_a) // 2,), output=y_b)
@@ -105,7 +114,7 @@ class SendAllReplyProtocol(Protocol):
     def outcome_table(self, input_a, input_b, space):
         a = self._own_vector(input_a)
         b = self._own_vector(input_b)
-        law = _cumulative_law(a.coords, b.coords)
+        law = _cumulative_law(self.n, a.dot(b))
         grid = space.rational_points
         if grid is None:
             return None
@@ -122,7 +131,7 @@ class SendAllReplyProtocol(Protocol):
             return None
         a = self._own_vector(input_a)
         b = self._own_vector(input_b)
-        c1, c2, c3 = _cumulative_law(a.coords, b.coords)
+        c1, c2, c3 = _cumulative_law(self.n, a.dot(b))
         return JointProbs(c1, c2 - c1, c3 - c2, 1 - c3)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from qcc_lab.errors import InvariantError, NonHaltingError, ProtocolError
 from qcc_lab.harness import (ALICE, BOB, Action, CheckResult, Party, Protocol,
-                             RandomnessSpace, Scenario, Transcript,
+                             RandomnessSpace, RunRecord, Scenario, Transcript,
                              check_exact_blqms, empirical_moments,
                              output_distribution, run, sample_distribution,
                              tail_mass)
@@ -67,7 +67,16 @@ def test_action_validation():
         Action((2,))
     with pytest.raises(ProtocolError):
         Action((), output=0)
+    for bits in ((0, 1, -1), (1, 2), [0, 3]):
+        with pytest.raises(ProtocolError, match="0/1"):
+            Action(bits)
+    for output in (0, 2, "1", 1.5):
+        with pytest.raises(ProtocolError, match="output"):
+            Action((1,), output=output)
     assert Action((1, 0)).send == (1, 0)
+    # bits are normalized to a tuple of ints, whatever sequence held them
+    normalized = Action([np.int64(1), True, 0]).send
+    assert normalized == (1, 1, 0) and all(type(b) is int for b in normalized)
     assert Party.ALICE.peer is Party.BOB and Party.BOB.peer is Party.ALICE
 
 
@@ -79,6 +88,24 @@ def test_transcript_tokens_roundtrip():
         Transcript.from_tokens("A1B")
     with pytest.raises(InvariantError):
         Transcript.from_tokens("C1")
+
+
+def test_transcript_validation():
+    t = Transcript([("A", np.int64(1)), (BOB, True), (ALICE, 0)])
+    assert t.entries == ((ALICE, 1), (BOB, 1), (ALICE, 0))
+    assert all(type(p) is Party and type(b) is int for p, b in t.entries)
+    assert Transcript(()).entries == () and Transcript(()).tokens() == ""
+    assert Transcript(iter([(ALICE, 1)])).entries == ((ALICE, 1),)
+    with pytest.raises(InvariantError, match="0/1"):
+        Transcript(((ALICE, 1), (BOB, 2)))
+    with pytest.raises(InvariantError, match="0/1"):
+        Transcript(((ALICE, -1),))
+    with pytest.raises(ValueError):
+        Transcript((("C", 1),))
+    with pytest.raises(ValueError):
+        Transcript(((ALICE, 1), (BOB, 1, 0)))  # not a (sender, bit) pair
+    with pytest.raises(ValueError):
+        Transcript(((ALICE,),))
 
 
 def test_check_result_truthiness():
@@ -166,8 +193,130 @@ def test_runaway_protocol_hits_cap():
     with pytest.raises(NonHaltingError) as info:
         run(Babbler(), None, None, 0, cap=12)
     assert len(info.value.partial_transcript) == 12
+    # a multi-bit send that crosses the cap keeps exactly the bits that fit
+    with pytest.raises(NonHaltingError) as info:
+        run(Scripted({(ALICE, 0): ((1, 0, 1, 1), False)}), None, None, 0, cap=3)
+    assert info.value.partial_transcript.tokens() == "A1A0A1"
+    assert run(Scripted({(ALICE, 0): ((1, 0, 1), True), (BOB, 3): ((), True)}),
+               None, None, 0, cap=3).t == 3
     vec = SignVector.parse("++")
     assert Babbler().default_cap(vec, vec) == 10 * 2 + 64
+
+
+def test_step_must_return_an_action():
+    class Sloppy(Protocol):
+        name = "sloppy"
+
+        def step(self, party, own, lam, received):
+            return ((1,), 1)
+
+    with pytest.raises(ProtocolError, match="tuple, not Action"):
+        run(Sloppy(), None, None, 0)
+
+
+class Scripted(Protocol):
+    """Plays a script: at (party, bits received so far) send the bits and
+    halt iff told to; the output depends on the bits heard and on lam.
+    A count the script does not name plays the party's default move,
+    by default to wait."""
+
+    name = "scripted"
+
+    def __init__(self, script, defaults=None):
+        self.script = script
+        self.defaults = defaults or {ALICE: ((), False), BOB: ((), False)}
+
+    def step(self, party, own, lam, received):
+        send, halt = self.script.get((party, len(received)), self.defaults[party])
+        return Action(send, output=(-1) ** (sum(received) + lam) if halt else None)
+
+
+def reference_run(protocol, input_a, input_b, lam, *, cap=None, lam_index=None):
+    """The runner as it was with Party-keyed dicts: the reference semantics."""
+    if cap is None:
+        cap = protocol.default_cap(input_a, input_b)
+    received = {ALICE: [], BOB: []}
+    acted_at = {ALICE: -1, BOB: -1}
+    outputs = {ALICE: None, BOB: None}
+    own_input = {ALICE: input_a, BOB: input_b}
+    entries = []
+
+    while outputs[ALICE] is None or outputs[BOB] is None:
+        progressed = False
+        for party in (ALICE, BOB):
+            if outputs[party] is not None:
+                continue
+            if acted_at[party] >= len(received[party]):
+                continue
+            action = protocol.step(party, own_input[party], lam, tuple(received[party]))
+            if not isinstance(action, Action):
+                raise ProtocolError(f"step returned {type(action).__name__}, not Action")
+            acted_at[party] = len(received[party])
+            progressed = True
+            for bit in action.send:
+                if len(entries) >= cap:
+                    raise NonHaltingError(
+                        f"{protocol.name} exceeded the {cap}-bit budget",
+                        partial_transcript=Transcript(tuple(entries)),
+                    )
+                entries.append((party, bit))
+                received[party.peer].append(bit)
+            if action.output is not None:
+                outputs[party] = action.output
+        if not progressed:
+            raise ProtocolError(
+                f"{protocol.name} deadlocked: no party can act "
+                f"(transcript so far: {Transcript(tuple(entries)).tokens()!r})"
+            )
+
+    transcript = Transcript(tuple(entries))
+    return RunRecord(outputs[ALICE], outputs[BOB], transcript, len(transcript),
+                     lam, lam_index)
+
+
+def _outcome(runner, protocol, lam, cap):
+    """A run's record, or its error's type, message and partial transcript."""
+    try:
+        return runner(protocol, None, None, lam, cap=cap, lam_index=lam)
+    except ProtocolError as exc:
+        return type(exc), str(exc), getattr(exc, "partial_transcript", None)
+
+
+_MOVES = st.tuples(st.lists(st.integers(0, 1), max_size=4).map(tuple), st.booleans())
+_SCRIPTS = st.dictionaries(st.tuples(st.sampled_from([ALICE, BOB]), st.integers(0, 9)),
+                           _MOVES, max_size=12)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(script=_SCRIPTS, default_a=_MOVES, default_b=_MOVES, lam=st.integers(0, 3),
+       cap=st.one_of(st.none(), st.integers(-1, 12)))
+def test_run_matches_reference_runner(script, default_a, default_b, lam, cap):
+    """Records, transcripts, cap hits (partial transcripts included) and
+    deadlocks agree with the dict-based reference runner."""
+    protocol = Scripted(script, {ALICE: default_a, BOB: default_b})
+    got = _outcome(run, protocol, lam, cap)
+    expected = _outcome(reference_run, protocol, lam, cap)
+    assert got == expected
+    cap = 64 if cap is None else cap  # the default cap of sizeless inputs
+    if isinstance(got, RunRecord):
+        assert got.transcript.entries == expected.transcript.entries
+        assert got.t == len(got.transcript) <= max(cap, 0)
+    elif got[0] is NonHaltingError:
+        assert len(got[2]) == max(cap, 0)
+
+
+def test_run_matches_reference_on_fixed_scripts():
+    """An interleaved run and a deadlock, which random scripts reach rarely."""
+    interleaved = Scripted({(ALICE, 0): ((1, 1), False), (BOB, 2): ((0,), False),
+                            (ALICE, 1): ((1,), True), (BOB, 3): ((0, 1), True)})
+    record = run(interleaved, None, None, 0)
+    assert record == reference_run(interleaved, None, None, 0)
+    assert record.transcript.tokens() == "A1A1B0A1B0B1"
+    assert (record.y_a, record.y_b, record.t) == (1, -1, 6)  # parities 0 and 3
+    stalled = Scripted({(ALICE, 0): ((1,), False)})
+    for runner in (run, reference_run):
+        with pytest.raises(ProtocolError, match="deadlocked.*'A1'"):
+            runner(stalled, None, None, 0)
 
 
 def test_exact_checking_requires_finite_space():
@@ -244,3 +393,28 @@ def test_sample_index_matches_per_draw_cdf(raw, seed):
         cdf = np.cumsum(np.array([float(w) for w in space.weights]))
         expected = int(np.searchsorted(cdf, rebuilt.random(), side="right"))
         assert space.sample_index(cached) == expected
+
+
+class _Draws:
+    """Stub generator whose `random()` returns the given draws in order."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self):
+        return self.draws.pop(0)
+
+
+def test_sample_index_lands_on_positive_weight_below_one():
+    top = 1 - 2**-53  # the largest double below 1
+    uniform = RandomnessSpace.uniform(range(10))
+    assert np.cumsum([0.1] * 10)[-1] <= top  # the float sum falls short of 1
+    assert uniform.sample_index(_Draws(top)) == 9
+    assert uniform.sample(_Draws(top)) == 9
+    assert [uniform.sample_index(_Draws((k + 0.5) / 10)) for k in range(10)] == \
+        list(range(10))
+    trailing = RandomnessSpace((0, 1, 2, 3), (Fraction(1, 3), Fraction(2, 3), 0, 0))
+    assert [trailing.sample_index(_Draws(x)) for x in (0.0, 0.3, 0.34, 0.9, top)] == \
+        [0, 0, 1, 1, 1]
+    leading = RandomnessSpace((0, 1, 2), (0, Fraction(1, 10), Fraction(9, 10)))
+    assert [leading.sample_index(_Draws(x)) for x in (0.0, 0.05, 0.1, top)] == [1, 1, 2, 2]

@@ -63,6 +63,29 @@ def test_rational_matrix_rejects_float_input():
         RationalMatrix(np.eye(2, dtype=np.int64), 0)
 
 
+def test_rational_matrix_python_ints_past_int64_stay_exact():
+    # numpy alone infers uint64 for [[2**63]] and float64 for the mixed matrix
+    top = RationalMatrix([[2**63]], 1)
+    assert top.entry(0, 0) == 2**63 and top.num.dtype == object
+    mixed = RationalMatrix([[2**63, 0], [0, 1]], 1)
+    assert mixed.num.dtype == object
+    assert [mixed.entry(i, j) for i in (0, 1) for j in (0, 1)] == [2**63, 0, 0, 1]
+    low = RationalMatrix([[-(2**63) - 1, 2**70]], 3)
+    assert low.entry(0, 0) == Fraction(-(2**63) - 1, 3) and low.entry(0, 1) == Fraction(2**70, 3)
+    unsigned = RationalMatrix(np.array([[2**63, 1]], dtype=np.uint64), 1)
+    assert unsigned.entry(0, 0) == 2**63 and unsigned.num.dtype == object
+    # entries that fit keep int64, at both ends of its range
+    for rows in ([[1, -2], [3, 4]], [[2**63 - 1, -(2**63)]], [[np.int64(5), 7]]):
+        exact = RationalMatrix(rows, 1)
+        assert exact.num.dtype == np.int64
+        assert exact.num.tolist() == [[int(x) for x in row] for row in rows]
+    assert RationalMatrix(np.array([[1]], dtype=object), 1).num.dtype == object
+    for bad in ([[1.5]], [[2**63, 0.5]], [[True, 0]], np.array([[1.5]], dtype=object),
+                np.array([[True]]), [[1, 2], [3]], [1, 2]):
+        with pytest.raises(InvariantError):
+            RationalMatrix(bad, 1)
+
+
 # --- sign vectors ----------------------------------------------------------
 
 
@@ -84,6 +107,13 @@ def test_sign_vector_roundtrips():
         assert vec.to_text() == text
         assert SignVector.from_bits(vec.to_bits()) == vec
         assert SignVector.from_hex(vec.to_hex(), vec.n) == vec
+
+
+def test_sign_vector_bits_are_computed_once():
+    vec = SignVector.parse("+--+")
+    assert vec.to_bits() == (1, 0, 0, 1)
+    assert vec.to_bits() is vec.to_bits()
+    assert vec == SignVector.parse("+--+") and hash(vec) == hash(SignVector.parse("+--+"))
 
 
 def test_all_vectors_enumeration():

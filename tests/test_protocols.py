@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcc_lab.dj import promise_pairs
 from qcc_lab.errors import InvariantError, PromiseViolationError
-from qcc_lab.harness import (RandomnessSpace, Scenario, check_exact_blqms,
-                             output_distribution, run, sample_distribution)
+from qcc_lab.harness import (BOB, Action, RandomnessSpace, Scenario,
+                             check_exact_blqms, output_distribution, run,
+                             sample_distribution)
 from qcc_lab.oracle import JointProbs, SignVector, joint_plus_probability
 from qcc_lab.protocols import (PROTOCOL_NAMES, ConstantProtocol,
                                SendAllReplyProtocol, SpherePairSampler,
-                               TonerBaconProtocol, make_protocol)
+                               TonerBaconProtocol, _cumulative_law, make_protocol)
 
 
 # --- send_all_reply ----------------------------------------------------------
@@ -168,6 +170,58 @@ def test_send_all_reply_enforces_promise():
     with pytest.raises(InvariantError):
         run(p, SignVector.parse("++"), SignVector.parse("++"),
             p.lambda_space.points[0])  # wrong length
+
+
+def test_send_all_reply_bob_checks_the_heard_bits():
+    p = SendAllReplyProtocol(4)
+    b = SignVector.parse("++++")
+    lam = p.lambda_space.points[0]
+    for heard in ((1, 1, 2, 1), (1, -1, 1, 1), (1, 1, 1, 1.5)):
+        with pytest.raises(InvariantError, match="0/1"):
+            p.step(BOB, b, lam, heard)
+    with pytest.raises(PromiseViolationError, match="a.b = 2"):
+        p.step(BOB, b, lam, (1, 1, 1, 0))  # heard +++-
+    with pytest.raises(InvariantError):
+        p.step(BOB, SignVector.parse("++"), lam, (1, 1, 1, 1))  # wrong length
+    assert p.step(BOB, b, lam, (1, 1, 1)) == Action()  # still listening
+    assert p.step(BOB, b, lam, (1, 1, 1, 1)) == Action((1,), output=1)
+
+
+def test_send_all_reply_bob_reads_the_dot_from_bits():
+    """Bob's a.b from the heard bits is the dot of the decoded vector, on
+    and off the promise, at every seventh point of the grid."""
+    n = 4
+    p = SendAllReplyProtocol(n)
+    vectors = list(SignVector.all_vectors(n))
+    for a in vectors:
+        for b in vectors:
+            for lam in p.lambda_space.points[::7]:
+                try:
+                    expected = _cumulative_law(n, a.dot(b))
+                except PromiseViolationError:
+                    with pytest.raises(PromiseViolationError):
+                        p.step(BOB, b, lam, a.to_bits())
+                    continue
+                reply = p.step(BOB, b, lam, a.to_bits() + (1,))
+                count = sum(cut <= lam for cut in expected)
+                y_a, y_b = [(1, 1), (-1, 1), (1, -1), (-1, -1)][count]
+                assert reply == Action(((1 + y_a) // 2,), output=y_b)
+
+
+def test_law_cache_has_two_keys_per_n():
+    _cumulative_law.cache_clear()
+    p = SendAllReplyProtocol(8)
+    lam = p.lambda_space.points[100]
+    for a, b in promise_pairs(8):
+        p.exact_distribution(a, b, p.lambda_space)
+        p.step(BOB, b, lam, a.to_bits())
+    with pytest.raises(PromiseViolationError):
+        p.step(BOB, SignVector.parse("++++++++"), lam, (1,) * 7 + (0,))
+    info = _cumulative_law.cache_info()
+    assert info.currsize == 2  # a.b = 0 and a.b = n; off-promise keys are not kept
+    assert info.misses == 3 and info.hits == 2 * 18_176 - 2
+    run(SendAllReplyProtocol(4), SignVector.parse("++--"), SignVector.parse("++--"), 0)
+    assert _cumulative_law.cache_info().currsize == 3
 
 
 # --- toner_bacon -------------------------------------------------------------
