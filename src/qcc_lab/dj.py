@@ -50,10 +50,10 @@ def promise_pairs(n: int) -> Iterator[tuple[SignVector, SignVector]]:
             yield a, SignVector(tuple(flipped))
 
 
-def promise_scenarios(n: int, exact: bool = True) -> list[Scenario]:
-    """Harness scenarios for every promise pair, targets from the predictor."""
-    state = maximally_entangled(n, exact=exact)
-    projectors = {a.coords: sign_vector_projector(a, exact=exact)
+def promise_scenarios(n: int) -> list[Scenario]:
+    """Harness scenarios for every promise pair, exact targets from the predictor."""
+    state = maximally_entangled(n)
+    projectors = {a.coords: sign_vector_projector(a)
                   for a in SignVector.all_vectors(n)}
     return [
         Scenario(a, b,

@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import InvariantError, NonHaltingError, ProtocolError
 from .oracle import _INT64_SAFE, JointProbs, SignVector
-from .tolerances import TRACE_ATOL
 
 
 class Party(Enum):
@@ -126,7 +125,6 @@ class RunRecord:
     transcript: Transcript
     t: int
     lam: object
-    lam_index: Optional[int] = None
 
     @property
     def g(self) -> int:
@@ -250,8 +248,8 @@ class Protocol(abc.ABC):
         return None
 
 
-def run(protocol: Protocol, input_a, input_b, lam, *, cap: Optional[int] = None,
-        lam_index: Optional[int] = None) -> RunRecord:
+def run(protocol: Protocol, input_a, input_b, lam, *,
+        cap: Optional[int] = None) -> RunRecord:
     """Execute one deterministic run and record outputs, transcript, cost."""
     if cap is None:
         cap = protocol.default_cap(input_a, input_b)
@@ -294,16 +292,14 @@ def run(protocol: Protocol, input_a, input_b, lam, *, cap: Optional[int] = None,
             )
 
     transcript = Transcript(tuple(entries))
-    return RunRecord(outputs[0], outputs[1], transcript, len(transcript),
-                     lam, lam_index)
+    return RunRecord(outputs[0], outputs[1], transcript, len(transcript), lam)
 
 
 def _finite_rows(protocol: Protocol, input_a, input_b,
                  space: RandomnessSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     table = protocol.outcome_table(input_a, input_b, space)
     if table is None:
-        records = (run(protocol, input_a, input_b, lam, lam_index=index)
-                   for index, lam in enumerate(space.points))
+        records = (run(protocol, input_a, input_b, lam) for lam in space.points)
         table = np.array([(r.y_a, r.y_b, r.t) for r in records]).T
     columns = tuple(np.asarray(column, dtype=np.int64) for column in table)
     if [column.shape for column in columns] != [(len(space),)] * 3:
@@ -405,7 +401,7 @@ class BlqmsReport:
     """
 
     results: tuple[ScenarioResult, ...]
-    mode: str  # "exact", "float", or "sampled"
+    mode: str  # "exact" or "sampled"
     samples: Optional[int]
     seed: object
 
@@ -424,82 +420,66 @@ class BlqmsReport:
         return max((r.error_max for r in self.results), default=0.0)
 
 
-def _law_errors(computed: JointProbs, target: JointProbs) -> tuple[float, float]:
+def _law_errors(computed: JointProbs, target: JointProbs) -> tuple:
+    """Largest and p_pp absolute differences, exact for rational laws."""
     # equal entries give an exact 0 without a subtraction
     deltas = [0 if c == t else abs(c - t) for c, t in zip(
         (computed.p_pp, computed.p_mp, computed.p_pm, computed.p_mm),
         (target.p_pp, target.p_mp, target.p_pm, target.p_mm))]
-    return float(max(deltas)), float(deltas[0])
+    return max(deltas), deltas[0]
 
 
 def check_exact_blqms(protocol: Protocol, scenarios: Iterable[Scenario], space=None, *,
                       samples: Optional[int] = None, seed=0) -> BlqmsReport:
     """Compare the protocol's output law against each scenario's target.
 
-    Finite spaces are enumerated exactly: rational laws must match the
-    target exactly, float laws within TRACE_ATOL.  With `samples` set, the
-    law is estimated instead and no pass flags are assigned.
+    By default the finite space is enumerated, every target must be
+    rational, and a scenario passes iff its law equals the target exactly.
+    With `samples` set, the law is estimated from a per-scenario seed
+    instead and no pass flags are assigned.
     """
-    scenarios = list(scenarios)
     space = space if space is not None else protocol.lambda_space
-
-    if samples is None:
-        if not isinstance(space, RandomnessSpace):
-            raise InvariantError("exact checking needs a finite RandomnessSpace; "
-                                 "pass samples= for sampled spaces")
-
-        def check(scenario: Scenario) -> ScenarioResult:
-            computed = output_distribution(protocol, scenario.input_a,
-                                           scenario.input_b, space)
-            error_max, error_pp = _law_errors(computed, scenario.target)
-            exact = computed.exact and scenario.target.exact
-            tol = 0 if exact else TRACE_ATOL
-            return ScenarioResult(
-                scenario.label, computed, scenario.target, error_max, error_pp,
-                passed_full=error_max <= tol,
-                passed_restricted=error_pp <= tol,
-            )
-
-        results = [check(scenario) for scenario in scenarios]
-        mode = "exact" if all(r.computed.exact and r.target.exact for r in results) else "float"
-        return BlqmsReport(tuple(results), mode, None, None)
-
-    def estimate(indexed: tuple[int, Scenario]) -> ScenarioResult:
-        index, scenario = indexed
-        stats = sample_distribution(protocol, scenario.input_a, scenario.input_b,
-                                    space, samples=samples,
-                                    seed=np.random.SeedSequence([_seed_int(seed), index]))
-        error_max, error_pp = _law_errors(stats.probs, scenario.target)
-        return ScenarioResult(scenario.label, stats.probs, scenario.target,
-                              error_max, error_pp, None, None)
-
-    results = [estimate(indexed) for indexed in enumerate(scenarios)]
-    return BlqmsReport(tuple(results), "sampled", samples, seed)
-
-
-def _seed_int(seed) -> int:
-    if isinstance(seed, (int, np.integer)):
-        return int(seed)
-    raise InvariantError(f"seed must be an integer, got {seed!r}")
+    sampled = samples is not None
+    if sampled:
+        if not isinstance(seed, (int, np.integer)):
+            raise InvariantError(f"seed must be an integer, got {seed!r}")
+    elif not isinstance(space, RandomnessSpace):
+        raise InvariantError("exact checking needs a finite RandomnessSpace; "
+                             "pass samples= for sampled spaces")
+    results = []
+    for index, scenario in enumerate(scenarios):
+        input_a, input_b, target = scenario.input_a, scenario.input_b, scenario.target
+        if sampled:
+            computed = sample_distribution(
+                protocol, input_a, input_b, space, samples=samples,
+                seed=np.random.SeedSequence([int(seed), index])).probs
+        elif not target.exact:
+            raise InvariantError(f"scenario {scenario.label!r} has a float target; "
+                                 "exact checking needs a rational one")
+        else:
+            computed = output_distribution(protocol, input_a, input_b, space)
+        error_max, error_pp = _law_errors(computed, target)
+        passed = (None, None) if sampled else (error_max == 0, error_pp == 0)
+        results.append(ScenarioResult(scenario.label, computed, target,
+                                      float(error_max), float(error_pp), *passed))
+    if sampled:
+        return BlqmsReport(tuple(results), "sampled", samples, seed)
+    return BlqmsReport(tuple(results), "exact", None, None)
 
 
 @dataclass(frozen=True)
 class PairMoments:
-    """Cost moments for one input pair; tails map threshold M to mass(T >= M)."""
+    """Exact cost moments for one input pair; tails map threshold M to mass(T >= M)."""
 
     label: str
     moments: tuple  # E[T^k] for k = 1..k_max
     tails: dict
-    stderrs: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
 class MomentReport:
     entries: tuple[PairMoments, ...]
     k_max: int
-    mode: str
-    samples: Optional[int]
-    seed: object
 
     def worst(self, k: int):
         """Max over pairs of E[T^k]; the order-k cost of the protocol."""
@@ -519,53 +499,25 @@ def pair_label(input_a, input_b) -> str:
 
 
 def empirical_moments(protocol: Protocol, pairs: Sequence[tuple], space=None, *,
-                      k_max: int = 2, tail_thresholds: Sequence[int] = (),
-                      samples: Optional[int] = None, seed=0) -> MomentReport:
-    """Moments E[T^k] up to k_max per input pair, exact or sampled.
-
-    Finite spaces give exact rational moments and tail masses; sampled mode
-    reports estimates with standard errors (ddof=1).
-    """
+                      k_max: int = 2, tail_thresholds: Sequence[int] = ()) -> MomentReport:
+    """Exact rational moments E[T^k] up to k_max and tail masses per input
+    pair, by weighted enumeration of a finite space."""
     if k_max < 1:
         raise InvariantError(f"k_max must be at least 1, got {k_max}")
     space = space if space is not None else protocol.lambda_space
-
-    if samples is None:
-        if not isinstance(space, RandomnessSpace):
-            raise InvariantError("exact moments need a finite RandomnessSpace")
-
-        def measure(pair) -> PairMoments:
-            input_a, input_b = pair
-            _, _, t = _finite_rows(protocol, input_a, input_b, space)
-            cost_law = {cost: _mass(space, t == cost) for cost in np.unique(t).tolist()}
-            moments = tuple(
-                Fraction(sum(cost**k * mass for cost, mass in cost_law.items()), space.den)
-                for k in range(1, k_max + 1)
-            )
-            tails = {m: Fraction(_mass(space, t >= m), space.den)
-                     for m in tail_thresholds}
-            return PairMoments(pair_label(input_a, input_b), moments, tails)
-
-        return MomentReport(tuple(measure(pair) for pair in pairs),
-                            k_max, "exact", None, None)
-
-    def estimate(indexed) -> PairMoments:
-        index, (input_a, input_b) = indexed
-        rng = np.random.default_rng(np.random.SeedSequence([_seed_int(seed), index]))
-        _, _, t = _sampled_rows(protocol, input_a, input_b, space, samples, rng)
-        t = t.astype(float)
-        moments, stderrs = [], []
-        for k in range(1, k_max + 1):
-            powered = t**k
-            moments.append(float(powered.mean()))
-            spread = float(powered.std(ddof=1)) if samples > 1 else 0.0
-            stderrs.append(spread / samples**0.5)
-        tails = {m: float(np.count_nonzero(t >= m)) / samples for m in tail_thresholds}
-        return PairMoments(pair_label(input_a, input_b), tuple(moments), tails,
-                           tuple(stderrs))
-
-    entries = tuple(estimate(indexed) for indexed in enumerate(pairs))
-    return MomentReport(entries, k_max, "sampled", samples, seed)
+    if not isinstance(space, RandomnessSpace):
+        raise InvariantError("exact moments need a finite RandomnessSpace")
+    entries = []
+    for input_a, input_b in pairs:
+        _, _, t = _finite_rows(protocol, input_a, input_b, space)
+        cost_law = {cost: _mass(space, t == cost) for cost in np.unique(t).tolist()}
+        moments = tuple(
+            Fraction(sum(cost**k * mass for cost, mass in cost_law.items()), space.den)
+            for k in range(1, k_max + 1)
+        )
+        tails = {m: Fraction(_mass(space, t >= m), space.den) for m in tail_thresholds}
+        entries.append(PairMoments(pair_label(input_a, input_b), moments, tails))
+    return MomentReport(tuple(entries), k_max)
 
 
 def tail_mass(protocol: Protocol, input_a, input_b, space: RandomnessSpace,

@@ -151,7 +151,8 @@ class RationalMatrix:
         return RationalMatrix(_affine(self.num, -1, self.den), self.den)
 
     def trace(self) -> Fraction:
-        return Fraction(int(self.num.trace()), self.den)
+        # summed as Python ints, so no int64 sum of numerators wraps
+        return Fraction(sum(map(int, self.num.diagonal())), self.den)
 
     def trace_dot(self, other: "RationalMatrix") -> Fraction:
         """Tr(self @ other), computed without forming the product."""

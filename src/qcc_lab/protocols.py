@@ -22,7 +22,6 @@ one entry in `PROTOCOLS`.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
@@ -205,21 +204,6 @@ class TonerBaconProtocol(Protocol):
         y_a = -s1
         y_b = np.where((lam1 + s1[:, None] * s2[:, None] * lam2) @ b >= 0, 1, -1)
         return y_a, y_b, np.ones(count, dtype=np.int64)
-
-    @staticmethod
-    def grid_space(points_per_sphere: int) -> RandomnessSpace:
-        """Finite Fibonacci-sphere product grid; an approximate quadrature."""
-        if points_per_sphere < 1 or points_per_sphere > 128:
-            raise InvariantError("points_per_sphere must be in 1..128")
-        golden = math.pi * (3 - math.sqrt(5))
-        single = []
-        for i in range(points_per_sphere):
-            z = 1 - (2 * i + 1) / points_per_sphere
-            radius = math.sqrt(max(0.0, 1 - z * z))
-            theta = golden * i
-            single.append((radius * math.cos(theta), radius * math.sin(theta), z))
-        return RandomnessSpace.uniform(
-            tuple((p, q) for p in single for q in single))
 
 
 @dataclass(frozen=True, eq=False)

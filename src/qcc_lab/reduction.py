@@ -27,7 +27,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .dj import promise_pairs
 from .errors import InvariantError, PartitionError, QccLabError
@@ -148,32 +151,24 @@ def partition_inputs(protocol: Protocol, n: int, threshold_bits: int,
     if not isinstance(space, RandomnessSpace):
         raise InvariantError("partitioning needs a finite RandomnessSpace")
     vectors = list(SignVector.all_vectors(n))
-    acceptors: dict[tuple, set[int]] = {}
-    for vec in vectors:
-        good = set()
-        for index, lam in enumerate(space.points):
-            record = run(protocol, vec, vec, lam, lam_index=index)
-            if record.g == 1 and record.t < threshold_bits:
-                good.add(index)
-        if not good:
+    # accepts[v, i]: vector v accepts at point i; filled vector by vector
+    accepts = np.zeros((len(vectors), len(space)), dtype=bool)
+    for vec, row in zip(vectors, accepts):
+        records = (run(protocol, vec, vec, lam) for lam in space.points)
+        row[:] = [r.g == 1 and r.t < threshold_bits for r in records]
+        if not row.any():
             raise PartitionError(
                 f"input {vec.to_text()} accepts nowhere below {threshold_bits} bits",
                 witness=vec)
-        acceptors[vec.coords] = good
 
-    remaining = list(vectors)
+    # every row accepts somewhere, so each pick covers at least one input
+    remaining = np.ones(len(vectors), dtype=bool)
     cells = []
-    while remaining:
-        best_index, best_count = -1, 0
-        for index in range(len(space)):
-            count = sum(1 for vec in remaining if index in acceptors[vec.coords])
-            if count > best_count:  # ties keep the lowest index
-                best_index, best_count = index, count
-        if best_count == 0:
-            raise PartitionError("no randomness point accepts any remaining input")
-        members = tuple(v for v in remaining if best_index in acceptors[v.coords])
-        cells.append(PartitionCell(members, best_index, space.points[best_index]))
-        remaining = [v for v in remaining if best_index not in acceptors[v.coords]]
+    while remaining.any():
+        best = int(accepts[remaining].sum(axis=0).argmax())  # ties: lowest index
+        members = tuple(compress(vectors, remaining & accepts[:, best]))
+        cells.append(PartitionCell(members, best, space.points[best]))
+        remaining &= ~accepts[:, best]
     return Partition(n, threshold_bits, tuple(cells))
 
 
@@ -271,7 +266,7 @@ def build_certificate(a: SignVector, partition: Partition,
                       protocol: Protocol) -> DjCertificate:
     """Honest certificate for input a: its cell index and the replayed run."""
     j, cell = partition.cell_of(a)
-    record = run(protocol, a, a, cell.lam, lam_index=cell.lam_index)
+    record = run(protocol, a, a, cell.lam)
     if record.g != 1 or record.t >= partition.threshold_bits:
         raise PartitionError(
             f"replay broke the cell promise for {a.to_text()} "

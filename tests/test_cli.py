@@ -121,6 +121,58 @@ def test_predict_bad_scenarios(tmp_path, capsys):
         assert code == 2 and '"vector" entries must be integers' in err
 
 
+
+def test_predict_singlet_bloch_directions(tmp_path, capsys):
+    path = write_scenario(tmp_path, {
+        "state": "singlet",
+        "alice": {"bloch": [0, 0, 1]}, "bob": {"bloch": [0.6, 0, 0.8]},
+    })
+    code, out, _ = run_cli(capsys, "predict", "--scenario", path)
+    assert code == 0
+    report = json.loads(out)
+    # singlet: E(ab) = -a.b = -0.8, unbiased marginals, p_pp = (1 + e_ab) / 4
+    assert report["probs_float"]["p_pp"] == pytest.approx(0.05)
+    assert report["expectations_float"]["e_ab"] == pytest.approx(-0.8)
+
+
+def test_predict_projector_and_complex_observable(tmp_path, capsys):
+    mixed = [[0.25 if i == j else 0 for j in range(4)] for i in range(4)]
+    sigma_y = [[0, [0, -1]], [[0, 1], 0]]  # [re, im] cells
+    path = write_scenario(tmp_path, {
+        "state": {"matrix": mixed},
+        "alice": {"projector": [[1, 0], [0, 0]]}, "bob": {"observable": sigma_y},
+    })
+    code, out, _ = run_cli(capsys, "predict", "--scenario", path)
+    assert code == 0
+    probs = json.loads(out)["probs_float"]
+    assert probs == pytest.approx({"p_pp": 0.25, "p_mp": 0.25,
+                                   "p_pm": 0.25, "p_mm": 0.25})
+
+
+def test_predict_malformed_scenarios_exit_two(tmp_path, capsys):
+    singlet_z = {"state": "singlet", "bob": {"bloch": [0, 0, 1]}}
+    mixed = [[0.25 if i == j else 0 for j in range(4)] for i in range(4)]
+    cases = [
+        ({**singlet_z, "alice": {"bloch": [0, 1]}}, '"bloch" takes a 3-component direction'),
+        ({**singlet_z, "alice": {"observable": [[True, 0], [0, 1]]}},
+         "matrix cells must be numbers, not booleans"),
+        ({**singlet_z, "alice": {"observable": [[[1, 0, 0], 0], [0, 1]]}},
+         "matrix cells are numbers or [re, im] pairs"),
+        ({**singlet_z, "alice": {"projector": []}}, "matrix must be a nonempty list of rows"),
+        ({**singlet_z, "alice": "z"}, 'scenario needs an object under "alice"'),
+        ({"state": "werner", "alice": {"bloch": [0, 0, 1]}, "bob": {"bloch": [0, 0, 1]}},
+         "unrecognized state spec 'werner'"),
+        ({"state": {"matrix": mixed}, "alice": {"bloch": [0, 0, 1]}, "bob": [0, 0, 1]},
+         'scenario needs an object under "bob"'),
+        (["singlet"], "scenario file must hold a JSON object"),
+    ]
+    for doc, message in cases:
+        code, out, err = run_cli(capsys, "predict", "--scenario",
+                                 write_scenario(tmp_path, doc))
+        assert code == 2 and out == ""
+        assert message in err, doc
+
+
 def test_simulate_send_all_reply_exact(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--protocol", "send_all_reply",
                            "--a", "++--", "--b", "+-+-")
@@ -181,6 +233,10 @@ def test_simulate_protocol_config(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["probs"]["p_pp"] == "1/2"
     bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps([16]))
+    code, _, err = run_cli(capsys, "simulate", "--protocol", "send_all_reply",
+                           "--a", "++", "--b", "++", "--protocol-config", str(bad))
+    assert code == 2 and "protocol config must be a JSON object" in err
     bad.write_text(json.dumps({"bogus": 1}))
     assert run_cli(capsys, "simulate", "--protocol", "send_all_reply",
                    "--a", "++", "--b", "++",
@@ -460,6 +516,36 @@ def test_registered_protocol_runs_through_cli(capsys, monkeypatch):
     assert code == 0
     report = json.loads(out)
     assert report["all_full"] is True and report["scenarios"] == 12
+
+
+
+class CoinSampler:
+    """Sampled-mode randomness with no finite space: a fair +/-1 coin."""
+
+    def sample(self, rng):
+        return 1 if rng.random() < 0.5 else -1
+
+
+@dataclass(frozen=True, eq=False)
+class SampledParity(Parity):
+    """Parity over a coin that can only be sampled."""
+
+    lambda_space = CoinSampler()
+
+
+def test_sampled_space_guards(capsys, monkeypatch):
+    monkeypatch.setitem(protocols.PROTOCOLS, "sampled_parity", SampledParity)
+    code, out, err = run_cli(capsys, "verify", "--protocol", "sampled_parity", "--n", "2")
+    assert code == 2 and out == ""
+    assert "sampled_parity has no finite randomness space; pass --samples" in err
+    code, out, _ = run_cli(capsys, "verify", "--protocol", "sampled_parity", "--n", "2",
+                           "--samples", "50")
+    assert code == 0
+    report = json.loads(out)
+    assert report["mode"] == "sampled" and report["worst_error"] < 0.5
+    code, out, err = run_cli(capsys, "reduce", "--protocol", "sampled_parity", "--n", "2")
+    assert code == 2 and out == ""
+    assert "reduce needs a finite randomness space" in err
 
 
 def test_promise_commands_refuse_non_sign_vector_protocols(capsys, monkeypatch):

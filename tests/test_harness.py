@@ -231,7 +231,7 @@ class Scripted(Protocol):
         return Action(send, output=(-1) ** (sum(received) + lam) if halt else None)
 
 
-def reference_run(protocol, input_a, input_b, lam, *, cap=None, lam_index=None):
+def reference_run(protocol, input_a, input_b, lam, *, cap=None):
     """The runner as it was with Party-keyed dicts: the reference semantics."""
     if cap is None:
         cap = protocol.default_cap(input_a, input_b)
@@ -270,14 +270,13 @@ def reference_run(protocol, input_a, input_b, lam, *, cap=None, lam_index=None):
             )
 
     transcript = Transcript(tuple(entries))
-    return RunRecord(outputs[ALICE], outputs[BOB], transcript, len(transcript),
-                     lam, lam_index)
+    return RunRecord(outputs[ALICE], outputs[BOB], transcript, len(transcript), lam)
 
 
 def _outcome(runner, protocol, lam, cap):
     """A run's record, or its error's type, message and partial transcript."""
     try:
-        return runner(protocol, None, None, lam, cap=cap, lam_index=lam)
+        return runner(protocol, None, None, lam, cap=cap)
     except ProtocolError as exc:
         return type(exc), str(exc), getattr(exc, "partial_transcript", None)
 
@@ -350,6 +349,31 @@ def test_check_exact_blqms_sampled_mode():
     assert report.mode == "sampled"
     assert report.all_full is None and report.all_restricted is None
     assert report.worst_error == 0.0  # the law is a point mass
+
+
+
+def test_guards_raise_invariant_errors():
+    """Guards that no shipped protocol or command reaches."""
+    class Sampler:
+        def sample(self, rng):
+            return 0
+
+    p = TwoBranch()
+    point_mass = JointProbs(Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+    with pytest.raises(InvariantError, match="2 points vs 1 weights"):
+        RandomnessSpace((0, 1), (Fraction(1),))
+    with pytest.raises(InvariantError, match="positive sample count"):
+        sample_distribution(p, None, None, samples=0)
+    with pytest.raises(InvariantError, match="seed must be an integer"):
+        check_exact_blqms(p, [Scenario(None, None, point_mass, "s")],
+                          samples=10, seed=1.5)
+    with pytest.raises(InvariantError, match="k_max must be at least 1"):
+        empirical_moments(p, [(None, None)], k_max=0)
+    with pytest.raises(InvariantError, match="tail_mass needs a finite"):
+        tail_mass(p, None, None, Sampler(), 1)
+    float_target = Scenario(None, None, JointProbs(1.0, 0.0, 0.0, 0.0), "floaty")
+    with pytest.raises(InvariantError, match="scenario 'floaty' has a float target"):
+        check_exact_blqms(p, [Scenario(None, None, point_mass, "exact"), float_target])
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

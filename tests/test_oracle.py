@@ -86,6 +86,16 @@ def test_rational_matrix_python_ints_past_int64_stay_exact():
             RationalMatrix(bad, 1)
 
 
+def test_rational_trace_sums_past_int64():
+    """int64 numerators whose diagonal sum passes 2^63 - 1 trace exactly."""
+    wide = RationalMatrix([[2**62, 0], [0, 2**62]], 1)
+    assert wide.num.dtype == np.int64
+    assert wide.trace() == 2**63
+    # trace 4 * 2^61 / 2^63 = 1, so the state is accepted
+    state = DensityMatrix(RationalMatrix(np.diag([2**61] * 4), 2**63))
+    assert state.exact and state.entries.trace() == 1
+
+
 # --- sign vectors ----------------------------------------------------------
 
 

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcc_lab import harness
 from qcc_lab.dj import promise_pairs
 from qcc_lab.errors import InvariantError, PromiseViolationError
-from qcc_lab.harness import (BOB, Action, RandomnessSpace, Scenario,
-                             check_exact_blqms, output_distribution, run,
-                             sample_distribution)
+from qcc_lab.harness import (BOB, OUTCOMES, Action, RandomnessSpace, Scenario,
+                             check_exact_blqms, empirical_moments,
+                             output_distribution, run, sample_distribution)
 from qcc_lab.oracle import JointProbs, SignVector, joint_plus_probability
 from qcc_lab.protocols import (PROTOCOL_NAMES, ConstantProtocol,
                                SendAllReplyProtocol, SpherePairSampler,
@@ -288,21 +289,26 @@ def test_toner_bacon_rejects_non_unit_inputs():
         run(p, (1.0, 0.0), (0.0, 0.0, 1.0), lam)
 
 
-def test_toner_bacon_grid_space():
-    grid = TonerBaconProtocol.grid_space(5)
-    assert len(grid) == 25
-    assert grid.weights[0] == Fraction(1, 25)
-    for lam1, lam2 in grid.points:
-        assert abs(sum(x * x for x in lam1) - 1) < 1e-9
-        assert abs(sum(x * x for x in lam2) - 1) < 1e-9
+def test_toner_bacon_finite_space_falls_back_to_run(monkeypatch):
+    """With no finite-space hook, a hand-built space of sphere pairs is
+    enumerated through `run`, once per point."""
+    axes = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (-0.6, 0.0, 0.8))
+    space = RandomnessSpace.uniform(tuple((l1, l2) for l1 in axes for l2 in axes))
     p = TonerBaconProtocol()
-    law = output_distribution(p, (0.0, 0.0, 1.0), (0.0, 0.0, 1.0), grid)
-    assert law.p_pp + law.p_mp + law.p_pm + law.p_mm == 1
-    assert law.p_pp == 0 and law.p_mm == 0  # anticorrelated on every point
-    with pytest.raises(InvariantError):
-        TonerBaconProtocol.grid_space(0)
-    with pytest.raises(InvariantError):
-        TonerBaconProtocol.grid_space(129)
+    a, b = (0.0, 0.0, 1.0), (0.6, 0.0, 0.8)
+    records = [run(p, a, b, lam) for lam in space.points]
+    expected = JointProbs(*(Fraction(sum(r.y_a == y_a and r.y_b == y_b for r in records),
+                                     len(records)) for y_a, y_b in OUTCOMES))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run", counted)
+    assert output_distribution(p, a, b, space) == expected
+    assert calls == list(space.points)
+    assert empirical_moments(p, [(a, b)], space, k_max=2).entries[0].moments == (1, 1)
 
 
 # --- constant ---------------------------------------------------------------

@@ -14,7 +14,7 @@ from qcc_lab.harness import (ALICE, BOB, Action, Protocol, RandomnessSpace,
 from qcc_lab.oracle import SignVector
 from qcc_lab.protocols import ConstantProtocol, SendAllReplyProtocol
 from qcc_lab.reduction import (DerandomizationTable, DjCertificate, Partition,
-                               build_certificate, cell_index_width,
+                               PartitionCell, build_certificate, cell_index_width,
                                check_tail_hypothesis, contradiction_holds,
                                contradiction_threshold, m_of_n, moment_bound,
                                moment_bound_forms, partition_inputs,
@@ -101,6 +101,97 @@ def test_partition_tie_break_order():
     for j, text in enumerate(("--", "-+", "+-", "++")):
         assert part.cells[j].lam == j
         assert part.cells[j].vectors == (SignVector.parse(text),)
+
+
+
+class Overlapping(Protocol):
+    """A seeded acceptance table over the n = 4 inputs and six points: Bob
+    outputs +1 iff the input's entry at the point is set.  Alice sends two
+    bits at odd points, so a budget of 2 bits rejects those.  Every input
+    and point the runner tries is logged in call order."""
+
+    name = "overlapping"
+    lambda_space = RandomnessSpace.uniform(range(6))
+
+    def __init__(self, seed, density):
+        rng = random.Random(seed)
+        self.table = {v.coords: [rng.random() < density for _ in range(6)]
+                      for v in SignVector.all_vectors(4)}
+        self.calls = []
+
+    def step(self, party, own, lam, received):
+        if party is ALICE:
+            self.calls.append((own.coords, lam))
+            return Action((1, 1) if lam % 2 else (), output=1)
+        if lam % 2 and len(received) < 2:
+            return Action()
+        return Action(output=1 if self.table[own.coords][lam] else -1)
+
+
+def reference_partition(protocol, n, threshold_bits):
+    """The greedy partition as it was with a dict of acceptor sets: the
+    reference semantics."""
+    space = protocol.lambda_space
+    vectors = list(SignVector.all_vectors(n))
+    acceptors = {}
+    for vec in vectors:
+        good = set()
+        for index, lam in enumerate(space.points):
+            record = run(protocol, vec, vec, lam)
+            if record.g == 1 and record.t < threshold_bits:
+                good.add(index)
+        if not good:
+            raise PartitionError(
+                f"input {vec.to_text()} accepts nowhere below {threshold_bits} bits",
+                witness=vec)
+        acceptors[vec.coords] = good
+
+    remaining = list(vectors)
+    cells = []
+    while remaining:
+        best_index, best_count = -1, 0
+        for index in range(len(space)):
+            count = sum(1 for vec in remaining if index in acceptors[vec.coords])
+            if count > best_count:  # ties keep the lowest index
+                best_index, best_count = index, count
+        members = tuple(v for v in remaining if best_index in acceptors[v.coords])
+        cells.append(PartitionCell(members, best_index, space.points[best_index]))
+        remaining = [v for v in remaining if best_index not in acceptors[v.coords]]
+    return Partition(n, threshold_bits, tuple(cells))
+
+
+def _partition_outcome(partitioner, protocol, n, threshold):
+    """A partition's cells, or its error's message and witness."""
+    try:
+        return partitioner(protocol, n, threshold).cells
+    except PartitionError as exc:
+        return str(exc), exc.witness
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), density=st.sampled_from((0.3, 0.5, 0.8)),
+       threshold=st.sampled_from((2, 3)))
+def test_partition_matches_reference_greedy(seed, density, threshold):
+    """Cells, their order, members and points, failures and the run calls
+    agree with the dict-of-sets reference greedy."""
+    got_protocol, expected_protocol = Overlapping(seed, density), Overlapping(seed, density)
+    got = _partition_outcome(partition_inputs, got_protocol, 4, threshold)
+    expected = _partition_outcome(reference_partition, expected_protocol, 4, threshold)
+    assert got == expected
+    assert got_protocol.calls == expected_protocol.calls
+    if isinstance(got, tuple) and isinstance(got[0], PartitionCell):
+        assert all(type(cell.lam_index) is int for cell in got)
+
+
+def test_partition_overlapping_cells_match_reference():
+    """A first pick that covers several inputs, and the one-input cells of
+    FourWindow, come out as the reference builds them."""
+    part = partition_inputs(Overlapping(seed=0, density=0.5), 4, 3)
+    assert [len(cell.vectors) for cell in part.cells] == [9, 5, 1, 1]
+    assert [cell.lam_index for cell in part.cells] == [2, 5, 0, 1]
+    assert part.cells == reference_partition(Overlapping(0, 0.5), 4, 3).cells
+    assert (partition_inputs(FourWindow(), 2, 1).cells
+            == reference_partition(FourWindow(), 2, 1).cells)
 
 
 def test_partition_failure_witness():
