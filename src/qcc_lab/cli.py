@@ -52,7 +52,7 @@ from .errors import (InvariantError, NonHaltingError, PartitionError,
 from .harness import (ALICE, BOB, Protocol, RandomnessSpace,
                       check_exact_blqms, describe_input, empirical_moments,
                       output_distribution, sample_distribution)
-from .oracle import (BinaryObservable, DensityMatrix, JointProbs, Projector,
+from .oracle import (BinaryObservable, DensityMatrix, Projector,
                      SignVector, bloch_observable, maximally_entangled,
                      observable_to_projector, predict_joint_probs,
                      probs_to_expectations, sign_vector_projector, singlet)
@@ -156,11 +156,6 @@ def _emit(text: str, out_path: Optional[str]) -> None:
             handle.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _probs_dict(probs: JointProbs) -> dict:
-    return {"p_pp": probs.p_pp, "p_mp": probs.p_mp,
-            "p_pm": probs.p_pm, "p_mm": probs.p_mm}
 
 
 def _floats(mapping: dict) -> dict:
@@ -274,9 +269,8 @@ def _promise_front(args) -> tuple[int, Protocol]:
 def cmd_predict(args) -> int:
     proj_a, proj_b, state = _load_scenario(args.scenario)
     probs = predict_joint_probs(proj_a, proj_b, state)
-    triple = probs_to_expectations(probs)
-    probs_map = _probs_dict(probs)
-    expectations = {"e_ab": triple.e_ab, "e_a": triple.e_a, "e_b": triple.e_b}
+    probs_map = probs.as_dict()
+    expectations = probs_to_expectations(probs).as_dict()
     if args.format == "csv":
         columns = ["p_pp", "p_mp", "p_pm", "p_mm", "e_ab", "e_a", "e_b"]
         values = [*probs_map.values(), *expectations.values()]
@@ -322,8 +316,8 @@ def cmd_simulate(args) -> int:
         probs = output_distribution(protocol, input_a, input_b, space)
         moments = empirical_moments(protocol, [(input_a, input_b)], space, k_max=1)
         report["mode"] = "exact"
-        report["probs"] = _probs_dict(probs)
-        report["probs_float"] = _floats(_probs_dict(probs))
+        report["probs"] = probs.as_dict()
+        report["probs_float"] = _floats(probs.as_dict())
         report["t_mean"] = moments.entries[0].moments[0]
     else:
         stats = sample_distribution(protocol, input_a, input_b,
@@ -331,13 +325,10 @@ def cmd_simulate(args) -> int:
         probs = stats.probs
         report["mode"] = "sampled"
         report["samples"] = stats.samples
-        report["probs"] = _floats(_probs_dict(probs))
+        report["probs"] = _floats(probs.as_dict())
         report["t_mean"] = stats.t_mean
         report["t_max"] = stats.t_max
-    triple = probs_to_expectations(probs)
-    report["expectations_float"] = {"e_ab": float(triple.e_ab),
-                                    "e_a": float(triple.e_a),
-                                    "e_b": float(triple.e_b)}
+    report["expectations_float"] = _floats(probs_to_expectations(probs).as_dict())
     _emit(canonical_json(report), args.out)
     return 0
 

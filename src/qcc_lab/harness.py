@@ -299,7 +299,8 @@ def _finite_rows(protocol: Protocol, input_a, input_b,
                  space: RandomnessSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     table = protocol.outcome_table(input_a, input_b, space)
     if table is None:
-        records = (run(protocol, input_a, input_b, lam) for lam in space.points)
+        cap = protocol.default_cap(input_a, input_b)
+        records = (run(protocol, input_a, input_b, lam, cap=cap) for lam in space.points)
         table = np.array([(r.y_a, r.y_b, r.t) for r in records]).T
     columns = tuple(np.asarray(column, dtype=np.int64) for column in table)
     if [column.shape for column in columns] != [(len(space),)] * 3:
@@ -351,8 +352,9 @@ def _sampled_rows(protocol: Protocol, input_a, input_b, space, samples: int,
     y_a = np.empty(samples, dtype=np.int8)
     y_b = np.empty(samples, dtype=np.int8)
     t = np.empty(samples, dtype=np.int64)
+    cap = protocol.default_cap(input_a, input_b)
     for i in range(samples):
-        rec = run(protocol, input_a, input_b, space.sample(rng))
+        rec = run(protocol, input_a, input_b, space.sample(rng), cap=cap)
         y_a[i], y_b[i], t[i] = rec.y_a, rec.y_b, rec.t
     return y_a, y_b, t
 
@@ -462,6 +464,8 @@ def check_exact_blqms(protocol: Protocol, scenarios: Iterable[Scenario], space=N
         passed = (None, None) if sampled else (error_max == 0, error_pp == 0)
         results.append(ScenarioResult(scenario.label, computed, target,
                                       float(error_max), float(error_pp), *passed))
+    if not results:
+        raise InvariantError("no scenarios to check; an empty audit would pass vacuously")
     if sampled:
         return BlqmsReport(tuple(results), "sampled", samples, seed)
     return BlqmsReport(tuple(results), "exact", None, None)
@@ -483,6 +487,10 @@ class MomentReport:
 
     def worst(self, k: int):
         """Max over pairs of E[T^k]; the order-k cost of the protocol."""
+        if not 1 <= k <= self.k_max:
+            raise InvariantError(f"moment order {k} outside 1..{self.k_max}")
+        if not self.entries:
+            raise InvariantError("no pairs in the report; the worst moment is undefined")
         return max(entry.moments[k - 1] for entry in self.entries)
 
 

@@ -15,9 +15,10 @@ Conventions:
       family is handled in exact rational arithmetic.  Everything else runs
       in double precision under the tolerances in `tolerances`.
 
-Exact traces Tr[(A (x) B) sigma] go through `_trace_on_state`.  A state
-built by `maximally_entangled(n)` carries a structural tag, set there and
-nowhere else, and on it the trace uses the identity
+The joint law is computed in `_law_parts` and nowhere else; expectations
+are derived from it.  A state built by `maximally_entangled(n)` carries a
+structural tag, set there and nowhere else, and on it the traces use the
+identity
 
     Tr[(A (x) B) Phi] = sum_ij A_ij B_ij / n
 
@@ -416,10 +417,6 @@ class JointProbs:
         elif abs(total - 1.0) > TRACE_ATOL:
             raise InvariantError(f"probabilities sum to {total!r}, expected 1")
 
-    @classmethod
-    def from_plus_parts(cls, p_pp: Number, p_mp: Number, p_pm: Number) -> "JointProbs":
-        return cls(p_pp, p_mp, p_pm, 1 - p_pp - p_mp - p_pm)
-
     def as_dict(self) -> dict[str, Number]:
         return {"p_pp": self.p_pp, "p_mp": self.p_mp, "p_pm": self.p_pm, "p_mm": self.p_mm}
 
@@ -469,38 +466,8 @@ def projector_to_observable(proj: Projector) -> BinaryObservable:
     return BinaryObservable(2 * data - np.eye(data.shape[0]))
 
 
-def _check_product_dim(dim_a: int, dim_b: int, state: DensityMatrix) -> None:
-    if dim_a * dim_b != state.dim:
-        raise DimensionMismatchError(
-            f"party dims {dim_a} x {dim_b} do not match state dim {state.dim}"
-        )
-
-
 def _trace_kron_exact(left: RationalMatrix, right: RationalMatrix, state: RationalMatrix) -> Fraction:
     return left.kron(right).trace_dot(state)
-
-
-def _entangled_sum(left: RationalMatrix, right: RationalMatrix,
-                   state: DensityMatrix) -> Optional[int]:
-    """Sum_ij left.num_ij * right.num_ij when the state is tagged, else None.
-
-    Tr[(left (x) right) Phi] is this sum over n * left.den * right.den for
-    the tagged state Phi = maximally_entangled(n) and n x n operands.
-    """
-    n = state._entangled_n
-    if n is None or left.shape != (n, n) or right.shape != (n, n):
-        return None
-    a, b = _paired_for_products(left.num, right.num, left.num.size)
-    return int((a * b).sum())
-
-
-def _trace_on_state(left: RationalMatrix, right: RationalMatrix,
-                    state: DensityMatrix) -> Fraction:
-    """Exact Tr[(left (x) right) state]: the identity when tagged, else kron."""
-    total = _entangled_sum(left, right, state)
-    if total is None:
-        return _trace_kron_exact(left, right, state.entries)
-    return Fraction(total, state._entangled_n * left.den * right.den)
 
 
 def _trace_kron_float(left: Array, right: Array, state: Array) -> float:
@@ -508,6 +475,33 @@ def _trace_kron_float(left: Array, right: Array, state: Array) -> float:
     if abs(value.imag) > TRACE_ATOL:
         raise InvariantError(f"trace has imaginary residue {value.imag:.3e}")
     return value.real
+
+
+def _law_parts(pa: MatrixData, pb: MatrixData, state: DensityMatrix) -> tuple:
+    """Tr[(P (x) Q) sigma], Tr[((1 - P) (x) Q) sigma], Tr[(P (x) (1 - Q)) sigma]
+    and the denominator they share.
+
+    Integers over n d_P d_Q on the tagged state with n x n operands;
+    Fractions over 1 on any other exact state; floats over 1.0 otherwise.
+    """
+    if not (_is_exact(pa) and _is_exact(pb) and state.exact):
+        pa, pb, sigma = _to_float(pa), _to_float(pb), _to_float(state.entries)
+        eye_a, eye_b = np.eye(len(pa)), np.eye(len(pb))
+        return (_trace_kron_float(pa, pb, sigma), _trace_kron_float(eye_a - pa, pb, sigma),
+                _trace_kron_float(pa, eye_b - pb, sigma), 1.0)
+    n = state._entangled_n
+    if n is None or pa.shape != (n, n) or pb.shape != (n, n):
+        sigma = state.entries
+        return (_trace_kron_exact(pa, pb, sigma), _trace_kron_exact(pa.one_minus(), pb, sigma),
+                _trace_kron_exact(pa, pb.one_minus(), sigma), 1)
+    # Tr[(P (x) Q) Phi] = sum_ij P_ij Q_ij / n; over the same denominator,
+    # (1 - P) (x) Q has numerator sum_ij (d_P delta_ij - P_ij) Q_ij = d_P tr(Q) - pp,
+    # and P (x) (1 - Q) likewise; diagonals are summed as Python ints so no
+    # int64 sum wraps
+    a, b = _paired_for_products(pa.num, pb.num, pa.num.size)
+    pp = int((a * b).sum())
+    return (pp, pa.den * sum(map(int, pb.num.diagonal())) - pp,
+            pb.den * sum(map(int, pa.num.diagonal())) - pp, n * pa.den * pb.den)
 
 
 def _admit_probability(name: str, value: float) -> float:
@@ -522,70 +516,25 @@ def predict_joint_probs(proj_a: Projector, proj_b: Projector, state: DensityMatr
     Exact when all three operands are rational; double precision otherwise,
     with each probability admitted within OPERATOR_ATOL and clamped to [0, 1].
     """
-    _check_product_dim(proj_a.dim, proj_b.dim, state)
-    if proj_a.exact and proj_b.exact and state.exact:
-        pa, pb = proj_a.entries, proj_b.entries
-        total = _entangled_sum(pa, pb, state)
-        if total is None:
-            p_pp = _trace_on_state(pa, pb, state)
-            p_mp = _trace_on_state(pa.one_minus(), pb, state)
-            p_pm = _trace_on_state(pa, pb.one_minus(), state)
-            probs = JointProbs.from_plus_parts(p_pp, p_mp, p_pm)
-        else:
-            # over the same denominator, (1 - P) (x) Q on Phi has numerator
-            # sum_ij (d_P delta_ij - P_ij) Q_ij = d_P tr(Q) - total, and P (x) (1 - Q)
-            # likewise; diagonals are summed as Python ints so no int64 sum wraps
-            den = state._entangled_n * pa.den * pb.den
-            mp = pa.den * sum(map(int, pb.num.diagonal())) - total
-            pm = pb.den * sum(map(int, pa.num.diagonal())) - total
-            probs = JointProbs(Fraction(total, den), Fraction(mp, den),
-                               Fraction(pm, den), Fraction(den - total - mp - pm, den))
-        for name, value in probs.as_dict().items():
-            if not (0 <= value.numerator <= value.denominator):
-                raise InvariantError(f"exact probability {name} = {value} outside [0, 1]")
-        return probs
-    pa, sigma = _to_float(proj_a.entries), _to_float(state.entries)
-    pb = _to_float(proj_b.entries)
-    eye_a, eye_b = np.eye(proj_a.dim), np.eye(proj_b.dim)
-    p_pp = _admit_probability("p_pp", _trace_kron_float(pa, pb, sigma))
-    p_mp = _admit_probability("p_mp", _trace_kron_float(eye_a - pa, pb, sigma))
-    p_pm = _admit_probability("p_pm", _trace_kron_float(pa, eye_b - pb, sigma))
-    p_mm = _admit_probability("p_mm", 1.0 - p_pp - p_mp - p_pm)
-    return JointProbs(p_pp, p_mp, p_pm, p_mm)
-
-
-def _admit_expectation(name: str, value) -> Number:
-    if isinstance(value, Fraction):
-        if not (-1 <= value <= 1):
-            raise InvariantError(f"exact correlator {name} = {value} outside [-1, 1]")
-        return value
-    if value < -1 - OPERATOR_ATOL or value > 1 + OPERATOR_ATOL:
-        raise InvariantError(f"{name} = {value!r} is outside [-1, 1] beyond tolerance")
-    return min(max(value, -1.0), 1.0)
+    if proj_a.dim * proj_b.dim != state.dim:
+        raise DimensionMismatchError(
+            f"party dims {proj_a.dim} x {proj_b.dim} do not match state dim {state.dim}")
+    pp, mp, pm, den = _law_parts(proj_a.entries, proj_b.entries, state)
+    if isinstance(den, int):
+        return JointProbs(*(Fraction(x, den) for x in (pp, mp, pm, den - pp - mp - pm)))
+    # the residual p_mm is taken after the clamps; the predict reports are pinned to it
+    p_pp = _admit_probability("p_pp", pp)
+    p_mp = _admit_probability("p_mp", mp)
+    p_pm = _admit_probability("p_pm", pm)
+    return JointProbs(p_pp, p_mp, p_pm, _admit_probability("p_mm", 1.0 - p_pp - p_mp - p_pm))
 
 
 def predict_expectations(
     obs_a: BinaryObservable, obs_b: BinaryObservable, state: DensityMatrix
 ) -> ExpectationTriple:
     """Correlator and marginals of the two observables on the shared state."""
-    _check_product_dim(obs_a.dim, obs_b.dim, state)
-    if obs_a.exact and obs_b.exact and state.exact:
-        a, b = obs_a.entries, obs_b.entries
-        eye_a = RationalMatrix.identity(a.dim)
-        eye_b = RationalMatrix.identity(b.dim)
-        return ExpectationTriple(
-            _admit_expectation("e_ab", _trace_on_state(a, b, state)),
-            _admit_expectation("e_a", _trace_on_state(a, eye_b, state)),
-            _admit_expectation("e_b", _trace_on_state(eye_a, b, state)),
-        )
-    a, sigma = _to_float(obs_a.entries), _to_float(state.entries)
-    b = _to_float(obs_b.entries)
-    eye_a, eye_b = np.eye(obs_a.dim), np.eye(obs_b.dim)
-    return ExpectationTriple(
-        _admit_expectation("e_ab", _trace_kron_float(a, b, sigma)),
-        _admit_expectation("e_a", _trace_kron_float(a, eye_b, sigma)),
-        _admit_expectation("e_b", _trace_kron_float(eye_a, b, sigma)),
-    )
+    return probs_to_expectations(predict_joint_probs(
+        observable_to_projector(obs_a), observable_to_projector(obs_b), state))
 
 
 def probs_to_expectations(probs: JointProbs) -> ExpectationTriple:

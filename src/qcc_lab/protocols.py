@@ -41,8 +41,10 @@ def _sgn(x: float) -> int:
 
 
 @lru_cache(maxsize=None)
-def _cumulative_law(n: int, dot: int) -> tuple[Fraction, Fraction, Fraction]:
-    """Cumulative joint-law thresholds for outcome order pp, mp, pm, mm.
+def _cumulative_law(n: int, dot: int) -> tuple[int, int, int]:
+    """Cumulative joint-law thresholds for outcome order pp, mp, pm, mm, as
+    integer numerators over n^3: (a.b)^2, then n^2 (the marginal 1/n), then
+    2 n^2 - (a.b)^2.
 
     The law depends on the inputs only through n and a.b, so on the promise
     the cache holds two keys per n; an off-promise a.b raises and is not kept.
@@ -51,9 +53,14 @@ def _cumulative_law(n: int, dot: int) -> tuple[Fraction, Fraction, Fraction]:
         raise PromiseViolationError(
             f"send_all_reply inputs must satisfy the promise, got a.b = {dot}"
         )
-    plus_plus = Fraction(dot * dot, n**3)
-    marginal = Fraction(1, n)
-    return plus_plus, marginal, 2 * marginal - plus_plus
+    return dot * dot, n * n, 2 * n * n - dot * dot
+
+
+def _floor_scaled(lam, scale: int) -> int:
+    """floor(lam * scale), exact for int, Fraction and float lam."""
+    num, den = (lam.as_integer_ratio() if isinstance(lam, float)
+                else (lam.numerator, lam.denominator))
+    return num * scale // den
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,8 +113,9 @@ class SendAllReplyProtocol(Protocol):
         # a.b = 2 * (sum of own coordinates where h = 1) - sum of own coordinates
         coords = own.coords
         cuts = _cumulative_law(n, 2 * sum(compress(coords, heard)) - sum(coords))
-        # the outcome is indexed by the number of cuts at or below lam
-        y_a, y_b = OUTCOMES[bisect.bisect_right(cuts, lam)]
+        # the outcome is indexed by the number of cuts at or below lam; for an
+        # integer cut c, c / n^3 <= lam iff c <= floor(lam n^3)
+        y_a, y_b = OUTCOMES[bisect.bisect_right(cuts, _floor_scaled(lam, n**3))]
         return Action(send=((1 + y_a) // 2,), output=y_b)
 
     def outcome_table(self, input_a, input_b, space):
@@ -117,10 +125,9 @@ class SendAllReplyProtocol(Protocol):
         grid = space.rational_points
         if grid is None:
             return None
-        # with lam = m / D for an integer m, cut <= lam iff ceil(cut D) <= m
+        # with lam = m / D for an integer m, c / n^3 <= lam iff ceil(c D / n^3) <= m
         positions, den = grid
-        cuts = np.array([-(-c.numerator * den // c.denominator) for c in law],
-                        dtype=positions.dtype)
+        cuts = np.array([-(-c * den // self.n**3) for c in law], dtype=positions.dtype)
         outcomes = np.array(OUTCOMES)[np.searchsorted(cuts, positions, side="right")]
         return outcomes[:, 0], outcomes[:, 1], np.full(len(space), self.n + 1)
 
@@ -131,7 +138,8 @@ class SendAllReplyProtocol(Protocol):
         a = self._own_vector(input_a)
         b = self._own_vector(input_b)
         c1, c2, c3 = _cumulative_law(self.n, a.dot(b))
-        return JointProbs(c1, c2 - c1, c3 - c2, 1 - c3)
+        cube = self.n**3
+        return JointProbs(*(Fraction(c, cube) for c in (c1, c2 - c1, c3 - c2, cube - c3)))
 
 
 class SpherePairSampler:

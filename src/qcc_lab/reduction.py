@@ -66,6 +66,8 @@ def check_tail_hypothesis(protocol: Protocol, n: int, threshold_bits: int,
     space = space if space is not None else protocol.lambda_space
     if pairs is None:
         pairs = list(promise_pairs(n))
+    if not pairs:
+        raise InvariantError("no pairs to check; an empty tail check would pass vacuously")
     bound = Fraction(1, 2 * n)
     worst = Fraction(0)
     worst_pair = ""
@@ -154,7 +156,8 @@ def partition_inputs(protocol: Protocol, n: int, threshold_bits: int,
     # accepts[v, i]: vector v accepts at point i; filled vector by vector
     accepts = np.zeros((len(vectors), len(space)), dtype=bool)
     for vec, row in zip(vectors, accepts):
-        records = (run(protocol, vec, vec, lam) for lam in space.points)
+        cap = protocol.default_cap(vec, vec)
+        records = (run(protocol, vec, vec, lam, cap=cap) for lam in space.points)
         row[:] = [r.g == 1 and r.t < threshold_bits for r in records]
         if not row.any():
             raise PartitionError(

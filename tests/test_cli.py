@@ -1,5 +1,6 @@
 """CLI behavior: reports, exit codes, determinism, file output."""
 
+import hashlib
 import json
 from dataclasses import dataclass
 
@@ -171,6 +172,54 @@ def test_predict_malformed_scenarios_exit_two(tmp_path, capsys):
                                  write_scenario(tmp_path, doc))
         assert code == 2 and out == ""
         assert message in err, doc
+
+
+# the pure state sqrt(0.7) |00> + sqrt(0.3) |11> has coherence sqrt(0.21)
+_COHERENCE = 0.458257569495584
+PREDICT_SCENARIOS = {
+    "singlet_z_zx": {"state": "singlet", "alice": {"bloch": [0, 0, 1]},
+                     "bob": {"bloch": [0.6, 0, 0.8]}},
+    "singlet_xy_yz": {"state": "singlet", "alice": {"bloch": [0.6, 0.8, 0]},
+                      "bob": {"bloch": [0, 0.28, 0.96]}},
+    "singlet_xyz_yz": {"state": "singlet", "alice": {"bloch": [0.48, 0.6, 0.64]},
+                       "bob": {"bloch": [0, 0.6, -0.8]}},
+    "singlet_observable": {"state": "singlet",
+                           "alice": {"observable": [[0, [0, -1]], [[0, 1], 0]]},
+                           "bob": {"bloch": [0, 0.6, 0.8]}},
+    "matrix_state": {"state": {"matrix": [[0.7, 0, 0, _COHERENCE], [0, 0, 0, 0],
+                                          [0, 0, 0, 0], [_COHERENCE, 0, 0, 0.3]]},
+                     "alice": {"bloch": [0.6, 0, 0.8]},
+                     "bob": {"projector": [[1, 0], [0, 0]]}},
+    "entangled_vectors": {"state": "maximally_entangled", "n": 6,
+                          "alice": {"vector": "++++--"}, "bob": {"vector": "+++-+-"}},
+}
+# sha256 of the json and csv reports, scenario file "<name>.json" in the cwd
+PREDICT_DIGESTS = {
+    "singlet_z_zx": ("2c3ac7789b7560660f541a47551f29c011f1a7be00968e26f41bf826ad9db948",
+                     "8c67f64fc43ef0a741cb5b14d6d7cd1f3adf851400cd28410cb98ddabecbce94"),
+    "singlet_xy_yz": ("b5bfbdffdf65c16c800ba6cdd17c93c23ec1fa58330492e9cffb4421cef569d1",
+                      "f945e14a1728a034d45eb858ff67dd2137d1f1880a7cd2e9514f863271f6408f"),
+    "singlet_xyz_yz": ("ab112133a6e25b275d603b7d75653e56d9a6f57b3ba6cc49347086034cc0f238",
+                       "e8147a26b1d2a905f5b8ed418332e19a6d6c49cccb796c850b735c9cf827839a"),
+    "singlet_observable": ("dfd3805c9db3ec7c77d97326d28c3626dd40680e46b11c4dac46bfb95fd305c1",
+                           "b81884690230ee9bceb1361a84bd8ca6f9caf5ba7e9b534f226786a37aeece7d"),
+    "matrix_state": ("fe4bee45e9c219488c4ce7bd7b531dd32defce75f9916fb2e04aeae9f51fafb7",
+                     "9d1eb9b83cec19672d3f40c729753961af7cfcf64372b61d971bcf6fcb38615c"),
+    "entangled_vectors": ("2390f5783ab120dfb865fc685ccfc565a50f49f9728ab59a69c63d5be5a8c8d1",
+                          "8f22986d786100e3f587e7cbd501a3973fa0d54be4315c30c8f2fa445108083a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREDICT_SCENARIOS))
+def test_predict_reports_are_pinned(name, tmp_path, monkeypatch, capsys):
+    """Byte-identical predict reports, float and exact, in both formats."""
+    monkeypatch.chdir(tmp_path)
+    path = f"{name}.json"
+    (tmp_path / path).write_text(json.dumps(PREDICT_SCENARIOS[name]))
+    for fmt, digest in zip(("json", "csv"), PREDICT_DIGESTS[name]):
+        code, out, _ = run_cli(capsys, "predict", "--scenario", path, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (fmt, out)
 
 
 def test_simulate_send_all_reply_exact(capsys):

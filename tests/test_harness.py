@@ -156,6 +156,11 @@ def test_two_branch_distribution_and_moments():
     assert entry.moments == (Fraction(2), Fraction(5))
     assert entry.tails == {2: Fraction(1, 2), 3: Fraction(1, 2), 4: Fraction(0)}
     assert report.worst(2) == Fraction(5)
+    for k in (0, 3):
+        with pytest.raises(InvariantError, match=f"moment order {k} outside 1..2"):
+            report.worst(k)
+    with pytest.raises(InvariantError, match="no pairs"):
+        empirical_moments(p, [], k_max=2).worst(1)
     assert tail_mass(p, None, None, p.lambda_space, 3) == Fraction(1, 2)
 
 
@@ -339,6 +344,9 @@ def test_check_exact_blqms_flags():
     assert report.worst_error == 0.5
     only_hit = check_exact_blqms(p, [hit])
     assert only_hit.all_full is True and only_hit.worst_error == 0
+    for samples in (None, 10):
+        with pytest.raises(InvariantError, match="no scenarios"):
+            check_exact_blqms(p, [], samples=samples)
 
 
 def test_check_exact_blqms_sampled_mode():

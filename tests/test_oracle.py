@@ -255,15 +255,17 @@ def test_float_path_agrees_with_exact():
 
 
 def test_predict_expectations_consistent_with_probs():
-    n = 2
-    state = maximally_entangled(n)
-    a = SignVector.parse("++")
-    b = SignVector.parse("+-")
-    probs = predict_joint_probs(sign_vector_projector(a),
-                                sign_vector_projector(b), state)
-    triple = predict_expectations(sign_vector_observable(a),
-                                  sign_vector_observable(b), state)
-    assert probs_to_expectations(probs) == triple
+    """Every ordered pair at n = 4, on the tagged state and on the same
+    entries built by value."""
+    vectors = list(SignVector.all_vectors(4))
+    for state in (maximally_entangled(4), by_value(maximally_entangled(4))):
+        for a in vectors:
+            for b in vectors:
+                probs = predict_joint_probs(sign_vector_projector(a),
+                                            sign_vector_projector(b), state)
+                triple = predict_expectations(sign_vector_observable(a),
+                                              sign_vector_observable(b), state)
+                assert triple.exact and probs_to_expectations(probs) == triple
 
 
 def test_singlet_expectations_from_bloch_observables():
@@ -325,9 +327,6 @@ def test_joint_probs_validation():
                    Fraction(-1, 2))
     with pytest.raises(InvariantError):
         JointProbs(0.5, 0.5, 0.5, 0.5)  # sums to 2
-    mixed = JointProbs.from_plus_parts(Fraction(1, 4), Fraction(1, 4),
-                                       Fraction(1, 4))
-    assert mixed.p_mm == Fraction(1, 4)
 
 
 # --- promise-family closed forms ---------------------------------------------

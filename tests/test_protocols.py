@@ -1,5 +1,7 @@
 """Reference protocols: exactness, hook/generic equivalence, conventions."""
 
+import bisect
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -204,9 +206,32 @@ def test_send_all_reply_bob_reads_the_dot_from_bits():
                         p.step(BOB, b, lam, a.to_bits())
                     continue
                 reply = p.step(BOB, b, lam, a.to_bits() + (1,))
-                count = sum(cut <= lam for cut in expected)
+                count = sum(Fraction(c, n**3) <= lam for c in expected)
                 y_a, y_b = [(1, 1), (-1, 1), (1, -1), (-1, -1)][count]
                 assert reply == Action(((1 + y_a) // 2,), output=y_b)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_send_all_reply_step_matches_fraction_bisect(n):
+    """Bob's integer bisect against floor(lam n^3) picks the same outcome as
+    bisecting the rational cuts c / n^3, for Fraction, int and float lam."""
+    p = SendAllReplyProtocol(n)
+    cube = n**3
+    cut_points = [Fraction(c, cube) for dot in (0, n) for c in _cumulative_law(n, dot)]
+    lams = list(p.lambda_space.points)
+    lams += [Fraction(k, 2 * cube) for k in range(2 * cube)]
+    lams += [Fraction(k, 7) for k in range(-1, 9)]
+    lams += [-1, 0, 1, 2]
+    lams += [k / cube for k in range(cube)] + [k / 7 for k in range(7)] + [-0.5, 1.5]
+    lams += cut_points + [float(c) for c in cut_points]
+    lams += [math.nextafter(float(c), side) for c in cut_points for side in (-1, 2)]
+    a = SignVector((1,) * n)
+    for b in (a, SignVector((1, -1) * (n // 2))):
+        cuts = [Fraction(c, cube) for c in _cumulative_law(n, a.dot(b))]
+        for lam in lams:
+            y_a, y_b = OUTCOMES[bisect.bisect_right(cuts, lam)]
+            assert p.step(BOB, b, lam, a.to_bits()) == \
+                Action(((1 + y_a) // 2,), output=y_b), lam
 
 
 def test_law_cache_has_two_keys_per_n():

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from qcc_lab.errors import InvariantError, PartitionError
 from qcc_lab.harness import (ALICE, BOB, Action, Protocol, RandomnessSpace,
-                             Transcript, run)
+                             Transcript, output_distribution, run,
+                             sample_distribution)
 from qcc_lab.oracle import SignVector
 from qcc_lab.protocols import ConstantProtocol, SendAllReplyProtocol
 from qcc_lab.reduction import (DerandomizationTable, DjCertificate, Partition,
@@ -50,6 +51,30 @@ class FourWindow(Protocol):
         return Action(output=1 if lam == bits[0] * 2 + bits[1] else -1)
 
 
+class CapCounting(FourWindow):
+    """FourWindow that counts the bit-budget requests of the generic runner."""
+
+    def __init__(self):
+        self.cap_requests = 0
+
+    def default_cap(self, input_a, input_b):
+        self.cap_requests += 1
+        return super().default_cap(input_a, input_b)
+
+
+def test_default_cap_is_asked_once_per_input_pair():
+    """Not once per randomness point or per sample."""
+    p = CapCounting()
+    partition_inputs(p, 2, 1)
+    assert p.cap_requests == 4  # one per vector; 16 runs
+    a, b = SignVector.parse("+-"), SignVector.parse("--")
+    for audit in (lambda: output_distribution(p, a, b, p.lambda_space),
+                  lambda: sample_distribution(p, a, b, samples=40, seed=0)):
+        p.cap_requests = 0
+        audit()
+        assert p.cap_requests == 1
+
+
 def test_cell_index_width():
     assert cell_index_width(2) == 3
     assert cell_index_width(4) == 5
@@ -75,6 +100,8 @@ def test_tail_hypothesis_mass_accounting():
     assert report.worst_mass == Fraction(1, 2)
     assert not report.ok and report.pairs_checked == 1
     assert check_tail_hypothesis(p, 4, 4, pairs=[(a, a)]).ok
+    with pytest.raises(InvariantError, match="no pairs"):
+        check_tail_hypothesis(p, 4, 4, pairs=[])
 
 
 @pytest.mark.parametrize("n,threshold", [(2, 4), (4, 6)])
