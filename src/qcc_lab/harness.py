@@ -30,7 +30,10 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import InvariantError, NonHaltingError, ProtocolError
-from .oracle import _INT64_SAFE, JointProbs, SignVector
+from .oracle import JointProbs, SignVector
+
+# weight numerators are int64 while their den and sums stay below this
+_INT64_SAFE = 2**62
 
 
 class Party(Enum):
@@ -310,8 +313,8 @@ def _finite_rows(protocol: Protocol, input_a, input_b,
 
 
 def _mass(space: RandomnessSpace, mask: np.ndarray) -> int:
-    """Weight numerator, over `space.den`, of the points where mask holds;
-    exact in int64 too, since the numerators are nonnegative and sum to den."""
+    """Weight numerator, over `space.den`, of the points where mask holds; int64
+    numerators (den < `_INT64_SAFE`) are nonnegative and sum to den, so none wraps."""
     return int(space.numerators[mask].sum())
 
 

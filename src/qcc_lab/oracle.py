@@ -31,6 +31,7 @@ States are never recognized by value.
 from __future__ import annotations
 
 import math
+import string
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -44,54 +45,25 @@ from .tolerances import OPERATOR_ATOL, TRACE_ATOL
 Array = np.ndarray
 Number = Union[Fraction, float]
 
-# int64 products stay exact below this; larger operands promote to object dtype
-_INT64_SAFE = 2**62
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
-
 
 def _int_matrix(rows) -> Array:
-    """Read-only integer numerators: int64 when every entry fits, else object.
+    """Read-only integer numerators: an object array of Python ints.
 
-    Python-int input is built as an object array, so numpy never infers
-    uint64 or float64 for entries past int64; floats and bools are refused.
-    An object array given as such stays object.
+    numpy never picks the dtype, so no product or sum of numerators can
+    wrap: int64, uint64 and numpy-scalar entries are converted with `int`,
+    and floats and bools are refused.
     """
-    given = isinstance(rows, np.ndarray)
-    arr = rows if given else np.array(rows, dtype=object)
+    arr = np.array(rows, dtype=object)
     if arr.ndim != 2:
         raise InvariantError(f"matrix must be 2-D, got shape {arr.shape}")
-    if arr.dtype == object:
-        kinds = set(map(type, arr.flat))
-        if not all(kind is int or issubclass(kind, np.integer) for kind in kinds):
-            names = sorted(kind.__name__ for kind in kinds)
-            raise InvariantError(f"exact matrices need integer entries, got {names}")
-    elif not issubclass(arr.dtype.type, np.integer):
-        raise InvariantError(f"exact matrices need integer entries, got dtype {arr.dtype}")
-    if given and arr.dtype == object:
-        arr = arr.copy()
-    else:
-        fits = (arr.dtype.kind == "i" or arr.size == 0
-                or _INT64_MIN <= arr.min() and arr.max() <= _INT64_MAX)
-        arr = arr.astype(np.int64 if fits else object)
+    kinds = set(map(type, arr.flat))
+    if not all(kind is int or issubclass(kind, np.integer) for kind in kinds):
+        names = sorted(kind.__name__ for kind in kinds)
+        raise InvariantError(f"exact matrices need integer entries, got {names}")
+    if kinds - {int}:
+        arr = np.frompyfunc(int, 1, 1)(arr)
     arr.setflags(write=False)
     return arr
-
-
-def _paired_for_products(a: Array, b: Array, terms: int) -> tuple[Array, Array]:
-    """Promote both operands to object dtype if int64 sums could overflow."""
-    if a.dtype == object or b.dtype == object:
-        return a.astype(object), b.astype(object)
-    ma = max(int(np.abs(a).max(initial=0)), 1)
-    mb = max(int(np.abs(b).max(initial=0)), 1)
-    if ma * mb * max(terms, 1) >= _INT64_SAFE:
-        return a.astype(object), b.astype(object)
-    return a, b
-
-
-def _affine(num: Array, coef: int, shift: int = 0) -> Array:
-    """coef * num + shift * I, exact: object dtype if int64 could overflow."""
-    a, _ = _paired_for_products(num, np.array([shift]), abs(coef) + 1)
-    return coef * a + shift * np.eye(*a.shape, dtype=a.dtype)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +96,7 @@ class RationalMatrix:
         return r
 
     def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(int(self.num[i, j]), self.den)
+        return Fraction(self.num[i, j], self.den)
 
     def to_float(self) -> Array:
         return self.num.astype(float) / self.den
@@ -135,32 +107,26 @@ class RationalMatrix:
     def equals(self, other: "RationalMatrix") -> bool:
         if self.shape != other.shape:
             return False
-        return bool((_affine(self.num, other.den) == _affine(other.num, self.den)).all())
+        return bool((self.num * other.den == other.num * self.den).all())
 
     def kron(self, other: "RationalMatrix") -> "RationalMatrix":
-        a, b = _paired_for_products(self.num, other.num, 1)
-        return RationalMatrix(np.kron(a, b), self.den * other.den)
+        return RationalMatrix(np.kron(self.num, other.num), self.den * other.den)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        a, b = _paired_for_products(self.num, other.num, self.num.shape[1])
-        return RationalMatrix(a @ b, self.den * other.den)
+        return RationalMatrix(self.num @ other.num, self.den * other.den)
 
     def one_minus(self) -> "RationalMatrix":
         """Identity minus self (square matrices only)."""
-        if self.shape[0] != self.shape[1]:
-            raise InvariantError(f"one_minus needs a square matrix, got shape {self.shape}")
-        return RationalMatrix(_affine(self.num, -1, self.den), self.den)
+        return RationalMatrix(self.den * np.eye(self.dim, dtype=object) - self.num, self.den)
 
     def trace(self) -> Fraction:
-        # summed as Python ints, so no int64 sum of numerators wraps
-        return Fraction(sum(map(int, self.num.diagonal())), self.den)
+        return Fraction(sum(self.num.diagonal()), self.den)
 
     def trace_dot(self, other: "RationalMatrix") -> Fraction:
         """Tr(self @ other), computed without forming the product."""
         if self.shape[1] != other.shape[0] or self.shape[0] != other.shape[1]:
             raise DimensionMismatchError(f"trace_dot shapes {self.shape} x {other.shape}")
-        a, b = _paired_for_products(self.num, other.num, self.num.size)
-        return Fraction(int((a * b.T).sum()), self.den * other.den)
+        return Fraction((self.num * other.num.T).sum(), self.den * other.den)
 
 
 @dataclass(frozen=True)
@@ -229,14 +195,17 @@ class SignVector:
 
     def to_hex(self) -> str:
         """Bits (1+c)/2 packed MSB-first, zero-padded to whole hex digits."""
-        value = 0
-        for bit in self.to_bits():
-            value = (value << 1) | bit
+        value = int("".join(map(str, self.to_bits())), 2)
         return format(value, f"0{(self.n + 3) // 4}x")
 
     @classmethod
     def from_hex(cls, text: str, n: int) -> "SignVector":
+        """Inverse of `to_hex`: hex digits only, no sign or prefix, value below 2^n."""
+        if not text or not set(text) <= set(string.hexdigits):
+            raise InvariantError(f"sign-vector hex must be hex digits, got {text!r}")
         value = int(text, 16)
+        if value.bit_length() > n:
+            raise InvariantError(f"hex {text!r} does not fit in n = {n} bits")
         bits = [(value >> (n - 1 - i)) & 1 for i in range(n)]
         return cls.from_bits(bits)
 
@@ -454,7 +423,8 @@ def observable_to_projector(obs: BinaryObservable) -> Projector:
     """P = (A + 1) / 2."""
     data = obs.entries
     if _is_exact(data):
-        return Projector(RationalMatrix(_affine(data.num, 1, data.den), 2 * data.den))
+        eye = np.eye(data.dim, dtype=object)
+        return Projector(RationalMatrix(data.num + data.den * eye, 2 * data.den))
     return Projector((data + np.eye(data.shape[0])) / 2)
 
 
@@ -462,7 +432,8 @@ def projector_to_observable(proj: Projector) -> BinaryObservable:
     """A = 2P - 1."""
     data = proj.entries
     if _is_exact(data):
-        return BinaryObservable(RationalMatrix(_affine(data.num, 2, -data.den), data.den))
+        eye = np.eye(data.dim, dtype=object)
+        return BinaryObservable(RationalMatrix(2 * data.num - data.den * eye, data.den))
     return BinaryObservable(2 * data - np.eye(data.shape[0]))
 
 
@@ -496,12 +467,10 @@ def _law_parts(pa: MatrixData, pb: MatrixData, state: DensityMatrix) -> tuple:
                 _trace_kron_exact(pa, pb.one_minus(), sigma), 1)
     # Tr[(P (x) Q) Phi] = sum_ij P_ij Q_ij / n; over the same denominator,
     # (1 - P) (x) Q has numerator sum_ij (d_P delta_ij - P_ij) Q_ij = d_P tr(Q) - pp,
-    # and P (x) (1 - Q) likewise; diagonals are summed as Python ints so no
-    # int64 sum wraps
-    a, b = _paired_for_products(pa.num, pb.num, pa.num.size)
-    pp = int((a * b).sum())
-    return (pp, pa.den * sum(map(int, pb.num.diagonal())) - pp,
-            pb.den * sum(map(int, pa.num.diagonal())) - pp, n * pa.den * pb.den)
+    # and P (x) (1 - Q) likewise
+    pp = (pa.num * pb.num).sum()
+    return (pp, pa.den * sum(pb.num.diagonal()) - pp,
+            pb.den * sum(pa.num.diagonal()) - pp, n * pa.den * pb.den)
 
 
 def _admit_probability(name: str, value: float) -> float:
@@ -572,10 +541,8 @@ def maximally_entangled(n: int, exact: bool = True) -> DensityMatrix:
     """Rank-one state (1/sqrt(n)) sum_i |ii>, as an n^2 x n^2 density matrix."""
     if n < 1:
         raise InvariantError(f"local dimension must be positive, got {n}")
-    num = np.zeros((n * n, n * n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            num[i * (n + 1), j * (n + 1)] = 1
+    phi = np.eye(n, dtype=np.int64).ravel()  # sum_i |ii>, unnormalized
+    num = np.outer(phi, phi)
     if exact:
         state = DensityMatrix(RationalMatrix(num, n))
         object.__setattr__(state, "_entangled_n", n)  # entries built from n above
@@ -585,7 +552,7 @@ def maximally_entangled(n: int, exact: bool = True) -> DensityMatrix:
 
 def sign_vector_projector(a: SignVector, exact: bool = True) -> Projector:
     """Rank-one projector (1/n) |a><a| for a sign vector a."""
-    outer = np.outer(a.coords, a.coords).astype(np.int64)
+    outer = np.outer(a.coords, a.coords)
     if exact:
         return Projector(RationalMatrix(outer, a.n))
     return Projector(outer.astype(complex) / a.n)
@@ -598,9 +565,7 @@ def sign_vector_observable(a: SignVector, exact: bool = True) -> BinaryObservabl
 
 def singlet(exact: bool = True) -> DensityMatrix:
     """Two-qubit state |psi><psi| with |psi> = (|01> - |10>) / sqrt(2)."""
-    num = np.array(
-        [[0, 0, 0, 0], [0, 1, -1, 0], [0, -1, 1, 0], [0, 0, 0, 0]], dtype=np.int64
-    )
+    num = np.array([[0, 0, 0, 0], [0, 1, -1, 0], [0, -1, 1, 0], [0, 0, 0, 0]])
     if exact:
         return DensityMatrix(RationalMatrix(num, 2))
     return DensityMatrix(num.astype(complex) / 2)

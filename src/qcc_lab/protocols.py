@@ -63,6 +63,13 @@ def _floor_scaled(lam, scale: int) -> int:
     return num * scale // den
 
 
+def _integer(owner: str, key: str, value) -> int:
+    """A protocol's integer parameter as an int; floats, bools and text error."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvariantError(f"{owner} parameter {key} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class SendAllReplyProtocol(Protocol):
     """Alice sends all n coordinate bits; Bob samples the law and replies.
@@ -79,13 +86,15 @@ class SendAllReplyProtocol(Protocol):
     name = "send_all_reply"
 
     def __post_init__(self):
-        if self.n < 2 or self.n % 2:
-            raise InvariantError(f"n must be even and at least 2, got {self.n}")
-        grid = self.n**3 if self.grid_size is None else int(self.grid_size)
-        if grid <= 0 or grid % self.n**3:
+        n = _integer(self.name, "n", self.n)
+        if n < 2 or n % 2:
+            raise InvariantError(f"n must be even and at least 2, got {n}")
+        grid = n**3 if self.grid_size is None else _integer(self.name, "grid_size", self.grid_size)
+        if grid <= 0 or grid % n**3:
             raise InvariantError(
-                f"grid_size must be a positive multiple of n^3 = {self.n**3}, got {grid}"
+                f"grid_size must be a positive multiple of n^3 = {n**3}, got {grid}"
             )
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "grid_size", grid)
         space = RandomnessSpace.uniform(
             tuple(Fraction(k, grid) for k in range(grid)))
@@ -264,7 +273,4 @@ def make_protocol(name: str, **params) -> Protocol:
     missing = [k for k, required in accepted.items() if required and k not in supplied]
     if missing:
         raise InvariantError(f"{name} needs parameters {missing}")
-    for key, value in supplied.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise InvariantError(f"{name} parameter {key} must be an integer, got {value!r}")
-    return cls(**{k: int(v) for k, v in supplied.items()})
+    return cls(**{k: _integer(name, k, v) for k, v in supplied.items()})

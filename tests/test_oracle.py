@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcc_lab import oracle
 from qcc_lab.errors import (DimensionMismatchError, InvariantError,
@@ -63,6 +65,11 @@ def test_rational_matrix_rejects_float_input():
         RationalMatrix(np.eye(2, dtype=np.int64), 0)
 
 
+def assert_python_ints(matrix: RationalMatrix) -> None:
+    assert matrix.num.dtype == object
+    assert all(type(x) is int for x in matrix.num.flat)
+
+
 def test_rational_matrix_python_ints_past_int64_stay_exact():
     # numpy alone infers uint64 for [[2**63]] and float64 for the mixed matrix
     top = RationalMatrix([[2**63]], 1)
@@ -74,10 +81,10 @@ def test_rational_matrix_python_ints_past_int64_stay_exact():
     assert low.entry(0, 0) == Fraction(-(2**63) - 1, 3) and low.entry(0, 1) == Fraction(2**70, 3)
     unsigned = RationalMatrix(np.array([[2**63, 1]], dtype=np.uint64), 1)
     assert unsigned.entry(0, 0) == 2**63 and unsigned.num.dtype == object
-    # entries that fit keep int64, at both ends of its range
+    # entries that fit are Python ints too, at both ends of the int64 range
     for rows in ([[1, -2], [3, 4]], [[2**63 - 1, -(2**63)]], [[np.int64(5), 7]]):
         exact = RationalMatrix(rows, 1)
-        assert exact.num.dtype == np.int64
+        assert_python_ints(exact)
         assert exact.num.tolist() == [[int(x) for x in row] for row in rows]
     assert RationalMatrix(np.array([[1]], dtype=object), 1).num.dtype == object
     for bad in ([[1.5]], [[2**63, 0.5]], [[True, 0]], np.array([[1.5]], dtype=object),
@@ -87,13 +94,65 @@ def test_rational_matrix_python_ints_past_int64_stay_exact():
 
 
 def test_rational_trace_sums_past_int64():
-    """int64 numerators whose diagonal sum passes 2^63 - 1 trace exactly."""
+    """Numerators that fit int64, whose diagonal sum passes 2^63 - 1, trace exactly."""
     wide = RationalMatrix([[2**62, 0], [0, 2**62]], 1)
-    assert wide.num.dtype == np.int64
+    assert_python_ints(wide)
     assert wide.trace() == 2**63
     # trace 4 * 2^61 / 2^63 = 1, so the state is accepted
     state = DensityMatrix(RationalMatrix(np.diag([2**61] * 4), 2**63))
     assert state.exact and state.entries.trace() == 1
+
+
+def _fraction_rows(matrix: RationalMatrix) -> list[list[Fraction]]:
+    rows, cols = matrix.shape
+    return [[matrix.entry(i, j) for j in range(cols)] for i in range(rows)]
+
+
+def _as_input(rows: list[list[int]], form: str):
+    if form == "int64":
+        return np.array(rows, dtype=np.int64)
+    if form == "np.int64 entries":
+        return [[np.int64(x) for x in row] for row in rows]
+    if form == "object":
+        return np.array(rows, dtype=object)
+    return rows
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_rational_matrix_matches_fraction_reference(data):
+    """Every exact operation agrees with nested lists of Fractions, for
+    numerators small and past int64 and denominators past 2^64."""
+    bound = data.draw(st.sampled_from([10, 2**70]))
+    forms = ["list", "object"] + (["int64", "np.int64 entries"] if bound < 2**63 else [])
+    r, c = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+
+    def draw(rows, cols):
+        num = data.draw(st.lists(st.lists(st.integers(-bound, bound), min_size=cols,
+                                          max_size=cols), min_size=rows, max_size=rows))
+        den = data.draw(st.integers(1, 2**66))
+        matrix = RationalMatrix(_as_input(num, data.draw(st.sampled_from(forms))), den)
+        return matrix, [[Fraction(x, den) for x in row] for row in num]
+
+    (a, ref_a), (b, ref_b), (sq, ref_sq) = draw(r, c), draw(c, r), draw(r, r)
+    product = [[sum((ref_a[i][k] * ref_b[k][j] for k in range(c)), start=Fraction(0))
+                for j in range(r)] for i in range(r)]
+    kron = [[ref_a[i][j] * ref_b[k][m] for j in range(c) for m in range(r)]
+            for i in range(r) for k in range(c)]
+    one_minus = [[int(i == j) - ref_sq[i][j] for j in range(r)] for i in range(r)]
+    for matrix, ref in ((a, ref_a), (b, ref_b), (sq, ref_sq), (a @ b, product),
+                        (a.kron(b), kron), (sq.one_minus(), one_minus)):
+        assert_python_ints(matrix)
+        assert _fraction_rows(matrix) == ref
+    assert sq.trace() == sum(ref_sq[i][i] for i in range(r))
+    assert a.trace_dot(b) == sum(product[i][i] for i in range(r))
+    scale = data.draw(st.integers(1, 2**66))
+    scaled = a.num * scale
+    assert a.equals(RationalMatrix(scaled, a.den * scale))
+    scaled[0, 0] += 1
+    assert not a.equals(RationalMatrix(scaled, a.den * scale))
+    assert sq.equals(a) == (ref_sq == ref_a)
+    assert (a @ b).equals(sq) == (product == ref_sq)
 
 
 # --- sign vectors ----------------------------------------------------------
@@ -117,6 +176,17 @@ def test_sign_vector_roundtrips():
         assert vec.to_text() == text
         assert SignVector.from_bits(vec.to_bits()) == vec
         assert SignVector.from_hex(vec.to_hex(), vec.n) == vec
+
+
+def test_sign_vector_from_hex_rejects_bad_text_and_wide_values():
+    assert SignVector.from_hex("F", 4) == SignVector.from_hex("f", 4) == SignVector.parse("++++")
+    for text in ("zz", "", " f", "+f", "-1", "0x1", "1_0"):
+        with pytest.raises(InvariantError, match="hex digits"):
+            SignVector.from_hex(text, 8)
+    # 2^n or more would lose its high bits
+    for text, n in (("ff", 4), ("10", 4), ("100", 8)):
+        with pytest.raises(InvariantError, match=f"n = {n} bits"):
+            SignVector.from_hex(text, n)
 
 
 def test_sign_vector_bits_are_computed_once():

@@ -155,6 +155,13 @@ def test_send_all_reply_rejects_bad_construction():
         SendAllReplyProtocol(2, grid_size=12)  # not a multiple of 8
     with pytest.raises(InvariantError):
         SendAllReplyProtocol(2, grid_size=0)
+    # built directly, bypassing make_protocol: integers only, named by field
+    for kwargs, key in (({"n": 4, "grid_size": 64.9}, "grid_size"), ({"n": 4.0}, "n"),
+                        ({"n": 4, "grid_size": "x"}, "grid_size"), ({"n": True}, "n"),
+                        ({"n": 2, "grid_size": True}, "grid_size")):
+        with pytest.raises(InvariantError, match=f"parameter {key} must be an integer"):
+            SendAllReplyProtocol(**kwargs)
+    assert SendAllReplyProtocol(np.int64(2), grid_size=np.int64(16)).grid_size == 16
     bigger = SendAllReplyProtocol(2, grid_size=16)
     assert len(bigger.lambda_space) == 16
     law = output_distribution(bigger, SignVector.parse("++"),
