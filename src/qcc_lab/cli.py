@@ -215,7 +215,7 @@ def _load_scenario(path: str) -> tuple[Projector, Projector, DensityMatrix]:
     state_spec = doc.get("state", "maximally_entangled")
     if state_spec == "maximally_entangled":
         n = doc.get("n")
-        if not isinstance(n, int):
+        if isinstance(n, bool) or not isinstance(n, int):
             raise InvariantError('maximally_entangled state needs an integer "n"')
         state = maximally_entangled(n)
     elif state_spec == "singlet":
@@ -309,12 +309,11 @@ def cmd_simulate(args) -> int:
         "seed": args.seed,
     }
     if args.samples is None:
-        space = protocol.lambda_space
-        if not isinstance(space, RandomnessSpace):
+        if not isinstance(protocol.lambda_space, RandomnessSpace):
             raise InvariantError(
                 f"{args.protocol} has no finite randomness space; pass --samples")
-        probs = output_distribution(protocol, input_a, input_b, space)
-        moments = empirical_moments(protocol, [(input_a, input_b)], space, k_max=1)
+        probs = output_distribution(protocol, input_a, input_b)
+        moments = empirical_moments(protocol, [(input_a, input_b)], k_max=1)
         report["mode"] = "exact"
         report["probs"] = probs.as_dict()
         report["probs_float"] = _floats(probs.as_dict())
@@ -335,8 +334,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     n, protocol = _promise_front(args)
-    space = protocol.lambda_space
-    if args.samples is None and not isinstance(space, RandomnessSpace):
+    if args.samples is None and not isinstance(protocol.lambda_space, RandomnessSpace):
         raise InvariantError(
             f"{args.protocol} has no finite randomness space; pass --samples")
     scenarios = promise_scenarios(n)
@@ -429,8 +427,7 @@ def cmd_dj_bounds(args) -> int:
 
 def cmd_reduce(args) -> int:
     n, protocol = _promise_front(args)
-    space = protocol.lambda_space
-    if not isinstance(space, RandomnessSpace):
+    if not isinstance(protocol.lambda_space, RandomnessSpace):
         raise InvariantError("reduce needs a finite randomness space")
     threshold = args.M if args.M is not None else n + 2
     report = {
@@ -459,7 +456,7 @@ def cmd_reduce(args) -> int:
         _emit(canonical_json(report), args.out)
         return 3
 
-    tail = check_tail_hypothesis(protocol, n, threshold, space)
+    tail = check_tail_hypothesis(protocol, n, threshold)
     report["tail"] = {
         "ok": tail.ok,
         "threshold_bits": tail.threshold_bits,
@@ -470,7 +467,7 @@ def cmd_reduce(args) -> int:
     }
 
     try:
-        partition = partition_inputs(protocol, n, threshold, space)
+        partition = partition_inputs(protocol, n, threshold)
     except PartitionError as exc:
         report["partition"] = {"ok": False, "witness": str(exc)}
         _emit(canonical_json(report), args.out)

@@ -60,12 +60,13 @@ class Action:
     output: Optional[int] = None
 
     def __post_init__(self):
-        send = tuple(map(int, self.send))
-        object.__setattr__(self, "send", send)
+        send = tuple(self.send)
         if not _BITS.issuperset(send):
             raise ProtocolError(f"sent bits must be 0/1, got {send}")
-        if self.output is not None and self.output not in (-1, 1):
-            raise ProtocolError(f"output must be +/-1, got {self.output!r}")
+        object.__setattr__(self, "send", tuple(map(int, send)))
+        output = self.output  # an int, so True and 1.0 are refused
+        if output is not None and (type(output) is not int or output not in (-1, 1)):
+            raise ProtocolError(f"output must be the int +1 or -1, got {output!r}")
 
 
 @dataclass(frozen=True)
@@ -88,9 +89,9 @@ class Transcript:
     def __post_init__(self):
         entries = tuple(self.entries)
         senders, bits = zip(*entries, strict=True) if entries else ((), ())
-        bits = tuple(map(int, bits))
         if not _BITS.issuperset(bits):
             raise InvariantError("transcript bits must be 0/1")
+        bits = tuple(map(int, bits))
         # counted by identity, so senders that are already a Party skip Party()
         if senders.count(ALICE) + senders.count(BOB) != len(senders):
             senders = tuple(map(Party, senders))
@@ -186,14 +187,6 @@ class RandomnessSpace:
         return len(self.points)
 
     @cached_property
-    def rational_points(self) -> Optional[tuple[np.ndarray, int]]:
-        """The points as integer numerators over one denominator, or None
-        unless every point is a Fraction."""
-        if not all(isinstance(lam, Fraction) for lam in self.points):
-            return None
-        return _over_common_denominator(self.points)
-
-    @cached_property
     def _cdf(self) -> np.ndarray:
         """Float CDF, exactly 1.0 from the last positive weight on, so every
         draw in [0, 1) lands on a point of positive weight."""
@@ -207,9 +200,15 @@ class RandomnessSpace:
     def sample(self, rng: np.random.Generator):
         return self.points[self.sample_index(rng)]
 
+    def mass(self, mask: np.ndarray) -> int:
+        """Weight numerator, over `den`, of the points where mask holds; int64
+        numerators (den < `_INT64_SAFE`) are nonnegative and sum to den, so none wraps."""
+        return int(self.numerators[mask].sum())
+
 
 class Protocol(abc.ABC):
-    """Base contract for pluggable protocols."""
+    """Base contract for pluggable protocols; every audit runs over the
+    protocol's own `lambda_space`, a `RandomnessSpace` for exact audits."""
 
     name: str = "protocol"
     lambda_space = None  # natural randomness source; subclasses set it
@@ -233,21 +232,21 @@ class Protocol(abc.ABC):
                 pass
         return 10 * n + 64
 
-    def outcome_table(self, input_a, input_b, space: RandomnessSpace):
+    def outcome_table(self, input_a, input_b):
         """Optional fast path: aligned integer arrays (y_a, y_b, t), one
-        entry per point of the space in its order, matching `run`.
+        entry per point of `lambda_space` in its order, matching `run`.
 
         Return None to use the generic per-point runner.  Implementations
         must agree with `run` exactly; tests replay random points.
         """
         return None
 
-    def exact_distribution(self, input_a, input_b, space: RandomnessSpace):
+    def exact_distribution(self, input_a, input_b):
         """Optional closed-form law, identical to enumerating every point."""
         return None
 
-    def batch_outcomes(self, input_a, input_b, space, rng, count: int):
-        """Optional vectorized sampler returning (y_a, y_b, t) arrays."""
+    def batch_outcomes(self, input_a, input_b, rng, count: int):
+        """Optional vectorized sampler: (y_a, y_b, t) arrays over `count` draws."""
         return None
 
 
@@ -298,9 +297,18 @@ def run(protocol: Protocol, input_a, input_b, lam, *,
     return RunRecord(outputs[0], outputs[1], transcript, len(transcript), lam)
 
 
-def _finite_rows(protocol: Protocol, input_a, input_b,
-                 space: RandomnessSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    table = protocol.outcome_table(input_a, input_b, space)
+def _finite_space(protocol: Protocol, audit: str) -> RandomnessSpace:
+    """The protocol's own randomness, which an exact audit enumerates."""
+    space = protocol.lambda_space
+    if not isinstance(space, RandomnessSpace):
+        raise InvariantError(f"{audit} needs a finite RandomnessSpace, "
+                             f"not {type(space).__name__}")
+    return space
+
+
+def _finite_rows(protocol: Protocol, input_a, input_b) -> tuple[np.ndarray, ...]:
+    space = protocol.lambda_space
+    table = protocol.outcome_table(input_a, input_b)
     if table is None:
         cap = protocol.default_cap(input_a, input_b)
         records = (run(protocol, input_a, input_b, lam, cap=cap) for lam in space.points)
@@ -312,24 +320,18 @@ def _finite_rows(protocol: Protocol, input_a, input_b,
     return columns
 
 
-def _mass(space: RandomnessSpace, mask: np.ndarray) -> int:
-    """Weight numerator, over `space.den`, of the points where mask holds; int64
-    numerators (den < `_INT64_SAFE`) are nonnegative and sum to den, so none wraps."""
-    return int(space.numerators[mask].sum())
-
-
-def output_distribution(protocol: Protocol, input_a, input_b,
-                        space: RandomnessSpace) -> JointProbs:
+def output_distribution(protocol: Protocol, input_a, input_b) -> JointProbs:
     """Exact joint law of (y_A, y_B) by weighted enumeration of the space.
 
     Protocols may supply the same law in closed form via
     `exact_distribution`; equivalence with enumeration is covered by tests.
     """
-    closed = protocol.exact_distribution(input_a, input_b, space)
+    space = _finite_space(protocol, "the exact law")
+    closed = protocol.exact_distribution(input_a, input_b)
     if closed is not None:
         return closed
-    y_a, y_b, _ = _finite_rows(protocol, input_a, input_b, space)
-    return JointProbs(*(Fraction(_mass(space, (y_a == a) & (y_b == b)), space.den)
+    y_a, y_b, _ = _finite_rows(protocol, input_a, input_b)
+    return JointProbs(*(Fraction(space.mass((y_a == a) & (y_b == b)), space.den)
                         for a, b in OUTCOMES))
 
 
@@ -344,9 +346,9 @@ class SampleStats:
     seed: object
 
 
-def _sampled_rows(protocol: Protocol, input_a, input_b, space, samples: int,
+def _sampled_rows(protocol: Protocol, input_a, input_b, samples: int,
                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    batch = protocol.batch_outcomes(input_a, input_b, space, rng, samples)
+    batch = protocol.batch_outcomes(input_a, input_b, rng, samples)
     if batch is not None:
         y_a, y_b, t = (np.asarray(arr) for arr in batch)
         if not (len(y_a) == len(y_b) == len(t) == samples):
@@ -356,20 +358,20 @@ def _sampled_rows(protocol: Protocol, input_a, input_b, space, samples: int,
     y_b = np.empty(samples, dtype=np.int8)
     t = np.empty(samples, dtype=np.int64)
     cap = protocol.default_cap(input_a, input_b)
+    space = protocol.lambda_space
     for i in range(samples):
         rec = run(protocol, input_a, input_b, space.sample(rng), cap=cap)
         y_a[i], y_b[i], t[i] = rec.y_a, rec.y_b, rec.t
     return y_a, y_b, t
 
 
-def sample_distribution(protocol: Protocol, input_a, input_b, space=None, *,
+def sample_distribution(protocol: Protocol, input_a, input_b, *,
                         samples: int, seed=0) -> SampleStats:
     """Estimate the joint law with a seeded generator; seed is reported back."""
     if samples < 1:
         raise InvariantError(f"need a positive sample count, got {samples}")
-    space = space if space is not None else protocol.lambda_space
     rng = np.random.default_rng(seed)
-    y_a, y_b, t = _sampled_rows(protocol, input_a, input_b, space, samples, rng)
+    y_a, y_b, t = _sampled_rows(protocol, input_a, input_b, samples, rng)
     probs = JointProbs(*(float(np.count_nonzero((y_a == a) & (y_b == b))) / samples
                          for a, b in OUTCOMES))
     return SampleStats(probs, float(t.mean()), int(t.max()), samples, seed)
@@ -434,7 +436,7 @@ def _law_errors(computed: JointProbs, target: JointProbs) -> tuple:
     return max(deltas), deltas[0]
 
 
-def check_exact_blqms(protocol: Protocol, scenarios: Iterable[Scenario], space=None, *,
+def check_exact_blqms(protocol: Protocol, scenarios: Iterable[Scenario], *,
                       samples: Optional[int] = None, seed=0) -> BlqmsReport:
     """Compare the protocol's output law against each scenario's target.
 
@@ -443,26 +445,23 @@ def check_exact_blqms(protocol: Protocol, scenarios: Iterable[Scenario], space=N
     With `samples` set, the law is estimated from a per-scenario seed
     instead and no pass flags are assigned.
     """
-    space = space if space is not None else protocol.lambda_space
     sampled = samples is not None
-    if sampled:
-        if not isinstance(seed, (int, np.integer)):
-            raise InvariantError(f"seed must be an integer, got {seed!r}")
-    elif not isinstance(space, RandomnessSpace):
-        raise InvariantError("exact checking needs a finite RandomnessSpace; "
-                             "pass samples= for sampled spaces")
+    if not sampled:
+        _finite_space(protocol, "exact checking")
+    elif not isinstance(seed, (int, np.integer)):
+        raise InvariantError(f"seed must be an integer, got {seed!r}")
     results = []
     for index, scenario in enumerate(scenarios):
         input_a, input_b, target = scenario.input_a, scenario.input_b, scenario.target
         if sampled:
             computed = sample_distribution(
-                protocol, input_a, input_b, space, samples=samples,
+                protocol, input_a, input_b, samples=samples,
                 seed=np.random.SeedSequence([int(seed), index])).probs
         elif not target.exact:
             raise InvariantError(f"scenario {scenario.label!r} has a float target; "
                                  "exact checking needs a rational one")
         else:
-            computed = output_distribution(protocol, input_a, input_b, space)
+            computed = output_distribution(protocol, input_a, input_b)
         error_max, error_pp = _law_errors(computed, target)
         passed = (None, None) if sampled else (error_max == 0, error_pp == 0)
         results.append(ScenarioResult(scenario.label, computed, target,
@@ -509,32 +508,28 @@ def pair_label(input_a, input_b) -> str:
     return f"{describe_input(input_a)}|{describe_input(input_b)}"
 
 
-def empirical_moments(protocol: Protocol, pairs: Sequence[tuple], space=None, *,
+def empirical_moments(protocol: Protocol, pairs: Sequence[tuple], *,
                       k_max: int = 2, tail_thresholds: Sequence[int] = ()) -> MomentReport:
     """Exact rational moments E[T^k] up to k_max and tail masses per input
     pair, by weighted enumeration of a finite space."""
     if k_max < 1:
         raise InvariantError(f"k_max must be at least 1, got {k_max}")
-    space = space if space is not None else protocol.lambda_space
-    if not isinstance(space, RandomnessSpace):
-        raise InvariantError("exact moments need a finite RandomnessSpace")
+    space = _finite_space(protocol, "exact moments")
     entries = []
     for input_a, input_b in pairs:
-        _, _, t = _finite_rows(protocol, input_a, input_b, space)
-        cost_law = {cost: _mass(space, t == cost) for cost in np.unique(t).tolist()}
+        _, _, t = _finite_rows(protocol, input_a, input_b)
+        cost_law = {cost: space.mass(t == cost) for cost in np.unique(t).tolist()}
         moments = tuple(
             Fraction(sum(cost**k * mass for cost, mass in cost_law.items()), space.den)
             for k in range(1, k_max + 1)
         )
-        tails = {m: Fraction(_mass(space, t >= m), space.den) for m in tail_thresholds}
+        tails = {m: Fraction(space.mass(t >= m), space.den) for m in tail_thresholds}
         entries.append(PairMoments(pair_label(input_a, input_b), moments, tails))
     return MomentReport(tuple(entries), k_max)
 
 
-def tail_mass(protocol: Protocol, input_a, input_b, space: RandomnessSpace,
-              threshold: int) -> Fraction:
+def tail_mass(protocol: Protocol, input_a, input_b, threshold: int) -> Fraction:
     """Exact randomness mass of runs with T >= threshold."""
-    if not isinstance(space, RandomnessSpace):
-        raise InvariantError("tail_mass needs a finite RandomnessSpace")
-    _, _, t = _finite_rows(protocol, input_a, input_b, space)
-    return Fraction(_mass(space, t >= threshold), space.den)
+    space = _finite_space(protocol, "tail_mass")
+    _, _, t = _finite_rows(protocol, input_a, input_b)
+    return Fraction(space.mass(t >= threshold), space.den)

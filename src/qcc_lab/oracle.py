@@ -44,6 +44,12 @@ from .tolerances import OPERATOR_ATOL, TRACE_ATOL
 
 Array = np.ndarray
 Number = Union[Fraction, float]
+_SIGNS = frozenset((-1, 1))
+
+
+def _integer_kinds(kinds) -> bool:
+    """Whether every type is int or a numpy integer; bool is neither."""
+    return all(kind is int or issubclass(kind, np.integer) for kind in kinds)
 
 
 def _int_matrix(rows) -> Array:
@@ -57,7 +63,7 @@ def _int_matrix(rows) -> Array:
     if arr.ndim != 2:
         raise InvariantError(f"matrix must be 2-D, got shape {arr.shape}")
     kinds = set(map(type, arr.flat))
-    if not all(kind is int or issubclass(kind, np.integer) for kind in kinds):
+    if not _integer_kinds(kinds):
         names = sorted(kind.__name__ for kind in kinds)
         raise InvariantError(f"exact matrices need integer entries, got {names}")
     if kinds - {int}:
@@ -136,12 +142,12 @@ class SignVector:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        coords = tuple(int(c) for c in self.coords)
+        coords = tuple(self.coords)
         if len(coords) == 0 or len(coords) % 2:
             raise InvariantError(f"length must be even and positive, got {len(coords)}")
-        if any(c not in (-1, 1) for c in coords):
-            raise InvariantError(f"coordinates must be +/-1, got {coords}")
-        object.__setattr__(self, "coords", coords)
+        if not _SIGNS.issuperset(coords) or not _integer_kinds(set(map(type, coords))):
+            raise InvariantError(f"coordinates must be integers +/-1, got {coords}")
+        object.__setattr__(self, "coords", tuple(map(int, coords)))
 
     @property
     def n(self) -> int:
@@ -539,8 +545,8 @@ def expectations_to_probs(triple: ExpectationTriple) -> JointProbs:
 
 def maximally_entangled(n: int, exact: bool = True) -> DensityMatrix:
     """Rank-one state (1/sqrt(n)) sum_i |ii>, as an n^2 x n^2 density matrix."""
-    if n < 1:
-        raise InvariantError(f"local dimension must be positive, got {n}")
+    if not _integer_kinds({type(n)}) or n < 1:
+        raise InvariantError(f"local dimension must be a positive integer, got {n!r}")
     phi = np.eye(n, dtype=np.int64).ravel()  # sum_i |ii>, unnormalized
     num = np.outer(phi, phi)
     if exact:

@@ -127,23 +127,19 @@ class SendAllReplyProtocol(Protocol):
         y_a, y_b = OUTCOMES[bisect.bisect_right(cuts, _floor_scaled(lam, n**3))]
         return Action(send=((1 + y_a) // 2,), output=y_b)
 
-    def outcome_table(self, input_a, input_b, space):
+    def outcome_table(self, input_a, input_b):
         a = self._own_vector(input_a)
         b = self._own_vector(input_b)
         law = _cumulative_law(self.n, a.dot(b))
-        grid = space.rational_points
-        if grid is None:
-            return None
-        # with lam = m / D for an integer m, c / n^3 <= lam iff ceil(c D / n^3) <= m
-        positions, den = grid
-        cuts = np.array([-(-c * den // self.n**3) for c in law], dtype=positions.dtype)
-        outcomes = np.array(OUTCOMES)[np.searchsorted(cuts, positions, side="right")]
-        return outcomes[:, 0], outcomes[:, 1], np.full(len(space), self.n + 1)
+        # the point k / Q is at or past the cut c / n^3 iff k >= c Q / n^3, an
+        # integer, so each outcome covers a run of consecutive grid points
+        scale = self.grid_size // self.n**3
+        runs = np.diff([0, *(c * scale for c in law), self.grid_size])
+        outcomes = np.repeat(np.array(OUTCOMES), runs, axis=0)
+        return outcomes[:, 0], outcomes[:, 1], np.full(self.grid_size, self.n + 1)
 
-    def exact_distribution(self, input_a, input_b, space) -> Optional[JointProbs]:
-        # closed interval counts; exact only on this protocol's own grid
-        if space is not self.lambda_space:
-            return None
+    def exact_distribution(self, input_a, input_b) -> JointProbs:
+        # closed interval counts over the grid
         a = self._own_vector(input_a)
         b = self._own_vector(input_b)
         c1, c2, c3 = _cumulative_law(self.n, a.dot(b))
@@ -211,11 +207,9 @@ class TonerBaconProtocol(Protocol):
         c = 2 * received[0] - 1
         return Action(output=_sgn(float(own @ (lam1 + c * lam2))))
 
-    def batch_outcomes(self, input_a, input_b, space, rng, count: int):
-        if not hasattr(space, "sample_batch"):
-            return None
+    def batch_outcomes(self, input_a, input_b, rng, count: int):
         a, b = _unit3(input_a), _unit3(input_b)
-        lam1, lam2 = space.sample_batch(rng, count)
+        lam1, lam2 = self.lambda_space.sample_batch(rng, count)
         s1 = np.where(lam1 @ a >= 0, 1, -1)
         s2 = np.where(lam2 @ a >= 0, 1, -1)
         y_a = -s1
@@ -235,8 +229,11 @@ class ConstantProtocol(Protocol):
     default_input = "++"
 
     def __post_init__(self):
-        if self.y_a not in (-1, 1) or self.y_b not in (-1, 1):
-            raise InvariantError("constant outputs must be +/-1")
+        for key in ("y_a", "y_b"):
+            value = _integer(self.name, key, getattr(self, key))
+            if value not in (-1, 1):
+                raise InvariantError("constant outputs must be +/-1")
+            object.__setattr__(self, key, value)
 
     def step(self, party: Party, own_input, lam, received: tuple[int, ...]) -> Action:
         return Action(output=self.y_a if party is ALICE else self.y_b)

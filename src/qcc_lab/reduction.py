@@ -34,8 +34,8 @@ import numpy as np
 
 from .dj import promise_pairs
 from .errors import InvariantError, PartitionError, QccLabError
-from .harness import (ALICE, Action, CheckResult, Party, Protocol,
-                      RandomnessSpace, Transcript, pair_label, run, tail_mass)
+from .harness import (ALICE, Action, CheckResult, Party, Protocol, Transcript,
+                      _finite_space, pair_label, run, tail_mass)
 from .oracle import SignVector
 
 
@@ -60,10 +60,8 @@ class TailReport:
 
 
 def check_tail_hypothesis(protocol: Protocol, n: int, threshold_bits: int,
-                          space: Optional[RandomnessSpace] = None,
                           pairs: Optional[Sequence[tuple]] = None) -> TailReport:
     """Check mass(T >= M) < 1/(2n) for every pair (default: all promise pairs)."""
-    space = space if space is not None else protocol.lambda_space
     if pairs is None:
         pairs = list(promise_pairs(n))
     if not pairs:
@@ -72,7 +70,7 @@ def check_tail_hypothesis(protocol: Protocol, n: int, threshold_bits: int,
     worst = Fraction(0)
     worst_pair = ""
     for input_a, input_b in pairs:
-        mass = tail_mass(protocol, input_a, input_b, space, threshold_bits)
+        mass = tail_mass(protocol, input_a, input_b, threshold_bits)
         if mass > worst or not worst_pair:
             worst, worst_pair = mass, pair_label(input_a, input_b)
     return TailReport(worst < bound, n, threshold_bits, bound, worst,
@@ -141,17 +139,14 @@ class Partition:
         }
 
 
-def partition_inputs(protocol: Protocol, n: int, threshold_bits: int,
-                     space: Optional[RandomnessSpace] = None) -> Partition:
+def partition_inputs(protocol: Protocol, n: int, threshold_bits: int) -> Partition:
     """Greedy partition: repeatedly take the point accepting the most inputs.
 
     Acceptance for input a at point lam means g(a, a, lam) = 1 with strictly
     fewer than threshold_bits transmitted.  Ties pick the lowest point index;
     an input accepted nowhere raises PartitionError naming it.
     """
-    space = space if space is not None else protocol.lambda_space
-    if not isinstance(space, RandomnessSpace):
-        raise InvariantError("partitioning needs a finite RandomnessSpace")
+    space = _finite_space(protocol, "partitioning")
     vectors = list(SignVector.all_vectors(n))
     # accepts[v, i]: vector v accepts at point i; filled vector by vector
     accepts = np.zeros((len(vectors), len(space)), dtype=bool)

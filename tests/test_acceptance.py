@@ -127,8 +127,7 @@ def test_criterion_4_send_all_reply_exact_law_and_moments():
             diagonal = [(a, a) for a in SignVector.all_vectors(n)]
             mixed = [p for p in promise_pairs(n) if p[0].dot(p[1]) == 0][:40]
             pairs = diagonal + mixed
-        moments = empirical_moments(protocol, pairs, protocol.lambda_space,
-                                    k_max=3)
+        moments = empirical_moments(protocol, pairs, k_max=3)
         for k in (1, 2, 3):
             assert moments.worst(k) == Fraction((n + 1)**k)
     _report(4, True,

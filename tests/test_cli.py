@@ -166,6 +166,8 @@ def test_predict_malformed_scenarios_exit_two(tmp_path, capsys):
         ({"state": {"matrix": mixed}, "alice": {"bloch": [0, 0, 1]}, "bob": [0, 0, 1]},
          'scenario needs an object under "bob"'),
         (["singlet"], "scenario file must hold a JSON object"),
+        ({"state": "maximally_entangled", "n": True, "alice": {"vector": "+-"},
+          "bob": {"vector": "+-"}}, 'maximally_entangled state needs an integer "n"'),
     ]
     for doc, message in cases:
         code, out, err = run_cli(capsys, "predict", "--scenario",

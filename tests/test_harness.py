@@ -108,6 +108,20 @@ def test_transcript_validation():
         Transcript(((ALICE,),))
 
 
+def test_bits_and_outputs_are_never_truncated():
+    """A bit that is not 0 or 1 is refused before it could be cast, and an
+    output is a Python int: no bool or float equal to +/-1 passes."""
+    for bits in ((0.5,), (1.9,), (1, 0.5)):
+        with pytest.raises(ProtocolError, match="0/1"):
+            Action(bits)
+    for output in (True, 1.0, -1.0, np.int64(1)):
+        with pytest.raises(ProtocolError, match="output"):
+            Action(output=output)
+    for bit in (1.7, 0.5):
+        with pytest.raises(InvariantError, match="0/1"):
+            Transcript(((ALICE, bit),))
+
+
 def test_check_result_truthiness():
     assert CheckResult(True)
     assert not CheckResult(False, "because")
@@ -148,7 +162,7 @@ def test_two_branch_runs_and_transcripts():
 
 def test_two_branch_distribution_and_moments():
     p = TwoBranch()
-    law = output_distribution(p, None, None, p.lambda_space)
+    law = output_distribution(p, None, None)
     assert law == JointProbs(Fraction(1), Fraction(0), Fraction(0), Fraction(0))
     report = empirical_moments(p, [(None, None)], k_max=2,
                                tail_thresholds=(2, 3, 4))
@@ -161,12 +175,12 @@ def test_two_branch_distribution_and_moments():
             report.worst(k)
     with pytest.raises(InvariantError, match="no pairs"):
         empirical_moments(p, [], k_max=2).worst(1)
-    assert tail_mass(p, None, None, p.lambda_space, 3) == Fraction(1, 2)
+    assert tail_mass(p, None, None, 3) == Fraction(1, 2)
 
 
 def test_outcome_table_shape_is_checked():
     class Misaligned(TwoBranch):
-        def outcome_table(self, input_a, input_b, space):
+        def outcome_table(self, input_a, input_b):
             return self.table
 
     p = Misaligned()
@@ -174,9 +188,9 @@ def test_outcome_table_shape_is_checked():
                   [(1, 1, 1), (1, 1, 3)], ([1, 1], [1, 1])):
         p.table = table
         with pytest.raises(ProtocolError, match="outcome_table returned"):
-            tail_mass(p, None, None, p.lambda_space, 3)
+            tail_mass(p, None, None, 3)
     p.table = ([1, 1], [1, 1], [1, 3])
-    assert tail_mass(p, None, None, p.lambda_space, 3) == Fraction(1, 2)
+    assert tail_mass(p, None, None, 3) == Fraction(1, 2)
 
 
 def test_two_branch_sampled_matches_exact():
@@ -327,8 +341,10 @@ def test_exact_checking_requires_finite_space():
     class Sampler:
         pass
 
+    p = TwoBranch()
+    p.lambda_space = Sampler()
     with pytest.raises(InvariantError, match="finite"):
-        check_exact_blqms(TwoBranch(), [], space=Sampler())
+        check_exact_blqms(p, [])
 
 
 def test_check_exact_blqms_flags():
@@ -377,8 +393,10 @@ def test_guards_raise_invariant_errors():
                           samples=10, seed=1.5)
     with pytest.raises(InvariantError, match="k_max must be at least 1"):
         empirical_moments(p, [(None, None)], k_max=0)
+    sampled = TwoBranch()
+    sampled.lambda_space = Sampler()
     with pytest.raises(InvariantError, match="tail_mass needs a finite"):
-        tail_mass(p, None, None, Sampler(), 1)
+        tail_mass(sampled, None, None, 1)
     float_target = Scenario(None, None, JointProbs(1.0, 0.0, 0.0, 0.0), "floaty")
     with pytest.raises(InvariantError, match="scenario 'floaty' has a float target"):
         check_exact_blqms(p, [Scenario(None, None, point_mass, "exact"), float_target])
@@ -397,8 +415,9 @@ def test_exact_masses_past_int64(costs, data):
     assert space.den == sum(raw) > 2**63 and space.numerators.dtype == object
     thresholds = data.draw(st.lists(st.integers(0, 70), max_size=5))
     p = CostIsPoint()
+    p.lambda_space = space
 
-    report = empirical_moments(p, [(None, None)], space, k_max=12,
+    report = empirical_moments(p, [(None, None)], k_max=12,
                                tail_thresholds=thresholds)
     (entry,) = report.entries
     assert entry.moments == tuple(sum((w * c**k for c, w in zip(costs, weights)),
@@ -406,9 +425,9 @@ def test_exact_masses_past_int64(costs, data):
     for m in thresholds:
         expected = sum((w for c, w in zip(costs, weights) if c >= m), start=Fraction(0))
         assert entry.tails[m] == expected
-        assert tail_mass(p, None, None, space, m) == expected
+        assert tail_mass(p, None, None, m) == expected
     even = sum((w for c, w in zip(costs, weights) if c % 2 == 0), start=Fraction(0))
-    assert output_distribution(p, None, None, space) == JointProbs(
+    assert output_distribution(p, None, None) == JointProbs(
         even, Fraction(0), 1 - even, Fraction(0))
 
 

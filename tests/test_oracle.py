@@ -168,6 +168,12 @@ def test_sign_vector_parse_both_formats():
     for text, token in ((",", "''"), ("+,-", "'+'"), ("a,b", "'a'"), ("1,,1", "''")):
         with pytest.raises(InvariantError, match=re.escape(f"token {token}")):
             SignVector.parse(text)
+    # coordinates are integers: no bool, float or text passes for +/-1
+    for coords in ((1.5, -1), (1.0, -1), (True, -1), (1, np.float64(-1)), ("1", -1)):
+        with pytest.raises(InvariantError, match="integers"):
+            SignVector(coords)
+    numpy_ints = SignVector((np.int64(1), np.int8(-1))).coords
+    assert numpy_ints == (1, -1) and all(type(c) is int for c in numpy_ints)
 
 
 def test_sign_vector_roundtrips():
@@ -263,6 +269,13 @@ def test_observable_requires_involution():
         BinaryObservable(np.diag([1.0, 0.5]))
     # a valid non-exact observable: Pauli X
     BinaryObservable(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def test_maximally_entangled_needs_a_positive_integer_dimension():
+    for n in (True, 2.0, "2", 0):
+        with pytest.raises(InvariantError, match="positive integer"):
+            maximally_entangled(n)
+    assert maximally_entangled(np.int64(2)).dim == 4
 
 
 def test_density_matrix_validation():

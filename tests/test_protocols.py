@@ -25,13 +25,11 @@ from qcc_lab.protocols import (PROTOCOL_NAMES, ConstantProtocol,
 
 def test_send_all_reply_n2_known_laws():
     p = SendAllReplyProtocol(2)
-    same = output_distribution(p, SignVector.parse("++"), SignVector.parse("++"),
-                               p.lambda_space)
+    same = output_distribution(p, SignVector.parse("++"), SignVector.parse("++"))
     assert same.p_pp == Fraction(1, 2)
     assert same == JointProbs(Fraction(1, 2), Fraction(0), Fraction(0),
                               Fraction(1, 2))
-    differ = output_distribution(p, SignVector.parse("++"),
-                                 SignVector.parse("+-"), p.lambda_space)
+    differ = output_distribution(p, SignVector.parse("++"), SignVector.parse("+-"))
     assert differ.p_pp == 0
     assert differ == JointProbs(Fraction(0), Fraction(1, 2), Fraction(1, 2),
                                 Fraction(0))
@@ -54,7 +52,7 @@ def test_send_all_reply_law_matches_quantum_oracle():
     p = SendAllReplyProtocol(n)
     a = SignVector.parse("++--")
     for b in (a, SignVector.parse("+-+-"), SignVector.parse("-+-+")):
-        law = output_distribution(p, a, b, p.lambda_space)
+        law = output_distribution(p, a, b)
         assert law.p_pp == joint_plus_probability(a, b)
         assert law.p_pp + law.p_pm == Fraction(1, n)
         assert law.p_pp + law.p_mp == Fraction(1, n)
@@ -65,22 +63,10 @@ def test_outcome_table_matches_generic_runner():
         p = SendAllReplyProtocol(n)
         a = SignVector((1,) * n)
         b = SignVector.parse(b_text)
-        table = p.outcome_table(a, b, p.lambda_space)
+        table = p.outcome_table(a, b)
         replayed = [run(p, a, b, lam) for lam in p.lambda_space.points]
         np.testing.assert_array_equal(np.column_stack(table),
                                       [(r.y_a, r.y_b, r.t) for r in replayed])
-
-
-def test_outcome_table_on_foreign_space():
-    p = SendAllReplyProtocol(2)
-    coarse = RandomnessSpace.uniform((Fraction(0), Fraction(1, 2)))
-    a = SignVector.parse("++")
-    table = p.outcome_table(a, a, coarse)
-    np.testing.assert_array_equal(
-        np.column_stack(table),
-        [(r.y_a, r.y_b, r.t) for r in (run(p, a, a, lam) for lam in coarse.points)])
-    # points that are not all Fractions are left to the generic runner
-    assert p.outcome_table(a, a, RandomnessSpace.uniform((0, 1))) is None
 
 
 @st.composite
@@ -92,17 +78,9 @@ def promise_pair(draw, n):
     return SignVector(a), SignVector(b)
 
 
-@st.composite
-def foreign_space(draw, n):
-    """Fraction points over denominators that are not multiples of n^3,
-    one past int64 among them, in and beyond [0, 1)."""
-    den = draw(st.sampled_from((7, 9, 3 * n**3 + 1, 7 * 2**64 + 1)))
-    numerators = draw(st.lists(st.integers(-den, 2 * den), min_size=1, max_size=40))
-    return RandomnessSpace.uniform(tuple(Fraction(k, den) for k in numerators))
-
-
-def assert_table_matches_runs(p, a, b, space):
-    table = p.outcome_table(a, b, space)
+def assert_table_matches_runs(p, a, b):
+    space = p.lambda_space
+    table = p.outcome_table(a, b)
     assert all(column.shape == (len(space),) for column in table)
     np.testing.assert_array_equal(
         np.column_stack(table),
@@ -113,16 +91,11 @@ def assert_table_matches_runs(p, a, b, space):
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_outcome_table_matches_run_everywhere(n, data):
-    """Differential: the integer searchsorted table against `run` at every
-    point of the own grid, a refined grid and foreign Fraction spaces."""
+    """Differential: the run-length table against `run` at every point of
+    the own grid and of a refined grid."""
     a, b = data.draw(promise_pair(n))
-    own = SendAllReplyProtocol(n)
-    refined = SendAllReplyProtocol(n, grid_size=2 * n**3)
-    assert_table_matches_runs(own, a, b, own.lambda_space)
-    assert_table_matches_runs(refined, a, b, refined.lambda_space)
-    assert_table_matches_runs(own, a, b, data.draw(foreign_space(n)))
-    sevenths = RandomnessSpace.uniform(tuple(Fraction(k, 7) for k in range(7)))
-    assert_table_matches_runs(own, a, b, sevenths)
+    assert_table_matches_runs(SendAllReplyProtocol(n), a, b)
+    assert_table_matches_runs(SendAllReplyProtocol(n, grid_size=2 * n**3), a, b)
 
 
 def test_exact_distribution_matches_enumeration():
@@ -131,21 +104,13 @@ def test_exact_distribution_matches_enumeration():
         a = SignVector((1,) * n)
         b = SignVector((1,) * (n // 2) + (-1,) * (n // 2))
         for pair in ((a, a), (a, b)):
-            closed = p.exact_distribution(pair[0], pair[1], p.lambda_space)
+            closed = p.exact_distribution(pair[0], pair[1])
             mass = {key: Fraction(0) for key in ((1, 1), (-1, 1), (1, -1), (-1, -1))}
             for lam, w in zip(p.lambda_space.points, p.lambda_space.weights):
                 rec = run(p, pair[0], pair[1], lam)
                 mass[(rec.y_a, rec.y_b)] += w
             assert closed == JointProbs(mass[(1, 1)], mass[(-1, 1)],
                                         mass[(1, -1)], mass[(-1, -1)])
-
-
-def test_exact_distribution_only_on_own_grid():
-    p = SendAllReplyProtocol(2)
-    a = SignVector.parse("++")
-    other = RandomnessSpace.uniform(tuple(Fraction(k, 8) for k in range(8)))
-    assert p.exact_distribution(a, a, other) is None
-    assert p.exact_distribution(a, a, p.lambda_space) is not None
 
 
 def test_send_all_reply_rejects_bad_construction():
@@ -164,8 +129,7 @@ def test_send_all_reply_rejects_bad_construction():
     assert SendAllReplyProtocol(np.int64(2), grid_size=np.int64(16)).grid_size == 16
     bigger = SendAllReplyProtocol(2, grid_size=16)
     assert len(bigger.lambda_space) == 16
-    law = output_distribution(bigger, SignVector.parse("++"),
-                              SignVector.parse("++"), bigger.lambda_space)
+    law = output_distribution(bigger, SignVector.parse("++"), SignVector.parse("++"))
     assert law.p_pp == Fraction(1, 2)  # grid refinement keeps exactness
 
 
@@ -176,7 +140,7 @@ def test_send_all_reply_enforces_promise():
     with pytest.raises(PromiseViolationError):
         run(p, a, b, p.lambda_space.points[0])
     with pytest.raises(PromiseViolationError):
-        p.outcome_table(a, b, p.lambda_space)
+        p.outcome_table(a, b)
     with pytest.raises(InvariantError):
         run(p, SignVector.parse("++"), SignVector.parse("++"),
             p.lambda_space.points[0])  # wrong length
@@ -246,7 +210,7 @@ def test_law_cache_has_two_keys_per_n():
     p = SendAllReplyProtocol(8)
     lam = p.lambda_space.points[100]
     for a, b in promise_pairs(8):
-        p.exact_distribution(a, b, p.lambda_space)
+        p.exact_distribution(a, b)
         p.step(BOB, b, lam, a.to_bits())
     with pytest.raises(PromiseViolationError):
         p.step(BOB, SignVector.parse("++++++++"), lam, (1,) * 7 + (0,))
@@ -266,8 +230,7 @@ def test_toner_bacon_step_matches_batch_rows():
     a = (0.0, 0.0, 1.0)
     b = (0.6, 0.0, 0.8)
     count = 500
-    y_a, y_b, t = p.batch_outcomes(a, b, p.lambda_space, np.random.default_rng(21),
-                                   count)
+    y_a, y_b, t = p.batch_outcomes(a, b, np.random.default_rng(21), count)
     lam1, lam2 = SpherePairSampler().sample_batch(np.random.default_rng(21), count)
     for i in range(count):
         rec = run(p, a, b, (tuple(lam1[i]), tuple(lam2[i])))
@@ -326,7 +289,11 @@ def test_toner_bacon_finite_space_falls_back_to_run(monkeypatch):
     enumerated through `run`, once per point."""
     axes = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (-0.6, 0.0, 0.8))
     space = RandomnessSpace.uniform(tuple((l1, l2) for l1 in axes for l2 in axes))
-    p = TonerBaconProtocol()
+
+    class OnAxes(TonerBaconProtocol):
+        lambda_space = space
+
+    p = OnAxes()
     a, b = (0.0, 0.0, 1.0), (0.6, 0.0, 0.8)
     records = [run(p, a, b, lam) for lam in space.points]
     expected = JointProbs(*(Fraction(sum(r.y_a == y_a and r.y_b == y_b for r in records),
@@ -338,9 +305,9 @@ def test_toner_bacon_finite_space_falls_back_to_run(monkeypatch):
         return run(*args, **kwargs)
 
     monkeypatch.setattr(harness, "run", counted)
-    assert output_distribution(p, a, b, space) == expected
+    assert output_distribution(p, a, b) == expected
     assert calls == list(space.points)
-    assert empirical_moments(p, [(a, b)], space, k_max=2).entries[0].moments == (1, 1)
+    assert empirical_moments(p, [(a, b)], k_max=2).entries[0].moments == (1, 1)
 
 
 # --- constant ---------------------------------------------------------------
@@ -354,10 +321,20 @@ def test_constant_protocol_runs():
     swapped = ConstantProtocol(y_a=-1, y_b=-1)
     rec2 = run(swapped, None, None, 0)
     assert rec2.g == 0
-    law = output_distribution(swapped, None, None, swapped.lambda_space)
+    law = output_distribution(swapped, None, None)
     assert law.p_pp == 0
     with pytest.raises(InvariantError):
         ConstantProtocol(y_a=0)
+
+
+def test_constant_outputs_are_integers():
+    for kwargs, key in (({"y_a": True}, "y_a"), ({"y_b": 1.0}, "y_b"),
+                        ({"y_a": "1"}, "y_a")):
+        with pytest.raises(InvariantError, match=f"parameter {key} must be an integer"):
+            ConstantProtocol(**kwargs)
+    p = ConstantProtocol(y_a=np.int64(-1))
+    rec = run(p, None, None, 0)
+    assert (rec.y_a, rec.y_b) == (-1, 1) and type(rec.y_a) is int
 
 
 def test_constant_fails_on_two_distinct_targets():

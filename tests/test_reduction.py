@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcc_lab.errors import InvariantError, PartitionError
-from qcc_lab.harness import (ALICE, BOB, Action, Protocol, RandomnessSpace,
-                             Transcript, output_distribution, run,
-                             sample_distribution)
-from qcc_lab.oracle import SignVector
-from qcc_lab.protocols import ConstantProtocol, SendAllReplyProtocol
+from qcc_lab.harness import (ALICE, BOB, Action, Protocol, RandomnessSpace, Scenario,
+                             Transcript, check_exact_blqms, empirical_moments,
+                             output_distribution, run, sample_distribution, tail_mass)
+from qcc_lab.oracle import JointProbs, SignVector
+from qcc_lab.protocols import ConstantProtocol, SendAllReplyProtocol, TonerBaconProtocol
 from qcc_lab.reduction import (DerandomizationTable, DjCertificate, Partition,
                                PartitionCell, build_certificate, cell_index_width,
                                check_tail_hypothesis, contradiction_holds,
@@ -68,11 +68,32 @@ def test_default_cap_is_asked_once_per_input_pair():
     partition_inputs(p, 2, 1)
     assert p.cap_requests == 4  # one per vector; 16 runs
     a, b = SignVector.parse("+-"), SignVector.parse("--")
-    for audit in (lambda: output_distribution(p, a, b, p.lambda_space),
+    for audit in (lambda: output_distribution(p, a, b),
                   lambda: sample_distribution(p, a, b, samples=40, seed=0)):
         p.cap_requests = 0
         audit()
         assert p.cap_requests == 1
+
+
+_Z = (0.0, 0.0, 1.0)
+_HALF = Fraction(1, 2)
+EXACT_AUDITS = {
+    "output_distribution": lambda p: output_distribution(p, _Z, _Z),
+    "empirical_moments": lambda p: empirical_moments(p, [(_Z, _Z)]),
+    "tail_mass": lambda p: tail_mass(p, _Z, _Z, 1),
+    "check_exact_blqms": lambda p: check_exact_blqms(
+        p, [Scenario(_Z, _Z, JointProbs(0, _HALF, _HALF, 0), "z|z")]),
+    "check_tail_hypothesis": lambda p: check_tail_hypothesis(p, 2, 3),
+    "partition_inputs": lambda p: partition_inputs(p, 2, 3),
+}
+
+
+@pytest.mark.parametrize("audit", EXACT_AUDITS.values(), ids=EXACT_AUDITS.keys())
+def test_exact_audits_refuse_a_sampled_randomness_space(audit):
+    """Every exact audit enumerates the protocol's own space, so one that
+    can only be sampled is refused up front, not half-way through."""
+    with pytest.raises(InvariantError, match="needs a finite RandomnessSpace"):
+        audit(TonerBaconProtocol())
 
 
 def test_cell_index_width():
