@@ -38,16 +38,21 @@ def eval_f(a: SignVector, b: SignVector) -> int:
 
 
 def promise_pairs(n: int) -> Iterator[tuple[SignVector, SignVector]]:
-    """All ordered promise pairs: (a, a) plus every b agreeing on half."""
+    """All ordered promise pairs: (a, a) plus every b agreeing on half.
+
+    The 2^n vectors are built once and shared between pairs.  In
+    `all_vectors` order, flipping coordinate i toggles bit n - 1 - i of a
+    vector's index, so each b is a lookup by index XOR mask.
+    """
     if n < 2 or n % 2:
         raise InvariantError(f"n must be even and at least 2, got {n}")
-    for a in SignVector.all_vectors(n):
+    vectors = list(SignVector.all_vectors(n))
+    masks = [sum(1 << (n - 1 - i) for i in flips)
+             for flips in itertools.combinations(range(n), n // 2)]
+    for index, a in enumerate(vectors):
         yield a, a
-        for flips in itertools.combinations(range(n), n // 2):
-            flipped = list(a.coords)
-            for i in flips:
-                flipped[i] = -flipped[i]
-            yield a, SignVector(tuple(flipped))
+        for mask in masks:
+            yield a, vectors[index ^ mask]
 
 
 def promise_scenarios(n: int) -> list[Scenario]:

@@ -357,8 +357,11 @@ def _sampled_rows(protocol: Protocol, input_a, input_b, samples: int,
     y_a = np.empty(samples, dtype=np.int8)
     y_b = np.empty(samples, dtype=np.int8)
     t = np.empty(samples, dtype=np.int64)
-    cap = protocol.default_cap(input_a, input_b)
     space = protocol.lambda_space
+    if not callable(getattr(space, "sample", None)):
+        raise InvariantError(f"the sampled law needs a lambda_space with a sample "
+                             f"method, not {type(space).__name__}")
+    cap = protocol.default_cap(input_a, input_b)
     for i in range(samples):
         rec = run(protocol, input_a, input_b, space.sample(rng), cap=cap)
         y_a[i], y_b[i], t[i] = rec.y_a, rec.y_b, rec.t

@@ -180,6 +180,11 @@ class SignVector:
         return cls(tuple(2 * int(b) - 1 for b in bits))
 
     def to_text(self) -> str:
+        """'+' or '-' per coordinate; the same string on every call."""
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
         return "".join("+" if c > 0 else "-" for c in self.coords)
 
     @classmethod

@@ -56,6 +56,15 @@ def _cumulative_law(n: int, dot: int) -> tuple[int, int, int]:
     return dot * dot, n * n, 2 * n * n - dot * dot
 
 
+@lru_cache(maxsize=None)
+def _exact_law(n: int, dot: int) -> JointProbs:
+    """The joint law as closed interval counts over n^3, cached like
+    `_cumulative_law`: two keys per n, off-promise a.b raises and is not kept."""
+    c1, c2, c3 = _cumulative_law(n, dot)
+    cube = n**3
+    return JointProbs(*(Fraction(c, cube) for c in (c1, c2 - c1, c3 - c2, cube - c3)))
+
+
 def _floor_scaled(lam, scale: int) -> int:
     """floor(lam * scale), exact for int, Fraction and float lam."""
     num, den = (lam.as_integer_ratio() if isinstance(lam, float)
@@ -139,12 +148,9 @@ class SendAllReplyProtocol(Protocol):
         return outcomes[:, 0], outcomes[:, 1], np.full(self.grid_size, self.n + 1)
 
     def exact_distribution(self, input_a, input_b) -> JointProbs:
-        # closed interval counts over the grid
         a = self._own_vector(input_a)
         b = self._own_vector(input_b)
-        c1, c2, c3 = _cumulative_law(self.n, a.dot(b))
-        cube = self.n**3
-        return JointProbs(*(Fraction(c, cube) for c in (c1, c2 - c1, c3 - c2, cube - c3)))
+        return _exact_law(self.n, a.dot(b))
 
 
 class SpherePairSampler:

@@ -1,6 +1,8 @@
 """Promise equality task, reject certificates, and cost-bound formulas."""
 
+import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -45,6 +47,36 @@ def test_promise_pairs_exhaustive(n, count):
     assert len(seen) == count
     with pytest.raises(InvariantError):
         list(promise_pairs(3))
+
+
+def reference_promise_pairs(n):
+    """The per-pair construction `promise_pairs` replaced: a fresh, validated
+    `SignVector` for every flipped b."""
+    if n < 2 or n % 2:
+        raise InvariantError(f"n must be even and at least 2, got {n}")
+    for a in SignVector.all_vectors(n):
+        yield a, a
+        for flips in itertools.combinations(range(n), n // 2):
+            flipped = list(a.coords)
+            for i in flips:
+                flipped[i] = -flipped[i]
+            yield a, SignVector(tuple(flipped))
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_promise_pairs_matches_reference_and_shares_vectors(n):
+    pairs = list(promise_pairs(n))
+    assert pairs == list(reference_promise_pairs(n))  # same pairs, same order
+    assert len({id(v) for pair in pairs for v in pair}) == 2**n
+    assert all(a is b for a, b in pairs if a == b)
+
+
+@pytest.mark.parametrize("n", [-2, 0, 1, 3, 5])
+def test_promise_pairs_refusals_match_reference(n):
+    with pytest.raises(InvariantError) as reference:
+        next(reference_promise_pairs(n))
+    with pytest.raises(InvariantError, match=re.escape(str(reference.value))):
+        next(promise_pairs(n))
 
 
 def test_certificate_spec_examples():

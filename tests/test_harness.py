@@ -347,6 +347,19 @@ def test_exact_checking_requires_finite_space():
         check_exact_blqms(p, [])
 
 
+def test_sampling_requires_a_space_with_sample():
+    class NoSpace(Protocol):
+        def step(self, party, own, lam, received):
+            return Action(output=1)
+
+    target = JointProbs(Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+    message = "the sampled law needs a lambda_space with a sample method, not NoneType"
+    with pytest.raises(InvariantError, match=message):
+        sample_distribution(NoSpace(), None, None, samples=4)
+    with pytest.raises(InvariantError, match=message):
+        check_exact_blqms(NoSpace(), [Scenario(None, None, target, "x")], samples=4)
+
+
 def test_check_exact_blqms_flags():
     p = TwoBranch()
     hit = Scenario(None, None, JointProbs(Fraction(1), Fraction(0),

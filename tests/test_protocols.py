@@ -17,7 +17,8 @@ from qcc_lab.harness import (BOB, OUTCOMES, Action, RandomnessSpace, Scenario,
 from qcc_lab.oracle import JointProbs, SignVector, joint_plus_probability
 from qcc_lab.protocols import (PROTOCOL_NAMES, ConstantProtocol,
                                SendAllReplyProtocol, SpherePairSampler,
-                               TonerBaconProtocol, _cumulative_law, make_protocol)
+                               TonerBaconProtocol, _cumulative_law, _exact_law,
+                               make_protocol)
 
 
 # --- send_all_reply ----------------------------------------------------------
@@ -207,16 +208,22 @@ def test_send_all_reply_step_matches_fraction_bisect(n):
 
 def test_law_cache_has_two_keys_per_n():
     _cumulative_law.cache_clear()
+    _exact_law.cache_clear()
     p = SendAllReplyProtocol(8)
     lam = p.lambda_space.points[100]
     for a, b in promise_pairs(8):
         p.exact_distribution(a, b)
         p.step(BOB, b, lam, a.to_bits())
+    off = (SignVector.parse("++++++++"), SignVector.parse("+++++++-"))
     with pytest.raises(PromiseViolationError):
-        p.step(BOB, SignVector.parse("++++++++"), lam, (1,) * 7 + (0,))
+        p.step(BOB, off[0], lam, off[1].to_bits())
+    with pytest.raises(PromiseViolationError):
+        p.exact_distribution(*off)
     info = _cumulative_law.cache_info()
     assert info.currsize == 2  # a.b = 0 and a.b = n; off-promise keys are not kept
-    assert info.misses == 3 and info.hits == 2 * 18_176 - 2
+    assert info.misses == 4 and info.hits == 18_176
+    laws = _exact_law.cache_info()
+    assert laws.currsize == 2 and laws.misses == 3 and laws.hits == 18_176 - 2
     run(SendAllReplyProtocol(4), SignVector.parse("++--"), SignVector.parse("++--"), 0)
     assert _cumulative_law.cache_info().currsize == 3
 
