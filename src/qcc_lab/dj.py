@@ -56,13 +56,16 @@ def promise_pairs(n: int) -> Iterator[tuple[SignVector, SignVector]]:
 
 
 def promise_scenarios(n: int) -> list[Scenario]:
-    """Harness scenarios for every promise pair, exact targets from the predictor."""
+    """Harness scenarios for every promise pair, exact targets from the predictor.
+
+    One projector per vector, listed in `all_vectors` order, so a pair's
+    projectors are found by the vectors' indices.
+    """
     state = maximally_entangled(n)
-    projectors = {a.coords: sign_vector_projector(a)
-                  for a in SignVector.all_vectors(n)}
+    projectors = [sign_vector_projector(a) for a in SignVector.all_vectors(n)]
     return [
         Scenario(a, b,
-                 predict_joint_probs(projectors[a.coords], projectors[b.coords], state),
+                 predict_joint_probs(projectors[a.index], projectors[b.index], state),
                  pair_label(a, b))
         for a, b in promise_pairs(n)
     ]

@@ -15,17 +15,24 @@ Conventions:
       family is handled in exact rational arithmetic.  Everything else runs
       in double precision under the tolerances in `tolerances`.
 
-The joint law is computed in `_law_parts` and nowhere else; expectations
-are derived from it.  A state built by `maximally_entangled(n)` carries a
-structural tag, set there and nowhere else, and on it the traces use the
-identity
+Expectations are derived from the joint law, which has two routes.  A
+state built by `maximally_entangled(n)` and a projector built exactly by
+`sign_vector_projector(a)` carry structural tags, set there and nowhere
+else.  On the tagged state with two tagged projectors of length n,
+sum_ij P_ij Q_ij = (a.b)^2 / n^2, so the law is the closed form
+
+    p_pp = (a.b)^2 / n^3,  p_mp = p_pm = (n^2 - (a.b)^2) / n^3,
+
+built and validated once per (n, a.b) and shared by every such pair.
+Every other operand goes through `_law_parts`, the reference route: on
+the tagged state it uses the identity
 
     Tr[(A (x) B) Phi] = sum_ij A_ij B_ij / n
 
-on integer numerators, without forming the n^2 x n^2 Kronecker product.
-Every other exact state, including one built by value from the same
-entries, takes the reference path: the Kronecker product and `trace_dot`.
-States are never recognized by value.
+on integer numerators, without forming the n^2 x n^2 Kronecker product;
+every other exact state, including one built by value from the same
+entries, takes the Kronecker product and `trace_dot`.  States and
+projectors are never recognized by value.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import math
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Optional, Union
 
 import numpy as np
@@ -163,9 +170,17 @@ class SignVector:
         return self.coords[i]
 
     def dot(self, other: "SignVector") -> int:
-        if len(other) != len(self):
+        if not isinstance(other, SignVector):
+            raise InvariantError(f"dot needs a SignVector, got {type(other).__name__}")
+        if len(other.coords) != len(self.coords):
             raise DimensionMismatchError(f"lengths differ: {len(self)} vs {len(other)}")
-        return sum(x * y for x, y in zip(self.coords, other.coords))
+        # a coordinate adds +1 where the bits agree and -1 where they differ
+        return len(self.coords) - 2 * (self.index ^ other.index).bit_count()
+
+    @cached_property
+    def index(self) -> int:
+        """The bits (1 + c) / 2 read MSB-first: the position in `all_vectors(n)`."""
+        return int("".join(map(str, self.to_bits())), 2)
 
     def to_bits(self) -> tuple[int, ...]:
         """Coordinate c maps to bit (1 + c) / 2; the same tuple on every call."""
@@ -206,8 +221,7 @@ class SignVector:
 
     def to_hex(self) -> str:
         """Bits (1+c)/2 packed MSB-first, zero-padded to whole hex digits."""
-        value = int("".join(map(str, self.to_bits())), 2)
-        return format(value, f"0{(self.n + 3) // 4}x")
+        return format(self.index, f"0{(self.n + 3) // 4}x")
 
     @classmethod
     def from_hex(cls, text: str, n: int) -> "SignVector":
@@ -299,6 +313,8 @@ class Projector:
     """Hermitian idempotent matrix (the outcome +1 event)."""
 
     entries: MatrixData
+    # the vector a when built exactly by `sign_vector_projector(a)`; set only there
+    _sign_vector: Optional[SignVector] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         data = _coerce_entries(self.entries)
@@ -368,12 +384,14 @@ class DensityMatrix:
 
 
 def _check_number(name: str, value: Number, low: int, high: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
+        raise InvariantError(f"{name} must be an int, a float or a Fraction, got {value!r}")
     if isinstance(value, Fraction):
         num, den = value.numerator, value.denominator  # den > 0
         if not (low * den <= num <= high * den):
             raise InvariantError(f"{name} = {value} outside [{low}, {high}]")
         return
-    # float values are admitted within operator tolerance; producers clamp
+    # int and float values are admitted within operator tolerance; producers clamp
     if not (low - OPERATOR_ATOL <= value <= high + OPERATOR_ATOL):
         raise InvariantError(f"{name} = {value} outside [{low}, {high}]")
 
@@ -465,6 +483,7 @@ def _law_parts(pa: MatrixData, pb: MatrixData, state: DensityMatrix) -> tuple:
 
     Integers over n d_P d_Q on the tagged state with n x n operands;
     Fractions over 1 on any other exact state; floats over 1.0 otherwise.
+    The reference for the closed form of `_sign_vector_law`.
     """
     if not (_is_exact(pa) and _is_exact(pb) and state.exact):
         pa, pb, sigma = _to_float(pa), _to_float(pb), _to_float(state.entries)
@@ -490,12 +509,29 @@ def _admit_probability(name: str, value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
+@lru_cache(maxsize=None)
+def _sign_vector_law(n: int, dot: int) -> JointProbs:
+    """Law of P_a (x) P_b on Phi for sign vectors of length n with a.b = dot.
+
+    Each marginal is 1/n, and Tr[(P_a (x) P_b) Phi] = (a.b)^2 / n^3.  The
+    law depends on the pair only through (n, a.b), so the cache holds at
+    most n + 1 keys per n.
+    """
+    cube, pp, marginal = n**3, dot * dot, n * n
+    return JointProbs(*(Fraction(x, cube) for x in
+                        (pp, marginal - pp, marginal - pp, cube - 2 * marginal + pp)))
+
+
 def predict_joint_probs(proj_a: Projector, proj_b: Projector, state: DensityMatrix) -> JointProbs:
     """Joint law of the two binary outcomes on the shared state.
 
     Exact when all three operands are rational; double precision otherwise,
     with each probability admitted within OPERATOR_ATOL and clamped to [0, 1].
     """
+    a, b = proj_a._sign_vector, proj_b._sign_vector
+    if a is not None and b is not None and state._entangled_n == a.n == b.n:
+        # the tags fix the dims: n x n projectors on the n^2 x n^2 state
+        return _sign_vector_law(a.n, a.dot(b))
     if proj_a.dim * proj_b.dim != state.dim:
         raise DimensionMismatchError(
             f"party dims {proj_a.dim} x {proj_b.dim} do not match state dim {state.dim}")
@@ -565,7 +601,9 @@ def sign_vector_projector(a: SignVector, exact: bool = True) -> Projector:
     """Rank-one projector (1/n) |a><a| for a sign vector a."""
     outer = np.outer(a.coords, a.coords)
     if exact:
-        return Projector(RationalMatrix(outer, a.n))
+        proj = Projector(RationalMatrix(outer, a.n))
+        object.__setattr__(proj, "_sign_vector", a)  # entries built from a above
+        return proj
     return Projector(outer.astype(complex) / a.n)
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcc_lab import oracle
+from qcc_lab.dj import promise_scenarios
 from qcc_lab.errors import (DimensionMismatchError, InvariantError,
                             PromiseViolationError)
 from qcc_lab.oracle import (BinaryObservable, DensityMatrix, ExpectationTriple,
@@ -20,6 +21,7 @@ from qcc_lab.oracle import (BinaryObservable, DensityMatrix, ExpectationTriple,
                             probs_to_expectations, projector_to_observable,
                             sign_vector_observable, sign_vector_projector,
                             singlet)
+from qcc_lab.protocols import SendAllReplyProtocol
 
 
 # --- rational matrices ----------------------------------------------------
@@ -217,6 +219,22 @@ def test_sign_vector_dot():
     assert a.dot(a) == 4
     with pytest.raises(DimensionMismatchError):
         a.dot(SignVector.parse("++"))
+    for other in ((1, -1, 1, -1), "+-+-", None):
+        with pytest.raises(InvariantError, match="needs a SignVector"):
+            a.dot(other)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_sign_vector_dot_matches_coordinate_sum(n):
+    """Differential: the bit-index popcount against the coordinate sum on
+    every ordered pair; the index is the position in `all_vectors`."""
+    vectors = list(SignVector.all_vectors(n))
+    assert [v.index for v in vectors] == list(range(2**n))
+    for a in vectors:
+        for b in vectors:
+            assert a.dot(b) == sum(x * y for x, y in zip(a.coords, b.coords))
+    with pytest.raises(DimensionMismatchError):
+        vectors[0].dot(SignVector((1,) * (n + 2)))
 
 
 # --- operator wrappers ------------------------------------------------------
@@ -410,6 +428,16 @@ def test_joint_probs_validation():
                    Fraction(-1, 2))
     with pytest.raises(InvariantError):
         JointProbs(0.5, 0.5, 0.5, 0.5)  # sums to 2
+    # an entry that is not an int, a float or a Fraction is named, not compared
+    for bad in ("0.5", None, 1 + 0j, True):
+        with pytest.raises(InvariantError, match="p_pp must be an int, a float or a Fraction"):
+            JointProbs(bad, 0.5, 0, 0)
+        with pytest.raises(InvariantError, match="p_mm must be an int, a float or a Fraction"):
+            JointProbs(0, 0, 0.5, bad)
+        with pytest.raises(InvariantError, match="e_a must be an int, a float or a Fraction"):
+            ExpectationTriple(0, bad, 0)
+    assert JointProbs(1, 0, 0, 0).p_pp == 1
+    assert ExpectationTriple(Fraction(1, 2), -1, 0.25).e_b == 0.25
 
 
 # --- promise-family closed forms ---------------------------------------------
@@ -456,6 +484,19 @@ def kron_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def law_parts_calls(monkeypatch):
+    calls = []
+    reference = oracle._law_parts
+
+    def counted(pa, pb, state):
+        calls.append(1)
+        return reference(pa, pb, state)
+
+    monkeypatch.setattr(oracle, "_law_parts", counted)
+    return calls
+
+
 def assert_identity_matches_kron(projectors, state):
     """Every ordered pair: the tagged path equals the kron path exactly."""
     reference = by_value(state)
@@ -476,6 +517,27 @@ def assert_identity_matches_kron(projectors, state):
 def test_identity_matches_kron_on_sign_vectors(n):
     projectors = [sign_vector_projector(v) for v in SignVector.all_vectors(n)]
     assert_identity_matches_kron(projectors, maximally_entangled(n))
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_sign_vector_law_matches_sum_and_kron_routes(n, law_parts_calls, kron_calls):
+    """Every ordered pair, off the promise too: the cached closed form on
+    tagged projectors equals the sum_ij P_ij Q_ij route on the same entries
+    built by value, and the kron route on the state built by value."""
+    state = maximally_entangled(n)
+    reference = by_value(state)
+    vectors = list(SignVector.all_vectors(n))
+    tagged = [sign_vector_projector(v) for v in vectors]
+    untagged = [Projector(RationalMatrix(np.outer(v.coords, v.coords), n)) for v in vectors]
+    for pa, qa in zip(tagged, untagged):
+        for pb, qb in zip(tagged, untagged):
+            closed = predict_joint_probs(pa, pb, state)
+            assert closed.exact
+            assert closed == predict_joint_probs(qa, qb, state)
+            assert closed == predict_joint_probs(pa, pb, reference)
+    # the closed form reaches neither route; each other call reaches one
+    pairs = len(vectors) ** 2
+    assert len(law_parts_calls) == 2 * pairs and len(kron_calls) == 3 * pairs
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -526,6 +588,52 @@ def test_state_built_by_value_takes_kron(kron_calls):
     assert len(kron_calls) == 3
     predict_expectations(sign_vector_observable(a), sign_vector_observable(b), state)
     assert len(kron_calls) == 6
+
+
+def test_untagged_operands_reach_law_parts(law_parts_calls):
+    a, b = SignVector.parse("++--"), SignVector.parse("+-+-")
+    state = maximally_entangled(4)
+    tagged_a, tagged_b = sign_vector_projector(a), sign_vector_projector(b)
+    closed = predict_joint_probs(tagged_a, tagged_b, state)
+    # the tag is set only by an exact `sign_vector_projector`, never by value
+    untagged = [Projector(tagged_a.entries), tagged_a.complement(),
+                sign_vector_projector(a, exact=False),
+                observable_to_projector(sign_vector_observable(a))]
+    assert tagged_a._sign_vector is a
+    assert all(p._sign_vector is None for p in untagged)
+    assert predict_joint_probs(untagged[0], tagged_b, state) == closed
+    assert len(law_parts_calls) == 1
+    loose = predict_joint_probs(untagged[2], sign_vector_projector(b, exact=False),
+                                maximally_entangled(4, exact=False))
+    assert not loose.exact and len(law_parts_calls) == 2
+    assert predict_joint_probs(tagged_a, tagged_b, by_value(state)) == closed
+    assert len(law_parts_calls) == 3
+    assert probs_to_expectations(closed) == predict_expectations(
+        sign_vector_observable(a), sign_vector_observable(b), state)
+    assert len(law_parts_calls) == 4
+    # tagged operands whose lengths are not the state's n: 2 x 8 = 4^2
+    short, wide = SignVector.parse("+-"), SignVector.parse("++--+-+-")
+    odd = predict_joint_probs(sign_vector_projector(short), sign_vector_projector(wide), state)
+    assert len(law_parts_calls) == 5
+    assert odd == predict_joint_probs(sign_vector_projector(short),
+                                      sign_vector_projector(wide), by_value(state))
+
+
+def test_promise_sweep_builds_two_laws(law_parts_calls):
+    """One law per (n, a.b), shared by every scenario that has that key;
+    no tagged pair reaches `_law_parts`."""
+    oracle._sign_vector_law.cache_clear()
+    scenarios = promise_scenarios(8)
+    assert law_parts_calls == []
+    info = oracle._sign_vector_law.cache_info()
+    assert info.currsize == 2 and info.misses == 2
+    assert info.hits == len(scenarios) - 2 == 18_174
+    assert len({id(sc.target) for sc in scenarios}) == 2
+    # the protocol derives its own law: equal to the oracle's, never the same object
+    protocol = SendAllReplyProtocol(8)
+    for sc in scenarios[:2]:
+        law = protocol.exact_distribution(sc.input_a, sc.input_b)
+        assert law == sc.target and law is not sc.target
 
 
 def test_unequal_party_dims_take_kron(kron_calls):
