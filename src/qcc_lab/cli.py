@@ -134,9 +134,7 @@ def canonical_json(report: dict) -> str:
 def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return _float_text(float(value))
-    if isinstance(value, Fraction):
+    if isinstance(value, (float, np.floating, Fraction)):
         return _float_text(float(value))
     return str(value)
 
@@ -638,10 +636,7 @@ def main(argv=None) -> int:
             print(f"partial transcript: {exc.partial_transcript.tokens()}",
                   file=sys.stderr)
         return 3
-    except QccLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (QccLabError, OSError, ValueError) as exc:  # ValueError covers bad JSON
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

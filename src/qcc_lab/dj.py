@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import DimensionMismatchError, InvariantError, PromiseViolationError
-from .harness import BOB, CheckResult, Party, Scenario, pair_label
-from .oracle import (SignVector, maximally_entangled, predict_joint_probs,
-                     sign_vector_projector)
+from .harness import _BITS, BOB, CheckResult, Party, Scenario, pair_label
+from .oracle import (SignVector, _integer, maximally_entangled,
+                     predict_joint_probs, sign_vector_projector)
 
 
 def check_promise(a: SignVector, b: SignVector) -> int:
@@ -83,6 +83,8 @@ class RejectCertificate:
     alpha: int
 
     def __post_init__(self):
+        object.__setattr__(self, "index", _integer("RejectCertificate", "index", self.index))
+        object.__setattr__(self, "alpha", _integer("RejectCertificate", "alpha", self.alpha))
         if self.index < 1:
             raise InvariantError(f"index must be 1-based positive, got {self.index}")
         if self.alpha not in (-1, 1):
@@ -102,13 +104,11 @@ class RejectCertificate:
 
     @classmethod
     def decode(cls, bits: Iterable[int], n: int) -> "RejectCertificate":
-        bits = tuple(int(b) for b in bits)
+        bits = tuple(bits)
         width = _index_width(n)
-        if len(bits) != width + 1 or any(b not in (0, 1) for b in bits):
-            raise InvariantError(f"need {width + 1} bits, got {bits}")
-        value = 0
-        for b in bits[:width]:
-            value = (value << 1) | b
+        if len(bits) != width + 1 or not _BITS.issuperset(bits):
+            raise InvariantError(f"need {width + 1} bits, each 0 or 1, got {bits}")
+        value = sum(int(b) << (width - 1 - i) for i, b in enumerate(bits[:width]))
         return cls(value + 1, 1 if bits[width] == 0 else -1)
 
 

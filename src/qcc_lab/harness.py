@@ -88,13 +88,16 @@ class Transcript:
 
     def __post_init__(self):
         entries = tuple(self.entries)
-        senders, bits = zip(*entries, strict=True) if entries else ((), ())
+        try:
+            senders, bits = zip(*entries, strict=True) if entries else ((), ())
+            # counted by identity, so senders that are already a Party skip Party()
+            if senders.count(ALICE) + senders.count(BOB) != len(senders):
+                senders = tuple(map(Party, senders))
+        except (TypeError, ValueError):
+            raise InvariantError("entries must be (sender, bit) pairs, sender A or B") from None
         if not _BITS.issuperset(bits):
             raise InvariantError("transcript bits must be 0/1")
         bits = tuple(map(int, bits))
-        # counted by identity, so senders that are already a Party skip Party()
-        if senders.count(ALICE) + senders.count(BOB) != len(senders):
-            senders = tuple(map(Party, senders))
         object.__setattr__(self, "entries", tuple(zip(senders, bits)))
 
     def __len__(self) -> int:
@@ -180,8 +183,8 @@ class RandomnessSpace:
 
     @classmethod
     def uniform(cls, points) -> "RandomnessSpace":
-        points = tuple(points)
-        return cls(points, (Fraction(1, len(points)),) * len(points))
+        points = tuple(points)  # no points: no weights, which __post_init__ refuses
+        return cls(points, (Fraction(1, len(points)),) * len(points) if points else ())
 
     def __len__(self) -> int:
         return len(self.points)
@@ -233,8 +236,8 @@ class Protocol(abc.ABC):
         return 10 * n + 64
 
     def outcome_table(self, input_a, input_b):
-        """Optional fast path: aligned integer arrays (y_a, y_b, t), one
-        entry per point of `lambda_space` in its order, matching `run`.
+        """Optional fast path: (y_a, y_b, t) as 1-D integer arrays, one entry
+        per point of `lambda_space` in its order, no cost negative, matching `run`.
 
         Return None to use the generic per-point runner.  Implementations
         must agree with `run` exactly; tests replay random points.
@@ -246,7 +249,7 @@ class Protocol(abc.ABC):
         return None
 
     def batch_outcomes(self, input_a, input_b, rng, count: int):
-        """Optional vectorized sampler: (y_a, y_b, t) arrays over `count` draws."""
+        """Optional vectorized sampler: `outcome_table`'s rows over `count` draws."""
         return None
 
 
@@ -306,18 +309,36 @@ def _finite_space(protocol: Protocol, audit: str) -> RandomnessSpace:
     return space
 
 
+def _run_rows(protocol: Protocol, input_a, input_b, points) -> tuple[np.ndarray, ...]:
+    """The generic runner: one `run` per point, in order, under one bit
+    budget; (y_a, y_b, t) as int64 arrays, built once from the records."""
+    cap = protocol.default_cap(input_a, input_b)
+    rows = [(r.y_a, r.y_b, r.t) for r in
+            (run(protocol, input_a, input_b, lam, cap=cap) for lam in points)]
+    return tuple(np.array(rows, dtype=np.int64).reshape(-1, 3).T)
+
+
+def _rows(table, count: int, hook: str) -> tuple[np.ndarray, ...]:
+    """A hook's (y_a, y_b, t) as int64 arrays: three 1-D integer columns of
+    `count` >= 1 entries, no cost negative.  Outputs other than +/-1 are left
+    to the law's sum check, which refuses them wherever y is read."""
+    try:
+        columns = [np.asarray(column) for column in table]
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"{hook} returned no (y_a, y_b, t) columns: {exc}") from None
+    if (len(columns) != 3 or any(c.shape != (count,) or not np.issubdtype(c.dtype, np.integer)
+                                 for c in columns) or columns[2].min() < 0):
+        raise ProtocolError(f"{hook} returned {[f'{c.dtype}{list(c.shape)}' for c in columns]}; "
+                            f"(y_a, y_b, t) must be three 1-D integer arrays of {count} "
+                            "entries with no negative cost")
+    return tuple(column.astype(np.int64, copy=False) for column in columns)
+
+
 def _finite_rows(protocol: Protocol, input_a, input_b) -> tuple[np.ndarray, ...]:
-    space = protocol.lambda_space
     table = protocol.outcome_table(input_a, input_b)
     if table is None:
-        cap = protocol.default_cap(input_a, input_b)
-        records = (run(protocol, input_a, input_b, lam, cap=cap) for lam in space.points)
-        table = np.array([(r.y_a, r.y_b, r.t) for r in records]).T
-    columns = tuple(np.asarray(column, dtype=np.int64) for column in table)
-    if [column.shape for column in columns] != [(len(space),)] * 3:
-        raise ProtocolError(f"outcome_table returned shapes {[c.shape for c in columns]} "
-                            f"for (y_a, y_b, t) over {len(space)} points")
-    return columns
+        return _run_rows(protocol, input_a, input_b, protocol.lambda_space.points)
+    return _rows(table, len(protocol.lambda_space), "outcome_table")
 
 
 def output_distribution(protocol: Protocol, input_a, input_b) -> JointProbs:
@@ -346,35 +367,22 @@ class SampleStats:
     seed: object
 
 
-def _sampled_rows(protocol: Protocol, input_a, input_b, samples: int,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    batch = protocol.batch_outcomes(input_a, input_b, rng, samples)
-    if batch is not None:
-        y_a, y_b, t = (np.asarray(arr) for arr in batch)
-        if not (len(y_a) == len(y_b) == len(t) == samples):
-            raise ProtocolError("batch_outcomes returned arrays of the wrong length")
-        return y_a, y_b, t
-    y_a = np.empty(samples, dtype=np.int8)
-    y_b = np.empty(samples, dtype=np.int8)
-    t = np.empty(samples, dtype=np.int64)
-    space = protocol.lambda_space
-    if not callable(getattr(space, "sample", None)):
-        raise InvariantError(f"the sampled law needs a lambda_space with a sample "
-                             f"method, not {type(space).__name__}")
-    cap = protocol.default_cap(input_a, input_b)
-    for i in range(samples):
-        rec = run(protocol, input_a, input_b, space.sample(rng), cap=cap)
-        y_a[i], y_b[i], t[i] = rec.y_a, rec.y_b, rec.t
-    return y_a, y_b, t
-
-
 def sample_distribution(protocol: Protocol, input_a, input_b, *,
                         samples: int, seed=0) -> SampleStats:
     """Estimate the joint law with a seeded generator; seed is reported back."""
     if samples < 1:
         raise InvariantError(f"need a positive sample count, got {samples}")
     rng = np.random.default_rng(seed)
-    y_a, y_b, t = _sampled_rows(protocol, input_a, input_b, samples, rng)
+    batch = protocol.batch_outcomes(input_a, input_b, rng, samples)
+    space = protocol.lambda_space
+    if batch is not None:
+        y_a, y_b, t = _rows(batch, samples, "batch_outcomes")
+    elif not callable(getattr(space, "sample", None)):
+        raise InvariantError(f"the sampled law needs a lambda_space with a sample "
+                             f"method, not {type(space).__name__}")
+    else:  # one draw per sample, in order
+        y_a, y_b, t = _run_rows(protocol, input_a, input_b,
+                                (space.sample(rng) for _ in range(samples)))
     probs = JointProbs(*(float(np.count_nonzero((y_a == a) & (y_b == b))) / samples
                          for a, b in OUTCOMES))
     return SampleStats(probs, float(t.mean()), int(t.max()), samples, seed)
@@ -471,18 +479,16 @@ def check_exact_blqms(protocol: Protocol, scenarios: Iterable[Scenario], *,
                                       float(error_max), float(error_pp), *passed))
     if not results:
         raise InvariantError("no scenarios to check; an empty audit would pass vacuously")
-    if sampled:
-        return BlqmsReport(tuple(results), "sampled", samples, seed)
-    return BlqmsReport(tuple(results), "exact", None, None)
+    mode = ("sampled", samples, seed) if sampled else ("exact", None, None)
+    return BlqmsReport(tuple(results), *mode)
 
 
 @dataclass(frozen=True)
 class PairMoments:
-    """Exact cost moments for one input pair; tails map threshold M to mass(T >= M)."""
+    """Exact cost moments for one input pair."""
 
     label: str
     moments: tuple  # E[T^k] for k = 1..k_max
-    tails: dict
 
 
 @dataclass(frozen=True)
@@ -511,10 +517,10 @@ def pair_label(input_a, input_b) -> str:
     return f"{describe_input(input_a)}|{describe_input(input_b)}"
 
 
-def empirical_moments(protocol: Protocol, pairs: Sequence[tuple], *,
-                      k_max: int = 2, tail_thresholds: Sequence[int] = ()) -> MomentReport:
-    """Exact rational moments E[T^k] up to k_max and tail masses per input
-    pair, by weighted enumeration of a finite space."""
+def empirical_moments(protocol: Protocol, pairs: Iterable[tuple], *,
+                      k_max: int = 2) -> MomentReport:
+    """Exact rational moments E[T^k] up to k_max per input pair, by weighted
+    enumeration of a finite space; `tail_mass` gives the tail masses."""
     if k_max < 1:
         raise InvariantError(f"k_max must be at least 1, got {k_max}")
     space = _finite_space(protocol, "exact moments")
@@ -522,12 +528,9 @@ def empirical_moments(protocol: Protocol, pairs: Sequence[tuple], *,
     for input_a, input_b in pairs:
         _, _, t = _finite_rows(protocol, input_a, input_b)
         cost_law = {cost: space.mass(t == cost) for cost in np.unique(t).tolist()}
-        moments = tuple(
-            Fraction(sum(cost**k * mass for cost, mass in cost_law.items()), space.den)
-            for k in range(1, k_max + 1)
-        )
-        tails = {m: Fraction(space.mass(t >= m), space.den) for m in tail_thresholds}
-        entries.append(PairMoments(pair_label(input_a, input_b), moments, tails))
+        moments = tuple(Fraction(sum(cost**k * mass for cost, mass in cost_law.items()),
+                                 space.den) for k in range(1, k_max + 1))
+        entries.append(PairMoments(pair_label(input_a, input_b), moments))
     return MomentReport(tuple(entries), k_max)
 
 

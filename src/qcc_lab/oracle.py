@@ -54,6 +54,13 @@ Number = Union[Fraction, float]
 _SIGNS = frozenset((-1, 1))
 
 
+def _integer(owner: str, key: str, value) -> int:
+    """An integer parameter as an int; floats, bools and text error."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvariantError(f"{owner} parameter {key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _integer_kinds(kinds) -> bool:
     """Whether every type is int or a numpy integer; bool is neither."""
     return all(kind is int or issubclass(kind, np.integer) for kind in kinds)
@@ -418,7 +425,7 @@ class JointProbs:
     def as_dict(self) -> dict[str, Number]:
         return {"p_pp": self.p_pp, "p_mp": self.p_mp, "p_pm": self.p_pm, "p_mm": self.p_mm}
 
-    @property
+    @cached_property
     def exact(self) -> bool:
         return all(isinstance(v, Fraction) for v in self.as_dict().values())
 
@@ -443,7 +450,7 @@ class ExpectationTriple:
     def as_dict(self) -> dict[str, Number]:
         return {"e_ab": self.e_ab, "e_a": self.e_a, "e_b": self.e_b}
 
-    @property
+    @cached_property
     def exact(self) -> bool:
         return all(isinstance(v, Fraction) for v in self.as_dict().values())
 

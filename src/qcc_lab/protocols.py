@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InvariantError, PromiseViolationError
 from .harness import _BITS, ALICE, OUTCOMES, Action, Party, Protocol, RandomnessSpace
-from .oracle import JointProbs, SignVector
+from .oracle import JointProbs, SignVector, _integer
 
 
 def _sgn(x: float) -> int:
@@ -70,13 +70,6 @@ def _floor_scaled(lam, scale: int) -> int:
     num, den = (lam.as_integer_ratio() if isinstance(lam, float)
                 else (lam.numerator, lam.denominator))
     return num * scale // den
-
-
-def _integer(owner: str, key: str, value) -> int:
-    """A protocol's integer parameter as an int; floats, bools and text error."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvariantError(f"{owner} parameter {key} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True, eq=False)

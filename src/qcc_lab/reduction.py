@@ -28,15 +28,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .dj import promise_pairs
 from .errors import InvariantError, PartitionError, QccLabError
 from .harness import (ALICE, Action, CheckResult, Party, Protocol, Transcript,
-                      _finite_space, pair_label, run, tail_mass)
-from .oracle import SignVector
+                      _finite_space, _run_rows, pair_label, run, tail_mass)
+from .oracle import SignVector, _integer
 
 
 def cell_index_width(n: int) -> int:
@@ -60,21 +60,22 @@ class TailReport:
 
 
 def check_tail_hypothesis(protocol: Protocol, n: int, threshold_bits: int,
-                          pairs: Optional[Sequence[tuple]] = None) -> TailReport:
-    """Check mass(T >= M) < 1/(2n) for every pair (default: all promise pairs)."""
-    if pairs is None:
-        pairs = list(promise_pairs(n))
-    if not pairs:
-        raise InvariantError("no pairs to check; an empty tail check would pass vacuously")
+                          pairs: Optional[Iterable[tuple]] = None) -> TailReport:
+    """Check mass(T >= M) < 1/(2n) for every pair (default: all promise
+    pairs, streamed as they are generated)."""
     bound = Fraction(1, 2 * n)
     worst = Fraction(0)
     worst_pair = ""
-    for input_a, input_b in pairs:
+    checked = 0
+    for checked, (input_a, input_b) in enumerate(
+            promise_pairs(n) if pairs is None else pairs, start=1):
         mass = tail_mass(protocol, input_a, input_b, threshold_bits)
         if mass > worst or not worst_pair:
             worst, worst_pair = mass, pair_label(input_a, input_b)
+    if not checked:
+        raise InvariantError("no pairs to check; an empty tail check would pass vacuously")
     return TailReport(worst < bound, n, threshold_bits, bound, worst,
-                      worst_pair, len(pairs))
+                      worst_pair, checked)
 
 
 @dataclass(frozen=True)
@@ -151,9 +152,8 @@ def partition_inputs(protocol: Protocol, n: int, threshold_bits: int) -> Partiti
     # accepts[v, i]: vector v accepts at point i; filled vector by vector
     accepts = np.zeros((len(vectors), len(space)), dtype=bool)
     for vec, row in zip(vectors, accepts):
-        cap = protocol.default_cap(vec, vec)
-        records = (run(protocol, vec, vec, lam, cap=cap) for lam in space.points)
-        row[:] = [r.g == 1 and r.t < threshold_bits for r in records]
+        y_a, y_b, t = _run_rows(protocol, vec, vec, space.points)
+        row[:] = (y_a == 1) & (y_b == 1) & (t < threshold_bits)
         if not row.any():
             raise PartitionError(
                 f"input {vec.to_text()} accepts nowhere below {threshold_bits} bits",
@@ -213,6 +213,8 @@ class DjCertificate:
     transcript: Transcript
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer("DjCertificate", "n", self.n))
+        object.__setattr__(self, "j", _integer("DjCertificate", "j", self.j))
         if self.j < 1 or self.j - 1 >= 1 << cell_index_width(self.n):
             raise InvariantError(
                 f"cell index {self.j} does not fit {cell_index_width(self.n)} bits")

@@ -5,6 +5,7 @@ import math
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qcc_lab.dj import (RejectCertificate, auy_check, auy_min_n1, check_promise,
@@ -117,6 +118,11 @@ def test_certificate_decode_validation():
         RejectCertificate.decode((1,), 4)  # too short
     with pytest.raises(InvariantError):
         RejectCertificate.decode((1, 0, 2), 4)
+    # bits are checked against {0, 1} before any cast, so nothing is truncated
+    for bits in ([0.5, 1], ["x", 1], [1, "1"], [-1, 0], [0, 1.5]):
+        with pytest.raises(InvariantError, match="each 0 or 1"):
+            RejectCertificate.decode(bits, 2)
+    assert RejectCertificate.decode([True, 0.0], 2) == RejectCertificate(2, 1)
     with pytest.raises(InvariantError):
         RejectCertificate(2, 1).encode(1024) and RejectCertificate(2000, 1).encode(1024)
     # n=6 leaves slack in 3 index bits; the verifier catches what decode allows
@@ -124,6 +130,25 @@ def test_certificate_decode_validation():
     assert phantom.index == 7
     result = n0_verify(ALICE, sv("++--+-"), phantom)
     assert not result and "out of range" in result.reason
+
+
+def test_certificate_fields_are_integers():
+    """index and alpha are integers before any comparison: a float or bool
+    equal to an allowed value is refused, not carried into encode."""
+    for field, bad in (("index", 1.5), ("index", 2.0), ("index", True), ("index", "2"),
+                       ("index", None), ("alpha", True), ("alpha", 1.0), ("alpha", -1.0),
+                       ("alpha", "1")):
+        fields = {"index": 1, "alpha": 1, field: bad}
+        with pytest.raises(InvariantError,
+                           match=f"RejectCertificate parameter {field} must be an integer"):
+            RejectCertificate(**fields)
+    for alpha in (0, 2, np.int64(3)):
+        with pytest.raises(InvariantError, match="alpha must be"):
+            RejectCertificate(1, alpha)
+    cert = RejectCertificate(np.int64(2), np.int64(-1))
+    assert cert == RejectCertificate(2, -1)
+    assert type(cert.index) is int and type(cert.alpha) is int
+    assert cert.encode(2) == (1, 1)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])

@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from qcc_lab.errors import InvariantError, NonHaltingError, ProtocolError
 from qcc_lab.harness import (ALICE, BOB, Action, CheckResult, Party, Protocol,
-                             RandomnessSpace, RunRecord, Scenario, Transcript,
+                             OUTCOMES, RandomnessSpace, RunRecord, SampleStats,
+                             Scenario, Transcript,
                              check_exact_blqms, empirical_moments,
                              output_distribution, run, sample_distribution,
                              tail_mass)
 from qcc_lab.oracle import JointProbs, SignVector
+from qcc_lab.protocols import SendAllReplyProtocol
 
 
 class TwoBranch(Protocol):
@@ -100,12 +102,10 @@ def test_transcript_validation():
         Transcript(((ALICE, 1), (BOB, 2)))
     with pytest.raises(InvariantError, match="0/1"):
         Transcript(((ALICE, -1),))
-    with pytest.raises(ValueError):
-        Transcript((("C", 1),))
-    with pytest.raises(ValueError):
-        Transcript(((ALICE, 1), (BOB, 1, 0)))  # not a (sender, bit) pair
-    with pytest.raises(ValueError):
-        Transcript(((ALICE,),))
+    for entries in ((("C", 1),), ((None, 0),), ((ALICE, 1), (BOB, 1, 0)), ((ALICE,),),
+                    ((ALICE, 1, 0),), (5,)):
+        with pytest.raises(InvariantError, match=r"\(sender, bit\) pairs, sender A or B"):
+            Transcript(entries)
 
 
 def test_bits_and_outputs_are_never_truncated():
@@ -130,8 +130,9 @@ def test_check_result_truthiness():
 def test_randomness_space_validation():
     with pytest.raises(InvariantError):
         RandomnessSpace((0, 1), (Fraction(1, 2), Fraction(1, 3)))
-    with pytest.raises(InvariantError):
-        RandomnessSpace((), ())
+    for empty in (lambda: RandomnessSpace((), ()), lambda: RandomnessSpace.uniform(())):
+        with pytest.raises(InvariantError, match="at least one point"):
+            empty()
     with pytest.raises(InvariantError, match="nonnegative"):
         RandomnessSpace((0, 1), (Fraction(3, 2), Fraction(-1, 2)))
     # these numerators sum to 1 + 2^64, which int64 would wrap to 1
@@ -164,11 +165,11 @@ def test_two_branch_distribution_and_moments():
     p = TwoBranch()
     law = output_distribution(p, None, None)
     assert law == JointProbs(Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-    report = empirical_moments(p, [(None, None)], k_max=2,
-                               tail_thresholds=(2, 3, 4))
+    report = empirical_moments(p, [(None, None)], k_max=2)
     (entry,) = report.entries
     assert entry.moments == (Fraction(2), Fraction(5))
-    assert entry.tails == {2: Fraction(1, 2), 3: Fraction(1, 2), 4: Fraction(0)}
+    assert {m: tail_mass(p, None, None, m) for m in (2, 3, 4)} == \
+        {2: Fraction(1, 2), 3: Fraction(1, 2), 4: Fraction(0)}
     assert report.worst(2) == Fraction(5)
     for k in (0, 3):
         with pytest.raises(InvariantError, match=f"moment order {k} outside 1..2"):
@@ -193,6 +194,62 @@ def test_outcome_table_shape_is_checked():
     assert tail_mass(p, None, None, 3) == Fraction(1, 2)
 
 
+class Tabled(TwoBranch):
+    """TwoBranch whose hooks both return a set table: two points, two draws."""
+
+    def outcome_table(self, input_a, input_b):
+        return self.table
+
+    def batch_outcomes(self, input_a, input_b, rng, count):
+        return self.table
+
+
+MALFORMED_ROWS = {
+    "float cost": ([1, 1], [1, 1], [1.5, 2.0]),
+    "integral float cost": ([1, 1], [1, 1], [1.0, 3.0]),
+    "bool column": ([True, True], [1, 1], [1, 3]),
+    "2-D column": (np.ones((2, 2), dtype=np.int64), [1, 1], [1, 3]),
+    "wrong length": ([1, 1], [1, 1], [1, 3, 3]),
+    "two columns": ([1, 1], [1, 1]),
+    "negative cost": ([1, 1], [1, 1], [1, -2]),
+    "not columns": 7,
+}
+ROW_HOOKS = {
+    "outcome_table": (lambda p: tail_mass(p, None, None, 3),
+                      lambda p: empirical_moments(p, [(None, None)]),
+                      lambda p: output_distribution(p, None, None)),
+    "batch_outcomes": (lambda p: sample_distribution(p, None, None, samples=2),),
+}
+
+
+@pytest.mark.parametrize("hook", ROW_HOOKS)
+@pytest.mark.parametrize("table", MALFORMED_ROWS.values(), ids=MALFORMED_ROWS.keys())
+def test_malformed_rows_are_refused_naming_the_hook(hook, table):
+    """Both hooks' rows pass one check: three 1-D integer columns of one
+    entry per point or draw, no cost negative; nothing is cast or truncated."""
+    p = Tabled()
+    p.table = table
+    for audit in ROW_HOOKS[hook]:
+        with pytest.raises(ProtocolError, match=f"^{hook} returned"):
+            audit(p)
+
+
+def test_well_formed_rows_of_any_integer_type_are_read_as_int64():
+    p = Tabled()
+    for dtype in (np.int8, np.uint8, np.int32, np.int64):
+        p.table = tuple(np.array(column, dtype=dtype) for column in ([1, 1], [1, 1], [1, 3]))
+        assert tail_mass(p, None, None, 3) == Fraction(1, 2)
+        assert empirical_moments(p, [(None, None)]).entries[0].moments == (2, 5)
+        stats = sample_distribution(p, None, None, samples=2)
+        assert (stats.t_mean, stats.t_max, stats.probs.p_pp) == (2.0, 3, 1.0)
+    # outputs other than +/-1 pass the row check; the law's sum check refuses them
+    p.table = ([1, 0], [1, 1], [1, 3])
+    for audit in (lambda: output_distribution(p, None, None),
+                  lambda: sample_distribution(p, None, None, samples=2)):
+        with pytest.raises(InvariantError, match="sum to"):
+            audit()
+
+
 def test_two_branch_sampled_matches_exact():
     p = TwoBranch()
     stats = sample_distribution(p, None, None, samples=400, seed=9)
@@ -201,6 +258,35 @@ def test_two_branch_sampled_matches_exact():
     assert stats.samples == 400 and stats.seed == 9
     again = sample_distribution(p, None, None, samples=400, seed=9)
     assert again == stats
+
+
+def reference_sample_distribution(protocol, input_a, input_b, *, samples, seed=0):
+    """The sampled law as it was built before the generic row builder: one
+    draw and one run per sample, written into preallocated arrays."""
+    rng = np.random.default_rng(seed)
+    y_a = np.empty(samples, dtype=np.int8)
+    y_b = np.empty(samples, dtype=np.int8)
+    t = np.empty(samples, dtype=np.int64)
+    space = protocol.lambda_space
+    cap = protocol.default_cap(input_a, input_b)
+    for i in range(samples):
+        rec = run(protocol, input_a, input_b, space.sample(rng), cap=cap)
+        y_a[i], y_b[i], t[i] = rec.y_a, rec.y_b, rec.t
+    probs = JointProbs(*(float(np.count_nonzero((y_a == a) & (y_b == b))) / samples
+                         for a, b in OUTCOMES))
+    return SampleStats(probs, float(t.mean()), int(t.max()), samples, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2013])
+def test_sampled_fallback_matches_per_draw_reference(seed):
+    """The generic sampled route draws and runs in the reference's order, so
+    a seeded law is the same to the last bit, on equal and orthogonal pairs."""
+    p = SendAllReplyProtocol(4)
+    a = SignVector.parse("++-+")
+    for b in (a, SignVector.parse("+++-"), SignVector.parse("-+++")):
+        got = sample_distribution(p, a, b, samples=500, seed=seed)
+        assert got == reference_sample_distribution(p, a, b, samples=500, seed=seed)
+        assert got.t_mean == 5.0 and got.t_max == 5
 
 
 def test_deadlock_is_reported():
@@ -430,14 +516,12 @@ def test_exact_masses_past_int64(costs, data):
     p = CostIsPoint()
     p.lambda_space = space
 
-    report = empirical_moments(p, [(None, None)], k_max=12,
-                               tail_thresholds=thresholds)
+    report = empirical_moments(p, [(None, None)], k_max=12)
     (entry,) = report.entries
     assert entry.moments == tuple(sum((w * c**k for c, w in zip(costs, weights)),
                                       start=Fraction(0)) for k in range(1, 13))
     for m in thresholds:
         expected = sum((w for c, w in zip(costs, weights) if c >= m), start=Fraction(0))
-        assert entry.tails[m] == expected
         assert tail_mass(p, None, None, m) == expected
     even = sum((w for c, w in zip(costs, weights) if c % 2 == 0), start=Fraction(0))
     assert output_distribution(p, None, None) == JointProbs(

@@ -1,5 +1,7 @@
 """Exact-arithmetic core: rational matrices, wrappers, and the joint law."""
 
+import copy
+import pickle
 import re
 from fractions import Fraction
 
@@ -438,6 +440,24 @@ def test_joint_probs_validation():
             ExpectationTriple(0, bad, 0)
     assert JointProbs(1, 0, 0, 0).p_pp == 1
     assert ExpectationTriple(Fraction(1, 2), -1, 0.25).e_b == 0.25
+
+
+@pytest.mark.parametrize("value,exact", [
+    (JointProbs(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), Fraction(0)), True),
+    (JointProbs(0.5, Fraction(1, 4), Fraction(1, 4), Fraction(0)), False),
+    (ExpectationTriple(Fraction(1, 2), Fraction(-1), Fraction(0)), True),
+    (ExpectationTriple(Fraction(1, 2), -1, 0), False),
+])
+def test_exact_is_computed_once_and_leaves_value_semantics(value, exact):
+    """`exact` is cached on the frozen instance: equality, hashing, copies
+    and pickles see only the fields, cached or not."""
+    fresh = copy.copy(value)
+    assert value.exact is exact and vars(value)["exact"] is exact
+    assert "exact" not in vars(fresh)
+    assert value == fresh and hash(value) == hash(fresh)
+    for clone in (copy.copy(value), copy.deepcopy(value),
+                  pickle.loads(pickle.dumps(value)), pickle.loads(pickle.dumps(fresh))):
+        assert clone == value and hash(clone) == hash(value) and clone.exact is exact
 
 
 # --- promise-family closed forms ---------------------------------------------

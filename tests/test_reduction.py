@@ -5,9 +5,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcc_lab import reduction
+from qcc_lab.dj import promise_pairs
 from qcc_lab.errors import InvariantError, PartitionError
 from qcc_lab.harness import (ALICE, BOB, Action, Protocol, RandomnessSpace, Scenario,
                              Transcript, check_exact_blqms, empirical_moments,
@@ -123,6 +126,36 @@ def test_tail_hypothesis_mass_accounting():
     assert check_tail_hypothesis(p, 4, 4, pairs=[(a, a)]).ok
     with pytest.raises(InvariantError, match="no pairs"):
         check_tail_hypothesis(p, 4, 4, pairs=[])
+    # any iterable of pairs, counted as it is consumed
+    streamed = check_tail_hypothesis(p, 4, 3, pairs=((a, a) for _ in range(3)))
+    assert streamed.pairs_checked == 3 and streamed.worst_mass == Fraction(1, 2)
+    with pytest.raises(InvariantError, match="no pairs to check; an empty tail check "
+                                             "would pass vacuously"):
+        check_tail_hypothesis(p, 4, 4, pairs=iter(()))
+
+
+def test_tail_hypothesis_streams_the_default_pairs(monkeypatch):
+    """Each default promise pair is checked as it is generated: the
+    generator is one pair ahead of the check at most, never drained up front."""
+    yielded = []
+
+    def counting_pairs(n):
+        for pair in promise_pairs(n):
+            yielded.append(pair)
+            yield pair
+
+    lead = []
+
+    def recording_tail_mass(protocol, input_a, input_b, threshold):
+        lead.append(len(yielded))
+        assert yielded[-1] == (input_a, input_b)
+        return tail_mass(protocol, input_a, input_b, threshold)
+
+    monkeypatch.setattr(reduction, "promise_pairs", counting_pairs)
+    monkeypatch.setattr(reduction, "tail_mass", recording_tail_mass)
+    report = check_tail_hypothesis(SendAllReplyProtocol(4), 4, 6)
+    assert report.ok and report.pairs_checked == 112 == len(yielded)
+    assert lead == list(range(1, 113))
 
 
 @pytest.mark.parametrize("n,threshold", [(2, 4), (4, 6)])
@@ -341,6 +374,15 @@ def test_certificate_construction_limits():
     DjCertificate(2, 8, Transcript(()))
     with pytest.raises(InvariantError):
         DjCertificate(2, 1, Transcript(((ALICE, 1),) * 65536))
+    # n and j are integers before any comparison: no float or bool passes
+    for n, j in ((4, 1.5), (4, 2.0), (4, True), (4.0, 1), (True, 1), (4, "1")):
+        with pytest.raises(InvariantError,
+                           match=r"DjCertificate parameter [nj] must be an integer"):
+            DjCertificate(n, j, Transcript(()))
+    cert = DjCertificate(np.int64(4), np.int64(3), Transcript(()))
+    assert cert == DjCertificate(4, 3, Transcript(()))
+    assert type(cert.n) is int and type(cert.j) is int
+    assert DjCertificate.deserialize(cert.serialize(), 4) == cert
 
 
 def build_fixture(n, threshold):
