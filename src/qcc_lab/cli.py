@@ -335,11 +335,9 @@ def cmd_verify(args) -> int:
     if args.samples is None and not isinstance(protocol.lambda_space, RandomnessSpace):
         raise InvariantError(
             f"{args.protocol} has no finite randomness space; pass --samples")
-    scenarios = promise_scenarios(n)
-    report_obj = check_exact_blqms(protocol, scenarios, samples=args.samples,
+    report_obj = check_exact_blqms(protocol, promise_scenarios(n), samples=args.samples,
                                    seed=args.seed)
-    failures = [r.label for r in report_obj.results
-                if r.passed_full is False or r.passed_restricted is False]
+    failures = [failure.label for failure in report_obj.failures]
     report = {
         "command": "verify",
         "protocol": args.protocol,
@@ -347,7 +345,7 @@ def cmd_verify(args) -> int:
         "seed": args.seed,
         "mode": report_obj.mode,
         "samples": report_obj.samples,
-        "scenarios": len(report_obj.results),
+        "scenarios": report_obj.scenarios,
         "all_full": report_obj.all_full,
         "all_restricted": report_obj.all_restricted,
         "worst_error": report_obj.worst_error,
@@ -428,6 +426,8 @@ def cmd_reduce(args) -> int:
     if not isinstance(protocol.lambda_space, RandomnessSpace):
         raise InvariantError("reduce needs a finite randomness space")
     threshold = args.M if args.M is not None else n + 2
+    if threshold < 1:
+        raise InvariantError(f"--M is a bit budget and must be at least 1, got {threshold}")
     report = {
         "command": "reduce",
         "protocol": args.protocol,
@@ -439,10 +439,10 @@ def cmd_reduce(args) -> int:
     # the partition construction presumes the protocol reproduces the
     # target acceptance mass on every promise pair; audit that first
     law_report = check_exact_blqms(protocol, promise_scenarios(n))
-    witness = next((r for r in law_report.results if not r.passed_restricted), None)
+    witness = next((r for r in law_report.failures if not r.passed_restricted), None)
     report["acceptance_mass"] = {
         "ok": witness is None,
-        "pairs": len(law_report.results),
+        "pairs": law_report.scenarios,
         "witness": None if witness is None else {
             "pair": witness.label,
             "measured_p_pp": float(witness.computed.p_pp),

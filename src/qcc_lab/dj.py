@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import DimensionMismatchError, InvariantError, PromiseViolationError
-from .harness import _BITS, BOB, CheckResult, Party, Scenario, pair_label
-from .oracle import (SignVector, _integer, maximally_entangled,
+from .harness import _BITS, BOB, CheckResult, Party, Scenario
+from .oracle import (SignVector, _integer, _members, maximally_entangled,
                      predict_joint_probs, sign_vector_projector)
 
 
@@ -55,20 +55,18 @@ def promise_pairs(n: int) -> Iterator[tuple[SignVector, SignVector]]:
             yield a, vectors[index ^ mask]
 
 
-def promise_scenarios(n: int) -> list[Scenario]:
-    """Harness scenarios for every promise pair, exact targets from the predictor.
+def promise_scenarios(n: int) -> Iterator[Scenario]:
+    """Harness scenarios for every promise pair, in `promise_pairs` order,
+    exact targets from the predictor.
 
-    One projector per vector, listed in `all_vectors` order, so a pair's
-    projectors are found by the vectors' indices.
+    The state and one projector per vector, in `all_vectors` order, are
+    built on the call, so a bad n raises here; the scenarios are then
+    yielded one per pair, each pair's projectors found by the vectors' indices.
     """
     state = maximally_entangled(n)
     projectors = [sign_vector_projector(a) for a in SignVector.all_vectors(n)]
-    return [
-        Scenario(a, b,
-                 predict_joint_probs(projectors[a.index], projectors[b.index], state),
-                 pair_label(a, b))
-        for a, b in promise_pairs(n)
-    ]
+    return (Scenario(a, b, predict_joint_probs(projectors[a.index], projectors[b.index], state))
+            for a, b in promise_pairs(n))
 
 
 def _index_width(n: int) -> int:
@@ -106,7 +104,7 @@ class RejectCertificate:
     def decode(cls, bits: Iterable[int], n: int) -> "RejectCertificate":
         bits = tuple(bits)
         width = _index_width(n)
-        if len(bits) != width + 1 or not _BITS.issuperset(bits):
+        if len(bits) != width + 1 or not _members(_BITS, bits):
             raise InvariantError(f"need {width + 1} bits, each 0 or 1, got {bits}")
         value = sum(int(b) << (width - 1 - i) for i, b in enumerate(bits[:width]))
         return cls(value + 1, 1 if bits[width] == 0 else -1)

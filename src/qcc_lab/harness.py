@@ -30,7 +30,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import InvariantError, NonHaltingError, ProtocolError
-from .oracle import JointProbs, SignVector
+from .oracle import JointProbs, SignVector, _members
 
 # weight numerators are int64 while their den and sums stay below this
 _INT64_SAFE = 2**62
@@ -61,7 +61,7 @@ class Action:
 
     def __post_init__(self):
         send = tuple(self.send)
-        if not _BITS.issuperset(send):
+        if not _members(_BITS, send):
             raise ProtocolError(f"sent bits must be 0/1, got {send}")
         object.__setattr__(self, "send", tuple(map(int, send)))
         output = self.output  # an int, so True and 1.0 are refused
@@ -95,7 +95,7 @@ class Transcript:
                 senders = tuple(map(Party, senders))
         except (TypeError, ValueError):
             raise InvariantError("entries must be (sender, bit) pairs, sender A or B") from None
-        if not _BITS.issuperset(bits):
+        if not _members(_BITS, bits):
             raise InvariantError("transcript bits must be 0/1")
         bits = tuple(map(int, bits))
         object.__setattr__(self, "entries", tuple(zip(senders, bits)))
@@ -395,47 +395,44 @@ class Scenario:
     input_a: object
     input_b: object
     target: JointProbs
-    label: str = ""
 
 
 @dataclass(frozen=True)
 class ScenarioResult:
+    """An exact-mode scenario whose law differs from its target."""
+
     label: str
     computed: JointProbs
     target: JointProbs
     error_max: float
     error_pp: float
-    passed_full: Optional[bool]
-    passed_restricted: Optional[bool]
+    passed_restricted: bool
 
 
 @dataclass(frozen=True)
 class BlqmsReport:
-    """Per-scenario comparison of simulated laws against quantum targets.
+    """Simulated laws against quantum targets: the scenario count, the worst
+    error, and the exact-mode failures in scenario order.
 
     `passed_restricted` checks p_pp alone (the joint +1 outcome); the full
-    check compares all four probabilities.  In sampled mode both flags are
-    None and only the error magnitudes are reported.
+    check compares all four probabilities.  In sampled mode no scenario
+    fails, both flags are None and only the error magnitude is reported.
     """
 
-    results: tuple[ScenarioResult, ...]
+    scenarios: int
+    failures: tuple[ScenarioResult, ...]
+    worst_error: float
     mode: str  # "exact" or "sampled"
     samples: Optional[int]
     seed: object
 
     @property
     def all_full(self) -> Optional[bool]:
-        flags = [r.passed_full for r in self.results]
-        return None if None in flags else all(flags)
+        return None if self.mode == "sampled" else not self.failures
 
     @property
     def all_restricted(self) -> Optional[bool]:
-        flags = [r.passed_restricted for r in self.results]
-        return None if None in flags else all(flags)
-
-    @property
-    def worst_error(self) -> float:
-        return max((r.error_max for r in self.results), default=0.0)
+        return None if self.mode == "sampled" else all(f.passed_restricted for f in self.failures)
 
 
 def _law_errors(computed: JointProbs, target: JointProbs) -> tuple:
@@ -454,14 +451,15 @@ def check_exact_blqms(protocol: Protocol, scenarios: Iterable[Scenario], *,
     By default the finite space is enumerated, every target must be
     rational, and a scenario passes iff its law equals the target exactly.
     With `samples` set, the law is estimated from a per-scenario seed
-    instead and no pass flags are assigned.
+    instead and no scenario fails.  The scenarios are read once, in one
+    pass; only a failure keeps a result and a label.
     """
     sampled = samples is not None
     if not sampled:
         _finite_space(protocol, "exact checking")
     elif not isinstance(seed, (int, np.integer)):
         raise InvariantError(f"seed must be an integer, got {seed!r}")
-    results = []
+    count, worst, failures = 0, 0, []
     for index, scenario in enumerate(scenarios):
         input_a, input_b, target = scenario.input_a, scenario.input_b, scenario.target
         if sampled:
@@ -469,18 +467,20 @@ def check_exact_blqms(protocol: Protocol, scenarios: Iterable[Scenario], *,
                 protocol, input_a, input_b, samples=samples,
                 seed=np.random.SeedSequence([int(seed), index])).probs
         elif not target.exact:
-            raise InvariantError(f"scenario {scenario.label!r} has a float target; "
-                                 "exact checking needs a rational one")
+            raise InvariantError(f"scenario {pair_label(input_a, input_b)!r} has a float "
+                                 "target; exact checking needs a rational one")
         else:
             computed = output_distribution(protocol, input_a, input_b)
         error_max, error_pp = _law_errors(computed, target)
-        passed = (None, None) if sampled else (error_max == 0, error_pp == 0)
-        results.append(ScenarioResult(scenario.label, computed, target,
-                                      float(error_max), float(error_pp), *passed))
-    if not results:
+        count += 1
+        worst = max(worst, error_max)
+        if error_max and not sampled:
+            failures.append(ScenarioResult(pair_label(input_a, input_b), computed, target,
+                                           float(error_max), float(error_pp), error_pp == 0))
+    if not count:
         raise InvariantError("no scenarios to check; an empty audit would pass vacuously")
     mode = ("sampled", samples, seed) if sampled else ("exact", None, None)
-    return BlqmsReport(tuple(results), *mode)
+    return BlqmsReport(count, tuple(failures), float(worst), *mode)
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,14 @@ def _integer(owner: str, key: str, value) -> int:
     return int(value)
 
 
+def _members(allowed: frozenset, values) -> bool:
+    """Whether every value is in `allowed`; an unhashable value is not."""
+    try:
+        return allowed.issuperset(values)
+    except TypeError:
+        return False
+
+
 def _integer_kinds(kinds) -> bool:
     """Whether every type is int or a numpy integer; bool is neither."""
     return all(kind is int or issubclass(kind, np.integer) for kind in kinds)
@@ -159,7 +167,7 @@ class SignVector:
         coords = tuple(self.coords)
         if len(coords) == 0 or len(coords) % 2:
             raise InvariantError(f"length must be even and positive, got {len(coords)}")
-        if not _SIGNS.issuperset(coords) or not _integer_kinds(set(map(type, coords))):
+        if not _members(_SIGNS, coords) or not _integer_kinds(set(map(type, coords))):
             raise InvariantError(f"coordinates must be integers +/-1, got {coords}")
         object.__setattr__(self, "coords", tuple(map(int, coords)))
 

@@ -26,7 +26,6 @@ from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from typing import Optional
 
 import numpy as np
 
@@ -77,13 +76,13 @@ class SendAllReplyProtocol(Protocol):
     """Alice sends all n coordinate bits; Bob samples the law and replies.
 
     Shared randomness is one rational from the uniform grid
-    {0, 1/Q, ..., (Q-1)/Q} with Q a multiple of n^3, so every quantile
-    threshold lands exactly on grid boundaries and the output law is exact.
-    Cost is n + 1 bits on every run.
+    {0, 1/n^3, ..., (n^3-1)/n^3}, so every quantile threshold lands exactly
+    on a grid point and the output law is exact.  `step` is exact at any
+    rational or float lambda, on the grid or off it.  Cost is n + 1 bits on
+    every run.
     """
 
     n: int
-    grid_size: Optional[int] = None
 
     name = "send_all_reply"
 
@@ -91,15 +90,8 @@ class SendAllReplyProtocol(Protocol):
         n = _integer(self.name, "n", self.n)
         if n < 2 or n % 2:
             raise InvariantError(f"n must be even and at least 2, got {n}")
-        grid = n**3 if self.grid_size is None else _integer(self.name, "grid_size", self.grid_size)
-        if grid <= 0 or grid % n**3:
-            raise InvariantError(
-                f"grid_size must be a positive multiple of n^3 = {n**3}, got {grid}"
-            )
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "grid_size", grid)
-        space = RandomnessSpace.uniform(
-            tuple(Fraction(k, grid) for k in range(grid)))
+        space = RandomnessSpace.uniform(tuple(Fraction(k, n**3) for k in range(n**3)))
         object.__setattr__(self, "lambda_space", space)
 
     def _own_vector(self, value) -> SignVector:
@@ -133,12 +125,11 @@ class SendAllReplyProtocol(Protocol):
         a = self._own_vector(input_a)
         b = self._own_vector(input_b)
         law = _cumulative_law(self.n, a.dot(b))
-        # the point k / Q is at or past the cut c / n^3 iff k >= c Q / n^3, an
-        # integer, so each outcome covers a run of consecutive grid points
-        scale = self.grid_size // self.n**3
-        runs = np.diff([0, *(c * scale for c in law), self.grid_size])
-        outcomes = np.repeat(np.array(OUTCOMES), runs, axis=0)
-        return outcomes[:, 0], outcomes[:, 1], np.full(self.grid_size, self.n + 1)
+        # the point k / n^3 is at or past the cut c / n^3 iff k >= c, so each
+        # outcome covers a run of consecutive grid points
+        cube = self.n**3
+        outcomes = np.repeat(np.array(OUTCOMES), np.diff([0, *law, cube]), axis=0)
+        return outcomes[:, 0], outcomes[:, 1], np.full(cube, self.n + 1)
 
     def exact_distribution(self, input_a, input_b) -> JointProbs:
         a = self._own_vector(input_a)

@@ -8,10 +8,12 @@ import pytest
 
 from qcc_lab import cli, protocols
 from qcc_lab.cli import main
+from qcc_lab.dj import promise_pairs, promise_scenarios
 from qcc_lab.errors import InvariantError, PartitionError
-from qcc_lab.harness import ALICE, Action, Protocol, RandomnessSpace
+from qcc_lab.harness import (ALICE, Action, Protocol, RandomnessSpace,
+                             check_exact_blqms, pair_label)
 from qcc_lab.oracle import SignVector
-from qcc_lab.protocols import TonerBaconProtocol
+from qcc_lab.protocols import ConstantProtocol, TonerBaconProtocol
 
 
 def run_cli(capsys, *argv):
@@ -277,12 +279,17 @@ def test_simulate_toner_bacon_sampled(capsys):
 
 def test_simulate_protocol_config(tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"grid_size": 16}))
-    code, out, _ = run_cli(capsys, "simulate", "--protocol", "send_all_reply",
-                           "--a", "++", "--b", "++",
+    config.write_text(json.dumps({"y_a": -1}))
+    code, out, _ = run_cli(capsys, "simulate", "--protocol", "constant",
                            "--protocol-config", str(config))
     assert code == 0
-    assert json.loads(out)["probs"]["p_pp"] == "1/2"
+    assert json.loads(out)["probs"]["p_mp"] == "1/1"
+    # send_all_reply's grid is always n^3, so there is no grid_size to set
+    config.write_text(json.dumps({"grid_size": 16}))
+    code, out, err = run_cli(capsys, "simulate", "--protocol", "send_all_reply",
+                             "--a", "++", "--b", "++", "--protocol-config", str(config))
+    assert code == 2 and out == ""
+    assert "send_all_reply does not accept parameters ['grid_size']" in err
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps([16]))
     code, _, err = run_cli(capsys, "simulate", "--protocol", "send_all_reply",
@@ -293,7 +300,7 @@ def test_simulate_protocol_config(tmp_path, capsys):
                    "--a", "++", "--b", "++",
                    "--protocol-config", str(bad))[0] == 2
     # JSON values are checked, not coerced
-    for protocol, doc in (("send_all_reply", {"grid_size": 64.9}),
+    for protocol, doc in (("constant", {"y_b": 64.9}),
                           ("send_all_reply", {"n": 4.7}),
                           ("send_all_reply", {"n": [4]}),
                           ("constant", {"y_a": True})):
@@ -323,6 +330,35 @@ def test_verify_constant_fails(capsys):
     report = json.loads(out)
     assert report["all_restricted"] is False
     assert report["failure_count"] > 0 and report["failures"]
+
+
+# the first 20 failure labels `verify --protocol constant --n 4` prints
+CONSTANT_N4_FAILURES = [
+    "----|----", "----|++--", "----|+-+-", "----|+--+", "----|-++-", "----|-+-+",
+    "----|--++", "---+|---+", "---+|++-+", "---+|+-++", "---+|+---", "---+|-+++",
+    "---+|-+--", "---+|--+-", "--+-|--+-", "--+-|+++-", "--+-|+---", "--+-|+-++",
+    "--+-|-+--", "--+-|-+++"]
+
+
+def test_law_audit_failures_in_promise_order(capsys):
+    """Every pair fails on a constant law; the report keeps them in promise
+    order under the labels verify prints, and reduce names the first pair
+    whose p_pp is off."""
+    pairs = list(promise_pairs(4))
+    report = check_exact_blqms(ConstantProtocol(), promise_scenarios(4))
+    assert [f.label for f in report.failures] == [pair_label(a, b) for a, b in pairs]
+    assert [f.label for f in report.failures][:20] == CONSTANT_N4_FAILURES
+    code, out, _ = run_cli(capsys, "verify", "--protocol", "constant", "--n", "4")
+    verified = json.loads(out)
+    assert code == 3 and verified["scenarios"] == verified["failure_count"] == 112
+    assert verified["failures"] == CONSTANT_N4_FAILURES and verified["worst_error"] == 1
+    # outputs (+1, -1): p_pp is right exactly on the reject pairs
+    split = check_exact_blqms(ConstantProtocol(y_b=-1), promise_scenarios(4))
+    assert [f.passed_restricted for f in split.failures] == [a != b for a, b in pairs]
+    assert split.all_full is False and split.all_restricted is False
+    code, out, _ = run_cli(capsys, "reduce", "--protocol", "constant", "--n", "4")
+    mass = json.loads(out)["acceptance_mass"]
+    assert code == 3 and mass["pairs"] == 112 and mass["witness"]["pair"] == "----|----"
 
 
 def test_verify_sampled_mode(capsys):
@@ -454,6 +490,12 @@ def test_reduce_tight_budget_fails_tail(capsys):
 def test_reduce_guards(capsys):
     assert run_cli(capsys, "reduce", "--protocol", "send_all_reply",
                    "--n", "3")[0] == 2
+    # a bit budget below 1 is bad input, not a failed tail and partition
+    for budget in ("-3", "0"):
+        code, out, err = run_cli(capsys, "reduce", "--protocol", "send_all_reply",
+                                 "--n", "2", "--M", budget)
+        assert code == 2 and out == ""
+        assert f"error: --M is a bit budget and must be at least 1, got {budget}" in err
     assert run_cli(capsys, "reduce", "--protocol", "toner_bacon",
                    "--n", "2")[0] == 2
 

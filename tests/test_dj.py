@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +14,10 @@ from qcc_lab.dj import (RejectCertificate, auy_check, auy_min_n1, check_promise,
                         n1_lower_bound, promise_pairs, promise_scenarios)
 from qcc_lab.errors import (DimensionMismatchError, InvariantError,
                             PromiseViolationError)
-from qcc_lab.harness import ALICE, BOB
+from qcc_lab import harness
+from qcc_lab.harness import ALICE, BOB, check_exact_blqms, pair_label
 from qcc_lab.oracle import SignVector, dj_target_probability
+from qcc_lab.protocols import ConstantProtocol, SendAllReplyProtocol
 
 
 def sv(text):
@@ -119,7 +122,7 @@ def test_certificate_decode_validation():
     with pytest.raises(InvariantError):
         RejectCertificate.decode((1, 0, 2), 4)
     # bits are checked against {0, 1} before any cast, so nothing is truncated
-    for bits in ([0.5, 1], ["x", 1], [1, "1"], [-1, 0], [0, 1.5]):
+    for bits in ([0.5, 1], ["x", 1], [1, "1"], [-1, 0], [0, 1.5], [[1], 0]):
         with pytest.raises(InvariantError, match="each 0 or 1"):
             RejectCertificate.decode(bits, 2)
     assert RejectCertificate.decode([True, 0.0], 2) == RejectCertificate(2, 1)
@@ -204,12 +207,45 @@ def test_auy_gate():
 
 def test_promise_scenarios_match_closed_form():
     for n in (2, 4):
-        scenarios = promise_scenarios(n)
-        assert len(scenarios) == len(list(promise_pairs(n)))
-        labels = set()
+        scenarios = list(promise_scenarios(n))
+        assert [(sc.input_a, sc.input_b) for sc in scenarios] == list(promise_pairs(n))
         for sc in scenarios:
             assert sc.target.p_pp == dj_target_probability(sc.input_a, sc.input_b)
             expected = Fraction(1, n) if sc.input_a == sc.input_b else Fraction(0)
             assert sc.target.p_pp == expected
-            labels.add(sc.label)
-        assert len(labels) == len(scenarios)
+
+
+def test_promise_scenarios_refuse_bad_n_on_the_call():
+    """The state and projectors are built when called, so a bad n raises
+    before any scenario is asked for."""
+    for n in (-2, 0):
+        with pytest.raises(InvariantError, match="local dimension must be a positive"):
+            promise_scenarios(n)
+    for n in (1, 3, 5):
+        with pytest.raises(InvariantError, match="length must be even"):
+            promise_scenarios(n)
+
+
+def test_law_audit_keeps_nothing_per_passing_pair(monkeypatch):
+    """The audit streams the scenarios: a passing pair builds no
+    `ScenarioResult` and no label, a failing one builds one of each."""
+    built = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            built[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(harness, "ScenarioResult", counted("result", harness.ScenarioResult))
+    monkeypatch.setattr(harness, "pair_label", counted("label", harness.pair_label))
+    scenarios = promise_scenarios(6)
+    assert iter(scenarios) is scenarios  # an iterator, not a list
+    report = check_exact_blqms(SendAllReplyProtocol(6), scenarios)
+    assert report.scenarios == 2**6 * (1 + math.comb(6, 3)) == 1344
+    assert report.failures == () and report.worst_error == 0
+    assert report.all_full is True and report.all_restricted is True
+    assert built == Counter()
+    failing = check_exact_blqms(ConstantProtocol(), promise_scenarios(2))
+    assert len(failing.failures) == failing.scenarios == 12
+    assert built == Counter(result=12, label=12)

@@ -69,7 +69,7 @@ def test_action_validation():
         Action((2,))
     with pytest.raises(ProtocolError):
         Action((), output=0)
-    for bits in ((0, 1, -1), (1, 2), [0, 3]):
+    for bits in ((0, 1, -1), (1, 2), [0, 3], ([1],)):
         with pytest.raises(ProtocolError, match="0/1"):
             Action(bits)
     for output in (0, 2, "1", 1.5):
@@ -102,6 +102,8 @@ def test_transcript_validation():
         Transcript(((ALICE, 1), (BOB, 2)))
     with pytest.raises(InvariantError, match="0/1"):
         Transcript(((ALICE, -1),))
+    with pytest.raises(InvariantError, match="0/1"):
+        Transcript(((ALICE, [1]),))  # unhashable, not a bit
     for entries in ((("C", 1),), ((None, 0),), ((ALICE, 1), (BOB, 1, 0)), ((ALICE,),),
                     ((ALICE, 1, 0),), (5,)):
         with pytest.raises(InvariantError, match=r"\(sender, bit\) pairs, sender A or B"):
@@ -443,21 +445,25 @@ def test_sampling_requires_a_space_with_sample():
     with pytest.raises(InvariantError, match=message):
         sample_distribution(NoSpace(), None, None, samples=4)
     with pytest.raises(InvariantError, match=message):
-        check_exact_blqms(NoSpace(), [Scenario(None, None, target, "x")], samples=4)
+        check_exact_blqms(NoSpace(), [Scenario(None, None, target)], samples=4)
 
 
 def test_check_exact_blqms_flags():
     p = TwoBranch()
-    hit = Scenario(None, None, JointProbs(Fraction(1), Fraction(0),
-                                          Fraction(0), Fraction(0)), "hit")
-    miss = Scenario(None, None, JointProbs(Fraction(1, 2), Fraction(0),
-                                           Fraction(0), Fraction(1, 2)), "miss")
+    hit = Scenario("h", "h", JointProbs(Fraction(1), Fraction(0),
+                                        Fraction(0), Fraction(0)))
+    miss = Scenario("m", "m", JointProbs(Fraction(1, 2), Fraction(0),
+                                         Fraction(0), Fraction(1, 2)))
     report = check_exact_blqms(p, [hit, miss])
-    assert report.mode == "exact"
-    assert [r.passed_full for r in report.results] == [True, False]
+    assert report.mode == "exact" and report.scenarios == 2
+    (failure,) = report.failures
+    assert failure.label == "m|m" and failure.passed_restricted is False
+    assert (failure.error_max, failure.error_pp) == (0.5, 0.5)
+    assert failure.computed == hit.target and failure.target is miss.target
     assert report.all_full is False and report.all_restricted is False
     assert report.worst_error == 0.5
-    only_hit = check_exact_blqms(p, [hit])
+    only_hit = check_exact_blqms(p, iter([hit, hit]))
+    assert only_hit.scenarios == 2 and only_hit.failures == ()
     assert only_hit.all_full is True and only_hit.worst_error == 0
     for samples in (None, 10):
         with pytest.raises(InvariantError, match="no scenarios"):
@@ -467,11 +473,15 @@ def test_check_exact_blqms_flags():
 def test_check_exact_blqms_sampled_mode():
     p = TwoBranch()
     target = JointProbs(Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-    report = check_exact_blqms(p, [Scenario(None, None, target, "s")],
+    report = check_exact_blqms(p, [Scenario(None, None, target)],
                                samples=200, seed=4)
-    assert report.mode == "sampled"
+    assert report.mode == "sampled" and report.scenarios == 1
     assert report.all_full is None and report.all_restricted is None
     assert report.worst_error == 0.0  # the law is a point mass
+    # sampled mode keeps no failure, however far off the target is
+    far = JointProbs(Fraction(0), Fraction(0), Fraction(0), Fraction(1))
+    off = check_exact_blqms(p, [Scenario(None, None, far)], samples=200, seed=4)
+    assert off.failures == () and off.worst_error == 1.0 and off.all_full is None
 
 
 
@@ -488,7 +498,7 @@ def test_guards_raise_invariant_errors():
     with pytest.raises(InvariantError, match="positive sample count"):
         sample_distribution(p, None, None, samples=0)
     with pytest.raises(InvariantError, match="seed must be an integer"):
-        check_exact_blqms(p, [Scenario(None, None, point_mass, "s")],
+        check_exact_blqms(p, [Scenario(None, None, point_mass)],
                           samples=10, seed=1.5)
     with pytest.raises(InvariantError, match="k_max must be at least 1"):
         empirical_moments(p, [(None, None)], k_max=0)
@@ -496,9 +506,9 @@ def test_guards_raise_invariant_errors():
     sampled.lambda_space = Sampler()
     with pytest.raises(InvariantError, match="tail_mass needs a finite"):
         tail_mass(sampled, None, None, 1)
-    float_target = Scenario(None, None, JointProbs(1.0, 0.0, 0.0, 0.0), "floaty")
-    with pytest.raises(InvariantError, match="scenario 'floaty' has a float target"):
-        check_exact_blqms(p, [Scenario(None, None, point_mass, "exact"), float_target])
+    float_target = Scenario("fl", "oaty", JointProbs(1.0, 0.0, 0.0, 0.0))
+    with pytest.raises(InvariantError, match=r"scenario 'fl\|oaty' has a float target"):
+        check_exact_blqms(p, [Scenario(None, None, point_mass), float_target])
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

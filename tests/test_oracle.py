@@ -172,8 +172,9 @@ def test_sign_vector_parse_both_formats():
     for text, token in ((",", "''"), ("+,-", "'+'"), ("a,b", "'a'"), ("1,,1", "''")):
         with pytest.raises(InvariantError, match=re.escape(f"token {token}")):
             SignVector.parse(text)
-    # coordinates are integers: no bool, float or text passes for +/-1
-    for coords in ((1.5, -1), (1.0, -1), (True, -1), (1, np.float64(-1)), ("1", -1)):
+    # coordinates are integers: no bool, float, text or unhashable passes for +/-1
+    for coords in ((1.5, -1), (1.0, -1), (True, -1), (1, np.float64(-1)), ("1", -1),
+                   ([1], 1)):
         with pytest.raises(InvariantError, match="integers"):
             SignVector(coords)
     numpy_ints = SignVector((np.int64(1), np.int8(-1))).coords
@@ -643,7 +644,7 @@ def test_promise_sweep_builds_two_laws(law_parts_calls):
     """One law per (n, a.b), shared by every scenario that has that key;
     no tagged pair reaches `_law_parts`."""
     oracle._sign_vector_law.cache_clear()
-    scenarios = promise_scenarios(8)
+    scenarios = list(promise_scenarios(8))
     assert law_parts_calls == []
     info = oracle._sign_vector_law.cache_info()
     assert info.currsize == 2 and info.misses == 2

@@ -85,7 +85,7 @@ EXACT_AUDITS = {
     "empirical_moments": lambda p: empirical_moments(p, [(_Z, _Z)]),
     "tail_mass": lambda p: tail_mass(p, _Z, _Z, 1),
     "check_exact_blqms": lambda p: check_exact_blqms(
-        p, [Scenario(_Z, _Z, JointProbs(0, _HALF, _HALF, 0), "z|z")]),
+        p, [Scenario(_Z, _Z, JointProbs(0, _HALF, _HALF, 0))]),
     "check_tail_hypothesis": lambda p: check_tail_hypothesis(p, 2, 3),
     "partition_inputs": lambda p: partition_inputs(p, 2, 3),
 }
