@@ -9,6 +9,9 @@ dj         reject certificates and certificate-size formulas (cert/verify/bounds
 reduce     acceptance-mass audit, tail check, greedy partition, certificates
 bounds     budget and moment formula table over n and k
 
+A protocol's n is `--n` (verify, reduce) or the input length (simulate);
+`--protocol-config` sets its other parameters.
+
 Exit codes: 0 success, 2 bad input or usage, 3 a checked property failed
 (law mismatch, tail violation, partition failure, rejected certificate).
 
@@ -227,16 +230,25 @@ def _load_scenario(path: str) -> tuple[Projector, Projector, DensityMatrix]:
     return proj_a, proj_b, state
 
 
-def _build_protocol(args) -> Protocol:
+def _build_protocol(args, n: int) -> Protocol:
+    """The command's one protocol; n fills a field named `n` and no config sets it."""
     params = {}
     if args.protocol_config is not None:
         with open(args.protocol_config, encoding="utf-8") as handle:
             params = json.load(handle)
         if not isinstance(params, dict):
             raise InvariantError("protocol config must be a JSON object")
-    if args.n is not None and "n" in protocol_parameters(PROTOCOLS[args.protocol]):
-        params.setdefault("n", args.n)
-    return make_protocol(args.protocol, **params)
+        if "n" in params:
+            raise InvariantError("protocol config cannot set n; it is --n or the input length")
+    if "n" in protocol_parameters(PROTOCOLS[args.protocol]):
+        params["n"] = n
+    protocol = make_protocol(args.protocol, **params)
+    if getattr(args, "samples", None) is None and not isinstance(
+            protocol.lambda_space, RandomnessSpace):
+        if "samples" in args:
+            raise InvariantError(f"{args.protocol} has no finite randomness space; pass --samples")
+        raise InvariantError(f"{args.command} needs a finite randomness space")
+    return protocol
 
 
 def _require_even_n(n: int) -> int:
@@ -257,7 +269,7 @@ def _promise_front(args) -> tuple[int, Protocol]:
     kind = PROTOCOLS[args.protocol].input_kind
     if kind != Protocol.input_kind:
         raise InvariantError(f"{args.command} needs sign vectors; {args.protocol} takes {kind}s")
-    return n, _build_protocol(args)
+    return n, _build_protocol(args, n)
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +303,11 @@ def cmd_predict(args) -> int:
 def cmd_simulate(args) -> int:
     contract = PROTOCOLS[args.protocol]
     if contract.default_input is None and not (args.a and args.b):
-        raise InvariantError(
-            f"{args.protocol} needs --a and --b {contract.input_kind}s")
+        raise InvariantError(f"{args.protocol} needs --a and --b {contract.input_kind}s")
     # with a default input, --a falls back to it and --b to Alice's input
     input_a = contract.parse_input(args.a or contract.default_input)
     input_b = contract.parse_input(args.b) if args.b else input_a
-    if args.n is None and "n" in protocol_parameters(contract):
-        args.n = len(input_a)
-    protocol = _build_protocol(args)
+    protocol = _build_protocol(args, len(input_a))
     report = {
         "command": "simulate",
         "protocol": args.protocol,
@@ -307,9 +316,6 @@ def cmd_simulate(args) -> int:
         "seed": args.seed,
     }
     if args.samples is None:
-        if not isinstance(protocol.lambda_space, RandomnessSpace):
-            raise InvariantError(
-                f"{args.protocol} has no finite randomness space; pass --samples")
         probs = output_distribution(protocol, input_a, input_b)
         moments = empirical_moments(protocol, [(input_a, input_b)], k_max=1)
         report["mode"] = "exact"
@@ -332,9 +338,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     n, protocol = _promise_front(args)
-    if args.samples is None and not isinstance(protocol.lambda_space, RandomnessSpace):
-        raise InvariantError(
-            f"{args.protocol} has no finite randomness space; pass --samples")
     report_obj = check_exact_blqms(protocol, promise_scenarios(n), samples=args.samples,
                                    seed=args.seed)
     failures = [failure.label for failure in report_obj.failures]
@@ -422,12 +425,10 @@ def cmd_dj_bounds(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    if args.M is not None and args.M < 1:
+        raise InvariantError(f"--M is a bit budget and must be at least 1, got {args.M}")
     n, protocol = _promise_front(args)
-    if not isinstance(protocol.lambda_space, RandomnessSpace):
-        raise InvariantError("reduce needs a finite randomness space")
     threshold = args.M if args.M is not None else n + 2
-    if threshold < 1:
-        raise InvariantError(f"--M is a bit budget and must be at least 1, got {threshold}")
     report = {
         "command": "reduce",
         "protocol": args.protocol,
@@ -561,23 +562,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = commands.add_parser("simulate", help="run a protocol on one pair")
     simulate.add_argument("--protocol", required=True, choices=sorted(PROTOCOLS))
-    simulate.add_argument("--n", type=int, help="protocol parameter n (default: length of --a)")
     simulate.add_argument("--a", help="Alice's input (sign vector or x,y,z)")
     simulate.add_argument("--b", help="Bob's input (sign vector or x,y,z)")
     simulate.add_argument("--samples", type=int,
                           help="Monte Carlo sample count (default: exact)")
     simulate.add_argument("--protocol-config",
-                          help="JSON file of extra protocol parameters")
+                          help="JSON file of protocol parameters; n is the input length")
     _add_common(simulate)
     simulate.set_defaults(func=cmd_simulate)
 
     verify = commands.add_parser(
         "verify", help="audit the output law against all promise-pair targets")
     verify.add_argument("--protocol", required=True, choices=sorted(PROTOCOLS))
-    verify.add_argument("--n", type=int, required=True)
+    verify.add_argument("--n", type=int, required=True, help="even, at most 16")
     verify.add_argument("--samples", type=int,
                         help="sampled mode (no pass flags, errors only)")
-    verify.add_argument("--protocol-config")
+    verify.add_argument("--protocol-config", help="JSON file of parameters but n")
     _add_common(verify)
     verify.set_defaults(func=cmd_verify)
 
@@ -605,10 +605,10 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_cmd = commands.add_parser(
         "reduce", help="tail check, partition, and certificate round trip")
     reduce_cmd.add_argument("--protocol", required=True, choices=sorted(PROTOCOLS))
-    reduce_cmd.add_argument("--n", type=int, required=True)
+    reduce_cmd.add_argument("--n", type=int, required=True, help="even, at most 16")
     reduce_cmd.add_argument("--M", type=int,
                             help="bit budget (default n + 2)")
-    reduce_cmd.add_argument("--protocol-config")
+    reduce_cmd.add_argument("--protocol-config", help="JSON file of parameters but n")
     _add_common(reduce_cmd)
     reduce_cmd.set_defaults(func=cmd_reduce)
 

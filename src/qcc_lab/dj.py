@@ -134,6 +134,7 @@ def n0_verify(party: Party, own: SignVector, cert: RejectCertificate) -> CheckRe
 
 def n0_upper_bound(n: int) -> int:
     """Bits needed to name a reject witness: ceil(log2 n) + 1."""
+    n = _integer("n0_upper_bound", "n", n)
     if n < 2:
         raise InvariantError(f"n must be at least 2, got {n}")
     return _index_width(n) + 1

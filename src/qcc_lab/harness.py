@@ -30,7 +30,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import InvariantError, NonHaltingError, ProtocolError
-from .oracle import JointProbs, SignVector, _members
+from .oracle import JointProbs, SignVector, _integer, _members
 
 # weight numerators are int64 while their den and sums stay below this
 _INT64_SAFE = 2**62
@@ -165,7 +165,10 @@ class RandomnessSpace:
 
     def __post_init__(self):
         points = tuple(self.points)
-        weights = tuple(Fraction(w) for w in self.weights)
+        try:
+            weights = tuple(Fraction(w) for w in self.weights)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvariantError(f"weights must be rationals: {exc}") from exc
         if not points:
             raise InvariantError("randomness space needs at least one point")
         if len(points) != len(weights):
@@ -370,6 +373,7 @@ class SampleStats:
 def sample_distribution(protocol: Protocol, input_a, input_b, *,
                         samples: int, seed=0) -> SampleStats:
     """Estimate the joint law with a seeded generator; seed is reported back."""
+    samples = _integer("sample_distribution", "samples", samples)
     if samples < 1:
         raise InvariantError(f"need a positive sample count, got {samples}")
     rng = np.random.default_rng(seed)
@@ -521,6 +525,7 @@ def empirical_moments(protocol: Protocol, pairs: Iterable[tuple], *,
                       k_max: int = 2) -> MomentReport:
     """Exact rational moments E[T^k] up to k_max per input pair, by weighted
     enumeration of a finite space; `tail_mass` gives the tail masses."""
+    k_max = _integer("empirical_moments", "k_max", k_max)
     if k_max < 1:
         raise InvariantError(f"k_max must be at least 1, got {k_max}")
     space = _finite_space(protocol, "exact moments")

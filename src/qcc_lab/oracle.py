@@ -251,9 +251,13 @@ class SignVector:
 
     @classmethod
     def all_vectors(cls, n: int) -> Iterator["SignVector"]:
-        """All 2^n sign vectors of length n, lexicographic by bits."""
-        for value in range(1 << n):
-            yield cls.from_bits([(value >> (n - 1 - i)) & 1 for i in range(n)])
+        """All 2^n sign vectors of length n, lexicographic by bits; a bad n
+        raises on the call."""
+        n = _integer("SignVector", "n", n)
+        if n < 2 or n % 2:
+            raise InvariantError(f"length must be even and positive, got {n}")
+        return (cls.from_bits([(value >> (n - 1 - i)) & 1 for i in range(n)])
+                for value in range(1 << n))
 
 
 MatrixData = Union[RationalMatrix, Array]
@@ -267,6 +271,8 @@ def _coerce_entries(entries) -> MatrixData:
     arr = np.array(entries, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvariantError(f"entries must be a square matrix, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InvariantError("entries must be finite, got nan or inf")
     arr.setflags(write=False)
     return arr
 
@@ -640,8 +646,8 @@ def bloch_observable(direction) -> BinaryObservable:
     u = np.asarray(direction, dtype=float)
     if u.shape != (3,):
         raise InvariantError(f"direction must be a 3-vector, got shape {u.shape}")
-    norm = float(np.linalg.norm(u))
-    if abs(norm - 1.0) > 1e-9:
+    norm = float(np.linalg.norm(u))  # not finite if an entry is not
+    if not np.isfinite(norm) or abs(norm - 1.0) > 1e-9:
         raise InvariantError(f"direction norm {norm!r} is not 1 within 1e-9")
     x, y, z = u / norm
     return BinaryObservable(np.array([[z, x - 1j * y], [x + 1j * y, -z]]))

@@ -159,8 +159,8 @@ def _unit3(value) -> np.ndarray:
     vec = np.asarray(value, dtype=float)
     if vec.shape != (3,):
         raise InvariantError(f"inputs must be 3-vectors, got shape {vec.shape}")
-    norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > 1e-9:
+    norm = float(np.linalg.norm(vec))  # not finite if an entry is not
+    if not np.isfinite(norm) or abs(norm - 1.0) > 1e-9:
         raise InvariantError(f"input norm {norm!r} is not 1 within 1e-9")
     return vec
 
@@ -253,11 +253,10 @@ def make_protocol(name: str, **params) -> Protocol:
         raise InvariantError(f"unknown protocol {name!r}; choose from {sorted(PROTOCOLS)}")
     cls = PROTOCOLS[name]
     accepted = protocol_parameters(cls)
-    supplied = {k: v for k, v in params.items() if v is not None}
-    stray = set(supplied) - set(accepted)
+    stray = set(params) - set(accepted)
     if stray:
         raise InvariantError(f"{name} does not accept parameters {sorted(stray)}")
-    missing = [k for k, required in accepted.items() if required and k not in supplied]
+    missing = [k for k, required in accepted.items() if required and k not in params]
     if missing:
         raise InvariantError(f"{name} needs parameters {missing}")
-    return cls(**{k: _integer(name, k, v) for k, v in supplied.items()})
+    return cls(**{k: _integer(name, k, v) for k, v in params.items()})

@@ -41,6 +41,7 @@ from .oracle import SignVector, _integer
 
 def cell_index_width(n: int) -> int:
     """ceil(log2(2 n^2)): bits reserved for the cell index field."""
+    n = _integer("cell_index_width", "n", n)
     if n < 2:
         raise InvariantError(f"n must be at least 2, got {n}")
     return (2 * n * n - 1).bit_length()
@@ -63,6 +64,10 @@ def check_tail_hypothesis(protocol: Protocol, n: int, threshold_bits: int,
                           pairs: Optional[Iterable[tuple]] = None) -> TailReport:
     """Check mass(T >= M) < 1/(2n) for every pair (default: all promise
     pairs, streamed as they are generated)."""
+    n = _integer("check_tail_hypothesis", "n", n)
+    threshold_bits = _integer("check_tail_hypothesis", "threshold_bits", threshold_bits)
+    if n < 2:
+        raise InvariantError(f"n must be at least 2, got {n}")
     bound = Fraction(1, 2 * n)
     worst = Fraction(0)
     worst_pair = ""
@@ -340,6 +345,7 @@ def moment_bound_forms(n: int, k: int) -> tuple[float, float]:
     m_of_n as m_of_n(n)**k / (0.006 n).  Algebraically equal; exposed
     separately so callers can check the agreement themselves.
     """
+    n, k = _integer("moment_bound", "n", n), _integer("moment_bound", "k", k)
     if n < 2 or n % 2 or k < 1:
         raise InvariantError(f"need even n >= 2 and k >= 1, got n={n}, k={k}")
     direct = 0.5 * (0.003 * n) ** (k - 1) / math.log2(n) ** k

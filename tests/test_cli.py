@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import pytest
@@ -13,7 +14,8 @@ from qcc_lab.errors import InvariantError, PartitionError
 from qcc_lab.harness import (ALICE, Action, Protocol, RandomnessSpace,
                              check_exact_blqms, pair_label)
 from qcc_lab.oracle import SignVector
-from qcc_lab.protocols import ConstantProtocol, TonerBaconProtocol
+from qcc_lab.protocols import (ConstantProtocol, SendAllReplyProtocol,
+                               TonerBaconProtocol)
 
 
 def run_cli(capsys, *argv):
@@ -299,18 +301,88 @@ def test_simulate_protocol_config(tmp_path, capsys):
     assert run_cli(capsys, "simulate", "--protocol", "send_all_reply",
                    "--a", "++", "--b", "++",
                    "--protocol-config", str(bad))[0] == 2
-    # JSON values are checked, not coerced
-    for protocol, doc in (("constant", {"y_b": 64.9}),
-                          ("send_all_reply", {"n": 4.7}),
-                          ("send_all_reply", {"n": [4]}),
-                          ("constant", {"y_a": True})):
+    # JSON values are checked, not coerced; a null is not dropped
+    for doc in ({"y_b": 64.9}, {"y_a": True}, {"y_a": None}):
         bad.write_text(json.dumps(doc))
-        code, out, err = run_cli(capsys, "simulate", "--protocol", protocol,
-                                 "--a", "++++", "--b", "++++",
+        code, out, err = run_cli(capsys, "simulate", "--protocol", "constant",
                                  "--protocol-config", str(bad))
         key = next(iter(doc))
         assert code == 2 and out == ""
         assert f"parameter {key} must be an integer" in err
+    # n is the input length, whatever value the config gives it
+    for doc in ({"n": 4.7}, {"n": [4]}):
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "simulate", "--protocol", "send_all_reply",
+                                 "--a", "++++", "--b", "++++",
+                                 "--protocol-config", str(bad))
+        assert code == 2 and out == ""
+        assert "protocol config cannot set n" in err
+
+
+# --- where a protocol's n comes from ----------------------------------------
+
+
+@pytest.fixture
+def send_all_reply_builds(monkeypatch):
+    """A list that gains one entry per SendAllReplyProtocol construction."""
+    built = []
+    post_init = SendAllReplyProtocol.__post_init__
+
+    def counting(self):
+        built.append(self.n)
+        post_init(self)
+
+    monkeypatch.setattr(SendAllReplyProtocol, "__post_init__", counting)
+    return built
+
+
+SEND_ALL_REPLY_COMMANDS = {
+    "simulate": ("simulate", "--protocol", "send_all_reply", "--a", "++++", "--b", "++++"),
+    "verify": ("verify", "--protocol", "send_all_reply", "--n", "4"),
+    "reduce": ("reduce", "--protocol", "send_all_reply", "--n", "4"),
+}
+
+
+@pytest.mark.parametrize("argv", SEND_ALL_REPLY_COMMANDS.values(),
+                         ids=SEND_ALL_REPLY_COMMANDS.keys())
+def test_config_n_is_refused_before_the_protocol_is_built(argv, tmp_path, capsys,
+                                                          send_all_reply_builds):
+    config = tmp_path / "config.json"
+    # n is checked once, from --n or the input; a config n would skip that check
+    for doc in ({"n": 60}, {"n": 4}, {"n": None}):
+        config.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, *argv, "--protocol-config", str(config))
+        assert code == 2 and out == ""
+        assert "error: protocol config cannot set n; it is --n or the input length" in err
+    assert send_all_reply_builds == []
+    # without one, each command builds its one protocol at the family size
+    assert run_cli(capsys, *argv)[0] == 0
+    assert send_all_reply_builds == [4]
+
+
+NON_FINITE_INPUTS = {
+    "toner_bacon nan": (("simulate", "--protocol", "toner_bacon", "--a=nan,0,1",
+                         "--b=0,0,1", "--samples", "10"), None, "input norm nan"),
+    "toner_bacon inf": (("simulate", "--protocol", "toner_bacon", "--a=0,0,1",
+                         "--b=0,inf,0", "--samples", "10"), None, "input norm inf"),
+    "bloch nan": (("predict",), {"state": "singlet", "alice": {"bloch": [math.nan, 0, 1]},
+                                 "bob": {"bloch": [0, 0, 1]}}, "direction norm nan"),
+    "state matrix nan": (("predict",),
+                         {"state": {"matrix": [[math.nan, 0, 0, 0], [0, 0, 0, 0],
+                                               [0, 0, 0, 0], [0, 0, 0, 1]]},
+                          "alice": {"projector": [[1, 0], [0, 0]]},
+                          "bob": {"projector": [[1, 0], [0, 0]]}}, "entries must be finite"),
+}
+
+
+@pytest.mark.parametrize("argv, scenario, message", NON_FINITE_INPUTS.values(),
+                         ids=NON_FINITE_INPUTS.keys())
+def test_non_finite_inputs_exit_two(argv, scenario, message, tmp_path, capsys):
+    if scenario is not None:  # Python's json writes and reads NaN
+        argv = (*argv, "--scenario", write_scenario(tmp_path, scenario))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_verify_send_all_reply_passes(capsys):
@@ -602,9 +674,14 @@ def test_registered_protocol_runs_through_cli(capsys, monkeypatch):
     assert report["probs"] == {"p_pp": "0/1", "p_mp": "1/2",
                                "p_pm": "1/2", "p_mm": "0/1"}
     assert report["t_mean"] == "1/1"
-    # --n reaches the protocol's n field
-    assert run_cli(capsys, "simulate", "--protocol", "parity", "--n", "4",
-                   "--a", "++", "--b", "++")[0] == 2
+    # the input length reaches the protocol's n field; simulate has no --n
+    code, out, err = run_cli(capsys, "simulate", "--protocol", "parity",
+                             "--a", "++++", "--b", "++++")
+    assert code == 2 and "parity needs n = 2, got 4" in err
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(capsys, "simulate", "--protocol", "parity", "--n", "2",
+                "--a", "++", "--b", "++")
+    assert exit_info.value.code == 2
     code, out, _ = run_cli(capsys, "verify", "--protocol", "parity", "--n", "2")
     assert code == 0
     report = json.loads(out)
@@ -639,6 +716,10 @@ def test_sampled_space_guards(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "reduce", "--protocol", "sampled_parity", "--n", "2")
     assert code == 2 and out == ""
     assert "reduce needs a finite randomness space" in err
+    code, out, err = run_cli(capsys, "simulate", "--protocol", "sampled_parity",
+                             "--a", "++", "--b", "++")
+    assert code == 2 and out == ""
+    assert "sampled_parity has no finite randomness space; pass --samples" in err
 
 
 def test_promise_commands_refuse_non_sign_vector_protocols(capsys, monkeypatch):

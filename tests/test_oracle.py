@@ -394,6 +394,24 @@ def test_bloch_observable_requires_unit_direction():
     np.testing.assert_allclose(obs.entries @ obs.entries, np.eye(2), atol=1e-12)
 
 
+NAN, INF = float("nan"), float("inf")
+NON_FINITE_ENTRIES = {
+    "projector nan": lambda: Projector(np.array([[NAN, 0], [0, 1]])),
+    "projector inf": lambda: Projector(np.array([[INF, 0], [0, 1]])),
+    "observable nan": lambda: BinaryObservable(np.array([[NAN, 0], [0, -1]])),
+    "state nan": lambda: DensityMatrix(np.diag([NAN, 0, 0, 1])),
+    "bloch nan": lambda: bloch_observable([NAN, 0, 1]),
+    "bloch inf": lambda: bloch_observable([0, INF, 1]),
+}
+
+
+@pytest.mark.parametrize("build", NON_FINITE_ENTRIES.values(), ids=NON_FINITE_ENTRIES.keys())
+def test_non_finite_entries_are_refused(build):
+    # a comparison with nan is false, so a tolerance check alone admits it
+    with pytest.raises(InvariantError):
+        build()
+
+
 # --- probability/expectation bijection --------------------------------------
 
 

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcc_lab import reduction
-from qcc_lab.dj import promise_pairs
-from qcc_lab.errors import InvariantError, PartitionError
+from qcc_lab.dj import n0_upper_bound, promise_pairs
+from qcc_lab.errors import InvariantError, PartitionError, QccLabError
 from qcc_lab.harness import (ALICE, BOB, Action, Protocol, RandomnessSpace, Scenario,
                              Transcript, check_exact_blqms, empirical_moments,
                              output_distribution, run, sample_distribution, tail_mass)
@@ -484,3 +484,30 @@ def test_contradiction_threshold():
         contradiction_holds(1)
     with pytest.raises(InvariantError):
         contradiction_threshold(limit=1000)  # contradiction fails there
+
+
+_PAIR = (SignVector.parse("++"), SignVector.parse("++"))
+BAD_SIZES = {
+    "tail check at n = 0": lambda: check_tail_hypothesis(SendAllReplyProtocol(2), 0, 3),
+    "fractional tail threshold":
+        lambda: check_tail_hypothesis(SendAllReplyProtocol(2), 2, 2.5),
+    "text weight": lambda: RandomnessSpace((1,), ("x",)),
+    "complex weight": lambda: RandomnessSpace((1,), (1j,)),
+    "nan weight": lambda: RandomnessSpace((1,), (float("nan"),)),
+    "negative vector length": lambda: SignVector.all_vectors(-1),
+    "fractional sample count":
+        lambda: sample_distribution(SendAllReplyProtocol(2), *_PAIR, samples=2.5),
+    "fractional moment order":
+        lambda: empirical_moments(SendAllReplyProtocol(2), [_PAIR], k_max=1.5),
+    "fractional cell index n": lambda: cell_index_width(2.5),
+    "fractional reject witness n": lambda: n0_upper_bound(2.5),
+    "fractional moment order bound": lambda: moment_bound(4, 1.5),
+}
+
+
+@pytest.mark.parametrize("call", BAD_SIZES.values(), ids=BAD_SIZES.keys())
+def test_library_entry_points_refuse_bad_sizes_with_lab_errors(call):
+    """Each once raised a bare TypeError, ValueError, AttributeError or
+    ZeroDivisionError, or, for moment_bound, returned a number."""
+    with pytest.raises(QccLabError):
+        call()
