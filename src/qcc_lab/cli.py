@@ -9,8 +9,8 @@ dj         reject certificates and certificate-size formulas (cert/verify/bounds
 reduce     acceptance-mass audit, tail check, greedy partition, certificates
 bounds     budget and moment formula table over n and k
 
-A protocol's n is `--n` (verify, reduce) or the input length (simulate);
-`--protocol-config` sets its other parameters.
+A protocol's n is `--n` (verify, reduce) or the input length (simulate),
+at most 16; `--protocol-config` sets its other parameters.
 
 Exit codes: 0 success, 2 bad input or usage, 3 a checked property failed
 (law mismatch, tail violation, partition failure, rejected certificate).
@@ -23,7 +23,7 @@ report even when unused.
 Scenario JSON for `predict`:
 
     {"state": "maximally_entangled" | "singlet" | {"matrix": M},
-     "n": 4,                          # required for maximally_entangled
+     "n": 4,                          # maximally_entangled only, at most 16
      "alice": SPEC, "bob": SPEC}
 
 where SPEC is one of {"vector": "+-+-" or [1,-1,...]} for a sign-vector
@@ -208,6 +208,17 @@ def _parse_party(doc: dict, key: str, exact_state: bool) -> Projector:
     return observable_to_projector(BinaryObservable(_parse_matrix(spec[kind])))
 
 
+# 2^n promise pairs, an n^3-point grid or an n^2 x n^2 state past this n is
+# not desk-scale
+EXHAUSTIVE_N_LIMIT = 16
+
+
+def _capped_n(n: int, what: str = "exhaustive enumeration") -> int:
+    if n > EXHAUSTIVE_N_LIMIT:
+        raise InvariantError(f"{what} is capped at n = {EXHAUSTIVE_N_LIMIT}, got {n}")
+    return n
+
+
 def _load_scenario(path: str) -> tuple[Projector, Projector, DensityMatrix]:
     with open(path, encoding="utf-8") as handle:
         doc = json.load(handle)
@@ -218,7 +229,7 @@ def _load_scenario(path: str) -> tuple[Projector, Projector, DensityMatrix]:
         n = doc.get("n")
         if isinstance(n, bool) or not isinstance(n, int):
             raise InvariantError('maximally_entangled state needs an integer "n"')
-        state = maximally_entangled(n)
+        state = maximally_entangled(_capped_n(n, "the maximally_entangled state"))
     elif state_spec == "singlet":
         state = singlet(exact=False)
     elif isinstance(state_spec, dict) and "matrix" in state_spec:
@@ -231,7 +242,8 @@ def _load_scenario(path: str) -> tuple[Projector, Projector, DensityMatrix]:
 
 
 def _build_protocol(args, n: int) -> Protocol:
-    """The command's one protocol; n fills a field named `n` and no config sets it."""
+    """The command's one protocol; n, capped, fills a field named `n` and no
+    config sets it."""
     params = {}
     if args.protocol_config is not None:
         with open(args.protocol_config, encoding="utf-8") as handle:
@@ -241,7 +253,7 @@ def _build_protocol(args, n: int) -> Protocol:
         if "n" in params:
             raise InvariantError("protocol config cannot set n; it is --n or the input length")
     if "n" in protocol_parameters(PROTOCOLS[args.protocol]):
-        params["n"] = n
+        params["n"] = _capped_n(n)
     protocol = make_protocol(args.protocol, **params)
     if getattr(args, "samples", None) is None and not isinstance(
             protocol.lambda_space, RandomnessSpace):
@@ -257,15 +269,9 @@ def _require_even_n(n: int) -> int:
     return n
 
 
-EXHAUSTIVE_N_LIMIT = 16  # 2^n enumeration beyond this is not desk-scale
-
-
 def _promise_front(args) -> tuple[int, Protocol]:
     """Shared front of verify and reduce: a checked n and a sign-vector protocol."""
-    n = _require_even_n(args.n)
-    if n > EXHAUSTIVE_N_LIMIT:
-        raise InvariantError(
-            f"exhaustive enumeration is capped at n = {EXHAUSTIVE_N_LIMIT}, got {n}")
+    n = _capped_n(_require_even_n(args.n))
     kind = PROTOCOLS[args.protocol].input_kind
     if kind != Protocol.input_kind:
         raise InvariantError(f"{args.command} needs sign vectors; {args.protocol} takes {kind}s")

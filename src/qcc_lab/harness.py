@@ -439,10 +439,18 @@ class BlqmsReport:
         return None if self.mode == "sampled" else all(f.passed_restricted for f in self.failures)
 
 
+def _equal_entries(c, t) -> bool:
+    """c == t; normalized `Fraction`s are equal iff their numerators and
+    denominators are, which skips `Fraction.__eq__`'s type dispatch."""
+    if type(c) is Fraction and type(t) is Fraction:
+        return c.numerator == t.numerator and c.denominator == t.denominator
+    return c == t
+
+
 def _law_errors(computed: JointProbs, target: JointProbs) -> tuple:
     """Largest and p_pp absolute differences, exact for rational laws."""
     # equal entries give an exact 0 without a subtraction
-    deltas = [0 if c == t else abs(c - t) for c, t in zip(
+    deltas = [0 if _equal_entries(c, t) else abs(c - t) for c, t in zip(
         (computed.p_pp, computed.p_mp, computed.p_pm, computed.p_mm),
         (target.p_pp, target.p_mp, target.p_pm, target.p_mm))]
     return max(deltas), deltas[0]

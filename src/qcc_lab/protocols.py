@@ -137,22 +137,75 @@ class SendAllReplyProtocol(Protocol):
         return _exact_law(self.n, a.dot(b))
 
 
+# rows per sampled block: 2^14..2^18 time alike on 2M samples, and this one
+# keeps a block's buffers near 1.5 MB each
+_BLOCK_ROWS = 2**16
+
+
+def _normal_rows(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill `out`, rows of 3, with the generator's next standard normals in
+    C order, the values `rng.normal(size=out.shape)` would give."""
+    return rng.standard_normal(out=out)
+
+
 class SpherePairSampler:
-    """Sampled-mode randomness: two independent uniform unit 3-vectors."""
+    """Sampled-mode randomness: two independent uniform unit 3-vectors.
+
+    `count` pairs read the generator as one `normal(size=(2, count, 3))`
+    draw would: all of l1, then all of l2, then one fresh row for each row
+    of zero norm, l1's before l2's in row order, until none is left.  Each
+    row is then divided by its `np.linalg.norm`, and the generator is left
+    where that one-shot draw leaves it.
+    """
 
     def sample(self, rng: np.random.Generator) -> tuple[tuple, tuple]:
-        pair = self.sample_batch(rng, 1)
-        return tuple(float(x) for x in pair[0][0]), tuple(float(x) for x in pair[1][0])
+        *_, (_, lam1, lam2) = self.blocks(rng, 1)  # the last block holds the final row
+        return tuple(float(x) for x in lam1[0]), tuple(float(x) for x in lam2[0])
 
-    def sample_batch(self, rng: np.random.Generator, count: int):
-        draws = rng.normal(size=(2, count, 3))
-        norms = np.linalg.norm(draws, axis=-1, keepdims=True)
-        while not (norms > 0).all():  # astronomically rare degenerate draw
-            bad = (norms <= 0)[..., 0]
-            draws[bad] = rng.normal(size=(int(bad.sum()), 3))
+    def blocks(self, rng: np.random.Generator, count: int):
+        """Yield (rows, l1, l2): unit 3-vectors for the sample positions
+        `rows`, a slice per block of at most `_BLOCK_ROWS` in order, then one
+        index array of the positions redrawn for a zero norm, whose rows
+        replace the degenerate ones yielded before.  l1 and l2 are views of
+        one reused buffer, valid until the next block is drawn, and `rng` is
+        not to be drawn from until the last block is read.
+        """
+        # the generator reads l1 and l2 in step from two saved states, the
+        # second found by drawing all of l1 once and throwing it away
+        bits = rng.bit_generator
+        size = max(1, min(count, _BLOCK_ROWS))
+        buf = np.empty((2, size, 3))
+        at_l1 = bits.state
+        for start in range(0, count, size):
+            _normal_rows(rng, buf[0, :min(size, count - start)])
+        at_l2 = bits.state
+        degenerate = []  # (positions, raw (l1, l2) rows) of rare zero norms
+        for start in range(0, count, size):
+            stop = min(start + size, count)
+            draws = buf[:, :stop - start]
+            bits.state = at_l1
+            _normal_rows(rng, draws[0])
+            at_l1, bits.state = bits.state, at_l2
+            _normal_rows(rng, draws[1])
+            at_l2 = bits.state
             norms = np.linalg.norm(draws, axis=-1, keepdims=True)
-        draws /= norms
-        return draws[0], draws[1]
+            bad = np.flatnonzero(~(norms > 0).all(axis=0))
+            if bad.size:  # kept as drawn, and divided by 1 until the redraw
+                degenerate.append((start + bad, draws[:, bad]))
+                norms[:, bad] = 1.0
+            draws /= norms
+            yield slice(start, stop), draws[0], draws[1]
+        if degenerate:  # astronomically rare with a true normal stream; the
+            # generator is past l2 here, where the one-shot draw leaves it
+            rows = np.concatenate([positions for positions, _ in degenerate])
+            draws = np.concatenate([raw for _, raw in degenerate], axis=1)
+            norms = np.linalg.norm(draws, axis=-1, keepdims=True)
+            while not (norms > 0).all():
+                bad = (norms <= 0)[..., 0]
+                draws[bad] = _normal_rows(rng, np.empty((int(bad.sum()), 3)))
+                norms = np.linalg.norm(draws, axis=-1, keepdims=True)
+            draws /= norms
+            yield rows, draws[0], draws[1]
 
 
 def _unit3(value) -> np.ndarray:
@@ -199,11 +252,16 @@ class TonerBaconProtocol(Protocol):
 
     def batch_outcomes(self, input_a, input_b, rng, count: int):
         a, b = _unit3(input_a), _unit3(input_b)
-        lam1, lam2 = self.lambda_space.sample_batch(rng, count)
-        s1 = np.where(lam1 @ a >= 0, 1, -1)
-        s2 = np.where(lam2 @ a >= 0, 1, -1)
-        y_a = -s1
-        y_b = np.where((lam1 + s1[:, None] * s2[:, None] * lam2) @ b >= 0, 1, -1)
+        y_a = np.empty(count, dtype=np.int64)
+        y_b = np.empty(count, dtype=np.int64)
+        for rows, lam1, lam2 in self.lambda_space.blocks(rng, count):
+            plus = lam1 @ a >= 0  # sgn(a.l1) = +1
+            # l1 + c l2 with c = sgn(a.l1) sgn(a.l2); a float c gives the same
+            # products without an int-to-float cast per entry
+            bob = lam2 * np.where(plus == (lam2 @ a >= 0), 1.0, -1.0)[:, None]
+            bob += lam1
+            y_a[rows] = np.where(plus, -1, 1)
+            y_b[rows] = np.where(bob @ b >= 0, 1, -1)
         return y_a, y_b, np.ones(count, dtype=np.int64)
 
 

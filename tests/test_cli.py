@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from qcc_lab import cli, protocols
+from qcc_lab import cli, oracle, protocols
 from qcc_lab.cli import main
 from qcc_lab.dj import promise_pairs, promise_scenarios
 from qcc_lab.errors import InvariantError, PartitionError
@@ -358,6 +358,44 @@ def test_config_n_is_refused_before_the_protocol_is_built(argv, tmp_path, capsys
     # without one, each command builds its one protocol at the family size
     assert run_cli(capsys, *argv)[0] == 0
     assert send_all_reply_builds == [4]
+
+
+@pytest.mark.parametrize("samples", [(), ("--samples", "10")], ids=["exact", "sampled"])
+def test_simulate_refuses_n_above_the_cap_before_building(samples, capsys,
+                                                          send_all_reply_builds):
+    for length in (18, 2000):  # n is the input length
+        code, out, err = run_cli(capsys, "simulate", "--protocol", "send_all_reply",
+                                 "--a", "+" * length, "--b", "+" * length, *samples)
+        assert code == 2 and out == ""
+        assert f"error: exhaustive enumeration is capped at n = 16, got {length}" in err
+    assert send_all_reply_builds == []
+    code, out, _ = run_cli(capsys, "simulate", "--protocol", "send_all_reply",
+                           "--a", "+-" * 8, "--b", "+-" * 8, *samples)
+    assert code == 0 and send_all_reply_builds == [16]
+    assert json.loads(out)["t_mean"] == ("17/1" if not samples else 17.0)  # n + 1 bits
+
+
+def test_predict_refuses_maximally_entangled_n_above_the_cap(tmp_path, capsys, monkeypatch):
+    states, build = [], oracle.maximally_entangled
+
+    def counting(n, exact=True):
+        states.append(n)
+        return build(n, exact)
+
+    monkeypatch.setattr(cli, "maximally_entangled", counting)
+    for n in (17, 40):
+        path = write_scenario(tmp_path, {"state": "maximally_entangled", "n": n,
+                                         "alice": {"vector": "+-" * (n // 2)},
+                                         "bob": {"vector": "+-" * (n // 2)}})
+        code, out, err = run_cli(capsys, "predict", "--scenario", path)
+        assert code == 2 and out == ""
+        assert f"error: the maximally_entangled state is capped at n = 16, got {n}" in err
+    assert states == []
+    path = write_scenario(tmp_path, {"state": "maximally_entangled", "n": 16,
+                                     "alice": {"vector": "+-" * 8}, "bob": {"vector": "+-" * 8}})
+    code, out, _ = run_cli(capsys, "predict", "--scenario", path)
+    assert code == 0 and states == [16]
+    assert json.loads(out)["probs"]["p_pp"] == "1/16"
 
 
 NON_FINITE_INPUTS = {

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from qcc_lab.errors import InvariantError, NonHaltingError, ProtocolError
 from qcc_lab.harness import (ALICE, BOB, Action, CheckResult, Party, Protocol,
                              OUTCOMES, RandomnessSpace, RunRecord, SampleStats,
-                             Scenario, Transcript,
+                             Scenario, Transcript, _law_errors,
                              check_exact_blqms, empirical_moments,
                              output_distribution, run, sample_distribution,
                              tail_mass)
@@ -576,3 +576,30 @@ def test_sample_index_lands_on_positive_weight_below_one():
         [0, 0, 1, 1, 1]
     leading = RandomnessSpace((0, 1, 2), (0, Fraction(1, 10), Fraction(9, 10)))
     assert [leading.sample_index(_Draws(x)) for x in (0.0, 0.05, 0.1, top)] == [1, 1, 2, 2]
+
+
+def _law_errors_reference(computed, target):
+    """`_law_errors` through `==` on every entry type."""
+    deltas = [0 if c == t else abs(c - t) for c, t in zip(
+        computed.as_dict().values(), target.as_dict().values())]
+    return max(deltas), deltas[0]
+
+
+HALF, QUARTER = Fraction(1, 2), Fraction(1, 4)
+LAWS = {
+    "fraction": JointProbs(HALF, Fraction(0), Fraction(0), HALF),
+    "fraction other": JointProbs(QUARTER, QUARTER, QUARTER, QUARTER),
+    "fraction near": JointProbs(HALF, Fraction(0), Fraction(1, 10**30), HALF - Fraction(1, 10**30)),
+    "int": JointProbs(1, 0, 0, 0),
+    "float": JointProbs(0.5, 0.0, 0.0, 0.5),
+    "float other": JointProbs(0.25, 0.25, 0.25, 0.25),
+    "mixed": JointProbs(HALF, 0, 0.0, HALF),
+}
+
+
+@pytest.mark.parametrize("target", LAWS.values(), ids=LAWS.keys())
+@pytest.mark.parametrize("computed", LAWS.values(), ids=LAWS.keys())
+def test_law_errors_match_fraction_equality(computed, target):
+    got, want = _law_errors(computed, target), _law_errors_reference(computed, target)
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcc_lab import harness
+from qcc_lab import harness, protocols
 from qcc_lab.dj import promise_pairs
 from qcc_lab.errors import InvariantError, PromiseViolationError
 from qcc_lab.harness import (BOB, OUTCOMES, Action, RandomnessSpace, Scenario,
@@ -227,6 +227,100 @@ def test_law_cache_has_two_keys_per_n():
 # --- toner_bacon -------------------------------------------------------------
 
 
+def one_shot_pairs(rng, count, degenerate=lambda draws: draws):
+    """The reference sampler: one normal(size=(2, count, 3)) draw, rows of zero
+    norm redrawn from the stream after it, then each row over its norm.
+    `degenerate` stands between the generator and every draw."""
+    draws = degenerate(rng.normal(size=(2, count, 3)))
+    norms = np.linalg.norm(draws, axis=-1, keepdims=True)
+    while not (norms > 0).all():
+        bad = (norms <= 0)[..., 0]
+        draws[bad] = degenerate(rng.normal(size=(int(bad.sum()), 3)))
+        norms = np.linalg.norm(draws, axis=-1, keepdims=True)
+    draws /= norms
+    return draws[0], draws[1]
+
+
+def reference_outcomes(a, b, lam1, lam2):
+    """toner_bacon's outputs on whole l1 and l2 arrays, as one vector step."""
+    s1 = np.where(lam1 @ a >= 0, 1, -1)
+    s2 = np.where(lam2 @ a >= 0, 1, -1)
+    return -s1, np.where((lam1 + s1[:, None] * s2[:, None] * lam2) @ b >= 0, 1, -1)
+
+
+def block_pairs(rng, count):
+    """The block sampler's rows gathered into two arrays, later blocks winning."""
+    lam1, lam2 = np.full((count, 3), np.nan), np.full((count, 3), np.nan)
+    for rows, l1, l2 in SpherePairSampler().blocks(rng, count):
+        lam1[rows], lam2[rows] = l1, l2
+    return lam1, lam2
+
+
+def zero_below_minus_one(draws):
+    """Rows whose first coordinate is below -1, about one in six of the rows
+    and of their redraws, get zero norm."""
+    draws[draws[..., 0] < -1.0] = 0.0
+    return draws
+
+
+BLOCK = protocols._BLOCK_ROWS
+BLOCK_COUNTS = (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 11)
+TB_A, TB_B = np.array([0.0, 0.0, 1.0]), np.array([0.6, 0.0, 0.8])
+
+
+@pytest.mark.parametrize("count", BLOCK_COUNTS)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_block_sampler_matches_one_shot_draw(seed, count):
+    """Same rows, same outputs, and the generator left where one draw leaves it."""
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    ref1, ref2 = one_shot_pairs(ref_rng, count)
+    lam1, lam2 = block_pairs(rng, count)
+    assert np.array_equal(lam1, ref1) and np.array_equal(lam2, ref2)
+    assert rng.random() == ref_rng.random()
+
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    y_a, y_b, t = TonerBaconProtocol().batch_outcomes(TB_A, TB_B, rng, count)
+    ref_a, ref_b = reference_outcomes(TB_A, TB_B, *one_shot_pairs(ref_rng, count))
+    assert np.array_equal(y_a, ref_a) and np.array_equal(y_b, ref_b)
+    assert t.shape == (count,) and (t == 1).all()
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("count", [1, BLOCK + 1, 2 * BLOCK + 11])
+@pytest.mark.parametrize("seed", [0, 1, 8])  # at count 1: none, l2's row, l1's row
+def test_block_sampler_redraws_zero_norms_in_stream_order(seed, count, monkeypatch):
+    """Rows of zero norm in both halves are redrawn after all of l2, l1's first,
+    until none is left, and their outputs are those of the redrawn rows."""
+    draw_rows = protocols._normal_rows
+    monkeypatch.setattr(protocols, "_normal_rows", lambda rng, out: (
+        zero_below_minus_one(draw_rows(rng, out))))
+    ref_rng = np.random.default_rng(seed)
+    raw = np.random.default_rng(seed).normal(size=(2, count, 3))
+    degenerate = (raw[..., 0] < -1.0).any(axis=1)  # per half
+    assert degenerate.tolist() == ({0: [False, False], 1: [False, True], 8: [True, False]}[seed]
+                                   if count == 1 else [True, True])
+    ref1, ref2 = one_shot_pairs(ref_rng, count, zero_below_minus_one)
+    assert np.allclose(np.linalg.norm(np.stack([ref1, ref2]), axis=-1), 1)
+
+    rng = np.random.default_rng(seed)
+    lam1, lam2 = block_pairs(rng, count)
+    assert np.array_equal(lam1, ref1) and np.array_equal(lam2, ref2)
+    assert rng.random() == ref_rng.random()
+
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    y_a, y_b, _ = TonerBaconProtocol().batch_outcomes(TB_A, TB_B, rng, count)
+    ref_a, ref_b = reference_outcomes(TB_A, TB_B, *one_shot_pairs(
+        ref_rng, count, zero_below_minus_one))
+    assert np.array_equal(y_a, ref_a) and np.array_equal(y_b, ref_b)
+    assert rng.random() == ref_rng.random()
+
+    if count == 1:  # one pair per `sample`, also when its row is redrawn
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        ref1, ref2 = one_shot_pairs(ref_rng, 1, zero_below_minus_one)
+        assert SpherePairSampler().sample(rng) == (tuple(ref1[0]), tuple(ref2[0]))
+        assert rng.random() == ref_rng.random()
+
+
 def test_toner_bacon_step_matches_batch_rows():
     """The vectorized sampler and the step function agree draw for draw."""
     p = TonerBaconProtocol()
@@ -234,10 +328,13 @@ def test_toner_bacon_step_matches_batch_rows():
     b = (0.6, 0.0, 0.8)
     count = 500
     y_a, y_b, t = p.batch_outcomes(a, b, np.random.default_rng(21), count)
-    lam1, lam2 = SpherePairSampler().sample_batch(np.random.default_rng(21), count)
-    for i in range(count):
-        rec = run(p, a, b, (tuple(lam1[i]), tuple(lam2[i])))
-        assert (rec.y_a, rec.y_b, rec.t) == (y_a[i], y_b[i], t[i])
+    seen = 0
+    for rows, lam1, lam2 in SpherePairSampler().blocks(np.random.default_rng(21), count):
+        for i, l1, l2 in zip(np.arange(count)[rows], lam1, lam2):
+            rec = run(p, a, b, (tuple(l1), tuple(l2)))
+            assert (rec.y_a, rec.y_b, rec.t) == (y_a[i], y_b[i], t[i])
+            seen += 1
+    assert seen == count
     assert (t == 1).all()
 
 
