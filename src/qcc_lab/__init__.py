@@ -13,12 +13,11 @@ from .oracle import (BinaryObservable, DensityMatrix, ExpectationTriple,
                      predict_expectations, predict_joint_probs,
                      probs_to_expectations, projector_to_observable,
                      sign_vector_observable, sign_vector_projector, singlet)
-from .harness import (ALICE, BOB, Action, BlqmsReport, CheckResult,
-                      MomentReport, PairMoments, Party, Protocol,
-                      RandomnessSpace, RunRecord, SampleStats, Scenario,
-                      ScenarioResult, Transcript, check_exact_blqms,
-                      empirical_moments, output_distribution, pair_label,
-                      run, sample_distribution, tail_mass)
+from .harness import (ALICE, BOB, Action, BlqmsReport, CheckResult, CostLaw,
+                      Party, Protocol, RandomnessSpace, RunRecord, SampleStats,
+                      Scenario, ScenarioResult, Transcript, check_exact_blqms,
+                      cost_law, output_distribution, pair_label, run,
+                      sample_distribution, tail_mass)
 from .protocols import (PROTOCOL_NAMES, ConstantProtocol, SendAllReplyProtocol,
                         SpherePairSampler, TonerBaconProtocol, make_protocol)
 from .dj import (RejectCertificate, auy_check, auy_min_n1, check_promise,
@@ -36,10 +35,10 @@ __version__ = "0.1.0"
 __all__ = [
     "ALICE", "BOB", "OPERATOR_ATOL", "PROTOCOL_NAMES", "TRACE_ATOL",
     "Action", "BinaryObservable", "BlqmsReport", "CheckResult",
-    "ConstantProtocol", "DensityMatrix", "DerandomizationTable",
+    "ConstantProtocol", "CostLaw", "DensityMatrix", "DerandomizationTable",
     "DimensionMismatchError", "DjCertificate", "ExpectationTriple",
-    "InvariantError", "JointProbs", "MomentReport", "NonHaltingError",
-    "PairMoments", "Partition", "PartitionCell", "PartitionError", "Party",
+    "InvariantError", "JointProbs", "NonHaltingError", "Partition",
+    "PartitionCell", "PartitionError", "Party",
     "Projector", "PromiseViolationError", "Protocol", "ProtocolError",
     "QccLabError", "RandomnessSpace", "RationalMatrix", "RejectCertificate",
     "RunRecord", "SampleStats", "Scenario", "ScenarioResult",
@@ -47,8 +46,8 @@ __all__ = [
     "TonerBaconProtocol", "Transcript", "auy_check", "auy_min_n1",
     "bloch_observable", "build_certificate", "cell_index_width",
     "check_exact_blqms", "check_promise", "check_tail_hypothesis",
-    "contradiction_holds", "contradiction_threshold", "dj_target_probability",
-    "empirical_moments", "eval_f", "expectations_to_probs",
+    "contradiction_holds", "contradiction_threshold", "cost_law",
+    "dj_target_probability", "eval_f", "expectations_to_probs",
     "joint_plus_probability", "m_of_n", "make_protocol",
     "maximally_entangled", "moment_bound", "moment_bound_forms",
     "n0_certificate", "n0_upper_bound",

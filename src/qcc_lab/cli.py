@@ -53,7 +53,7 @@ from .dj import (auy_min_n1, check_promise, n0_certificate, n0_upper_bound,
 from .errors import (InvariantError, NonHaltingError, PartitionError,
                      QccLabError)
 from .harness import (ALICE, BOB, Protocol, RandomnessSpace,
-                      check_exact_blqms, describe_input, empirical_moments,
+                      check_exact_blqms, cost_law, describe_input,
                       output_distribution, sample_distribution)
 from .oracle import (BinaryObservable, DensityMatrix, Projector,
                      SignVector, bloch_observable, maximally_entangled,
@@ -323,11 +323,10 @@ def cmd_simulate(args) -> int:
     }
     if args.samples is None:
         probs = output_distribution(protocol, input_a, input_b)
-        moments = empirical_moments(protocol, [(input_a, input_b)], k_max=1)
         report["mode"] = "exact"
         report["probs"] = probs.as_dict()
         report["probs_float"] = _floats(probs.as_dict())
-        report["t_mean"] = moments.entries[0].moments[0]
+        report["t_mean"] = cost_law(protocol, input_a, input_b).moment(1)
     else:
         stats = sample_distribution(protocol, input_a, input_b,
                                     samples=args.samples, seed=args.seed)

@@ -10,7 +10,9 @@ action; Alice is asked first.  Every run is a pure function of
 replayable by a single party during certificate verification.
 
 Costs count every transmitted bit from both parties.  A run that exceeds
-its bit budget raises NonHaltingError instead of truncating.
+its bit budget raises NonHaltingError instead of truncating.  On a finite
+space the law of the cost T for one input pair is one `cost_law`: its
+support and integer masses, from which every tail mass and moment is read.
 
 Note: a party that halts silently while its peer keeps transmitting cannot
 be replayed from the transcript alone; none of the shipped protocols do
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import abc
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -495,28 +498,6 @@ def check_exact_blqms(protocol: Protocol, scenarios: Iterable[Scenario], *,
     return BlqmsReport(count, tuple(failures), float(worst), *mode)
 
 
-@dataclass(frozen=True)
-class PairMoments:
-    """Exact cost moments for one input pair."""
-
-    label: str
-    moments: tuple  # E[T^k] for k = 1..k_max
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    entries: tuple[PairMoments, ...]
-    k_max: int
-
-    def worst(self, k: int):
-        """Max over pairs of E[T^k]; the order-k cost of the protocol."""
-        if not 1 <= k <= self.k_max:
-            raise InvariantError(f"moment order {k} outside 1..{self.k_max}")
-        if not self.entries:
-            raise InvariantError("no pairs in the report; the worst moment is undefined")
-        return max(entry.moments[k - 1] for entry in self.entries)
-
-
 def describe_input(value) -> str:
     if isinstance(value, SignVector):
         return value.to_text()
@@ -529,26 +510,42 @@ def pair_label(input_a, input_b) -> str:
     return f"{describe_input(input_a)}|{describe_input(input_b)}"
 
 
-def empirical_moments(protocol: Protocol, pairs: Iterable[tuple], *,
-                      k_max: int = 2) -> MomentReport:
-    """Exact rational moments E[T^k] up to k_max per input pair, by weighted
-    enumeration of a finite space; `tail_mass` gives the tail masses."""
-    k_max = _integer("empirical_moments", "k_max", k_max)
-    if k_max < 1:
-        raise InvariantError(f"k_max must be at least 1, got {k_max}")
-    space = _finite_space(protocol, "exact moments")
-    entries = []
-    for input_a, input_b in pairs:
-        _, _, t = _finite_rows(protocol, input_a, input_b)
-        cost_law = {cost: space.mass(t == cost) for cost in np.unique(t).tolist()}
-        moments = tuple(Fraction(sum(cost**k * mass for cost, mass in cost_law.items()),
-                                 space.den) for k in range(1, k_max + 1))
-        entries.append(PairMoments(pair_label(input_a, input_b), moments))
-    return MomentReport(tuple(entries), k_max)
+@dataclass(frozen=True)
+class CostLaw:
+    """The exact law of the cost T on one input pair: its support in
+    ascending order, each cost with its weight numerator over `den`."""
+
+    costs: tuple[int, ...]
+    masses: tuple[int, ...]
+    den: int
+
+    def tail(self, threshold: int) -> int:
+        """Numerator, over `den`, of mass(T >= threshold)."""
+        return sum(self.masses[bisect_left(self.costs, threshold):])
+
+    def moment(self, k: int) -> Fraction:
+        """E[T^k] for an order k >= 1."""
+        k = _integer("CostLaw.moment", "k", k)
+        if k < 1:
+            raise InvariantError(f"moment order k must be at least 1, got {k}")
+        return Fraction(sum(c**k * m for c, m in zip(self.costs, self.masses)), self.den)
+
+
+def cost_law(protocol: Protocol, input_a, input_b) -> CostLaw:
+    """The law of T by weighted enumeration of a finite space: one mass per
+    distinct cost, and a cost seen only at zero-weight points is left out."""
+    space = _finite_space(protocol, "the cost law")
+    _, _, t = _finite_rows(protocol, input_a, input_b)
+    ordered = np.sort(t)
+    if ordered[0] == ordered[-1]:  # one cost at every point carries all of den
+        return CostLaw((int(ordered[0]),), (space.den,), space.den)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))].tolist()
+    costs, masses = zip(*((c, m) for c in distinct if (m := space.mass(t == c))))
+    return CostLaw(costs, masses, space.den)
 
 
 def tail_mass(protocol: Protocol, input_a, input_b, threshold: int) -> Fraction:
     """Exact randomness mass of runs with T >= threshold."""
-    space = _finite_space(protocol, "tail_mass")
-    _, _, t = _finite_rows(protocol, input_a, input_b)
-    return Fraction(space.mass(t >= threshold), space.den)
+    _finite_space(protocol, "tail_mass")  # refused under its own name
+    law = cost_law(protocol, input_a, input_b)
+    return Fraction(law.tail(threshold), law.den)

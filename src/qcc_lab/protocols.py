@@ -262,7 +262,7 @@ class TonerBaconProtocol(Protocol):
             bob += lam1
             y_a[rows] = np.where(plus, -1, 1)
             y_b[rows] = np.where(bob @ b >= 0, 1, -1)
-        return y_a, y_b, np.ones(count, dtype=np.int64)
+        return y_a, y_b, np.broadcast_to(np.int64(1), (count,))  # read-only, no copy
 
 
 @dataclass(frozen=True, eq=False)

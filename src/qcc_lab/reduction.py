@@ -2,13 +2,14 @@
 
 Pipeline: check that no promise input pair, equal (diagonal) or at
 a.b = 0, puts randomness mass 1/(2n) or more on runs costing at least M
-bits (the partition itself runs only diagonal pairs); greedily partition
-the 2^n sign vectors into cells, each owning one shared-randomness point
-that makes every member accept below budget; then a certificate for "my
-input is in your cell" is just the cell index plus the full run
-transcript, which one party alone can replay and audit.  The formula
-evaluators at the bottom quantify why such certificates cannot stay
-short for protocols that are cheap at every order.
+bits, read from each pair's `cost_law` (the partition itself runs only
+diagonal pairs); greedily partition the 2^n sign vectors into cells,
+each owning one shared-randomness point that makes every member accept
+below budget; then a certificate for "my input is in your cell" is just
+the cell index plus the full run transcript, which one party alone can
+replay and audit.  The formula evaluators at the bottom quantify why
+such certificates cannot stay short for protocols that are cheap at
+every order.
 
 Certificate wire format (MSB-first, zero-padded to a byte boundary):
 
@@ -35,7 +36,7 @@ import numpy as np
 from .dj import promise_pairs
 from .errors import InvariantError, PartitionError, QccLabError
 from .harness import (ALICE, Action, CheckResult, Party, Protocol, Transcript,
-                      _finite_space, _run_rows, pair_label, run, tail_mass)
+                      _finite_space, _run_rows, cost_law, pair_label, run)
 from .oracle import SignVector, _integer
 
 
@@ -69,16 +70,18 @@ def check_tail_hypothesis(protocol: Protocol, n: int, threshold_bits: int,
     if n < 2:
         raise InvariantError(f"n must be at least 2, got {n}")
     bound = Fraction(1, 2 * n)
-    worst = Fraction(0)
+    worst = 0  # numerator over the protocol's one den, shared by every pair
     worst_pair = ""
     checked = 0
     for checked, (input_a, input_b) in enumerate(
             promise_pairs(n) if pairs is None else pairs, start=1):
-        mass = tail_mass(protocol, input_a, input_b, threshold_bits)
+        law = cost_law(protocol, input_a, input_b)
+        mass = law.tail(threshold_bits)
         if mass > worst or not worst_pair:
             worst, worst_pair = mass, pair_label(input_a, input_b)
     if not checked:
         raise InvariantError("no pairs to check; an empty tail check would pass vacuously")
+    worst = Fraction(worst, law.den)
     return TailReport(worst < bound, n, threshold_bits, bound, worst,
                       worst_pair, checked)
 

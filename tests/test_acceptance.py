@@ -17,7 +17,7 @@ import pytest
 from qcc_lab.cli import main
 from qcc_lab.dj import n1_lower_bound, promise_pairs, promise_scenarios
 from qcc_lab.harness import (ALICE, BOB, Transcript, check_exact_blqms,
-                             empirical_moments, run, sample_distribution)
+                             cost_law, run, sample_distribution)
 from qcc_lab.oracle import (JointProbs, SignVector, bloch_observable,
                             expectations_to_probs, maximally_entangled,
                             predict_expectations, predict_joint_probs,
@@ -127,9 +127,9 @@ def test_criterion_4_send_all_reply_exact_law_and_moments():
             diagonal = [(a, a) for a in SignVector.all_vectors(n)]
             mixed = [p for p in promise_pairs(n) if p[0].dot(p[1]) == 0][:40]
             pairs = diagonal + mixed
-        moments = empirical_moments(protocol, pairs, k_max=3)
+        laws = [cost_law(protocol, a, b) for a, b in pairs]
         for k in (1, 2, 3):
-            assert moments.worst(k) == Fraction((n + 1)**k)
+            assert max(law.moment(k) for law in laws) == Fraction((n + 1)**k)
     _report(4, True,
             "law matches the quantum targets exactly at n in {2,4,6,8} "
             "(full and restricted), cost moments are (n+1)^k exactly")

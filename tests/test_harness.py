@@ -1,5 +1,6 @@
-"""Runner contract: eligibility, transcripts, distributions, moments."""
+"""Runner contract: eligibility, transcripts, distributions, cost laws."""
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,9 +11,8 @@ from qcc_lab.errors import InvariantError, NonHaltingError, ProtocolError
 from qcc_lab.harness import (ALICE, BOB, Action, CheckResult, Party, Protocol,
                              OUTCOMES, RandomnessSpace, RunRecord, SampleStats,
                              Scenario, Transcript, _law_errors,
-                             check_exact_blqms, empirical_moments,
-                             output_distribution, run, sample_distribution,
-                             tail_mass)
+                             check_exact_blqms, cost_law, output_distribution,
+                             run, sample_distribution, tail_mass)
 from qcc_lab.oracle import JointProbs, SignVector
 from qcc_lab.protocols import SendAllReplyProtocol
 
@@ -167,17 +167,15 @@ def test_two_branch_distribution_and_moments():
     p = TwoBranch()
     law = output_distribution(p, None, None)
     assert law == JointProbs(Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-    report = empirical_moments(p, [(None, None)], k_max=2)
-    (entry,) = report.entries
-    assert entry.moments == (Fraction(2), Fraction(5))
+    law = cost_law(p, None, None)
+    assert (law.costs, law.masses, law.den) == ((1, 3), (1, 1), 2)
+    assert (law.moment(1), law.moment(2)) == (Fraction(2), Fraction(5))
     assert {m: tail_mass(p, None, None, m) for m in (2, 3, 4)} == \
         {2: Fraction(1, 2), 3: Fraction(1, 2), 4: Fraction(0)}
-    assert report.worst(2) == Fraction(5)
-    for k in (0, 3):
-        with pytest.raises(InvariantError, match=f"moment order {k} outside 1..2"):
-            report.worst(k)
-    with pytest.raises(InvariantError, match="no pairs"):
-        empirical_moments(p, [], k_max=2).worst(1)
+    assert {m: law.tail(m) for m in (0, 1, 2, 3, 4)} == {0: 2, 1: 2, 2: 1, 3: 1, 4: 0}
+    for k in (0, -1):
+        with pytest.raises(InvariantError, match=f"moment order k must be at least 1, got {k}"):
+            law.moment(k)
     assert tail_mass(p, None, None, 3) == Fraction(1, 2)
 
 
@@ -218,7 +216,7 @@ MALFORMED_ROWS = {
 }
 ROW_HOOKS = {
     "outcome_table": (lambda p: tail_mass(p, None, None, 3),
-                      lambda p: empirical_moments(p, [(None, None)]),
+                      lambda p: cost_law(p, None, None),
                       lambda p: output_distribution(p, None, None)),
     "batch_outcomes": (lambda p: sample_distribution(p, None, None, samples=2),),
 }
@@ -241,7 +239,9 @@ def test_well_formed_rows_of_any_integer_type_are_read_as_int64():
     for dtype in (np.int8, np.uint8, np.int32, np.int64):
         p.table = tuple(np.array(column, dtype=dtype) for column in ([1, 1], [1, 1], [1, 3]))
         assert tail_mass(p, None, None, 3) == Fraction(1, 2)
-        assert empirical_moments(p, [(None, None)]).entries[0].moments == (2, 5)
+        law = cost_law(p, None, None)
+        assert (law.costs, law.masses, law.moment(1), law.moment(2)) == ((1, 3), (1, 1), 2, 5)
+        assert all(type(value) is int for value in law.costs + law.masses)
         stats = sample_distribution(p, None, None, samples=2)
         assert (stats.t_mean, stats.t_max, stats.probs.p_pp) == (2.0, 3, 1.0)
     # outputs other than +/-1 pass the row check; the law's sum check refuses them
@@ -500,8 +500,8 @@ def test_guards_raise_invariant_errors():
     with pytest.raises(InvariantError, match="seed must be an integer"):
         check_exact_blqms(p, [Scenario(None, None, point_mass)],
                           samples=10, seed=1.5)
-    with pytest.raises(InvariantError, match="k_max must be at least 1"):
-        empirical_moments(p, [(None, None)], k_max=0)
+    with pytest.raises(InvariantError, match="moment order k must be at least 1"):
+        cost_law(p, None, None).moment(0)
     sampled = TwoBranch()
     sampled.lambda_space = Sampler()
     with pytest.raises(InvariantError, match="tail_mass needs a finite"):
@@ -515,8 +515,8 @@ def test_guards_raise_invariant_errors():
 @given(costs=st.lists(st.integers(0, 64), min_size=2, max_size=12),
        data=st.data())
 def test_exact_masses_past_int64(costs, data):
-    """Law, moments E[T^k] and tails stay exact when the common weight
-    denominator, and T^k, are past int64."""
+    """Law, cost law, moments E[T^k] and tails stay exact when the common
+    weight denominator, and T^k, are past int64."""
     raw = [1] + data.draw(st.lists(st.integers(2**63, 2**80), min_size=len(costs) - 1,
                                    max_size=len(costs) - 1))
     weights = [Fraction(r, sum(raw)) for r in raw]
@@ -526,16 +526,34 @@ def test_exact_masses_past_int64(costs, data):
     p = CostIsPoint()
     p.lambda_space = space
 
-    report = empirical_moments(p, [(None, None)], k_max=12)
-    (entry,) = report.entries
-    assert entry.moments == tuple(sum((w * c**k for c, w in zip(costs, weights)),
-                                      start=Fraction(0)) for k in range(1, 13))
+    law = cost_law(p, None, None)
+    by_cost = Counter()
+    for c, w in zip(costs, weights):
+        by_cost[c] += w
+    assert law.costs == tuple(sorted(by_cost)) and law.den == space.den
+    assert [Fraction(m, law.den) for m in law.masses] == [by_cost[c] for c in law.costs]
+    assert all(type(value) is int for value in law.costs + law.masses)
+    assert tuple(law.moment(k) for k in range(1, 13)) == tuple(
+        sum((w * c**k for c, w in zip(costs, weights)), start=Fraction(0))
+        for k in range(1, 13))
     for m in thresholds:
         expected = sum((w for c, w in zip(costs, weights) if c >= m), start=Fraction(0))
         assert tail_mass(p, None, None, m) == expected
+        assert Fraction(law.tail(m), law.den) == expected
     even = sum((w for c, w in zip(costs, weights) if c % 2 == 0), start=Fraction(0))
     assert output_distribution(p, None, None) == JointProbs(
         even, Fraction(0), 1 - even, Fraction(0))
+
+
+def test_cost_law_leaves_out_costs_seen_only_at_zero_weight_points():
+    p = CostIsPoint()
+    p.lambda_space = RandomnessSpace((7, 5, 0, 7), (Fraction(1, 4), 0, Fraction(1, 2),
+                                                    Fraction(1, 4)))
+    law = cost_law(p, None, None)
+    assert (law.costs, law.masses, law.den) == ((0, 7), (2, 2), 4)
+    assert law.tail(5) == law.tail(6) == law.tail(7) == 2
+    assert tail_mass(p, None, None, 5) == Fraction(1, 2)
+    assert law.moment(1) == Fraction(7, 2)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

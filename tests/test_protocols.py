@@ -12,8 +12,8 @@ from qcc_lab import harness, protocols
 from qcc_lab.dj import promise_pairs
 from qcc_lab.errors import InvariantError, PromiseViolationError
 from qcc_lab.harness import (BOB, OUTCOMES, Action, RandomnessSpace, Scenario,
-                             check_exact_blqms, empirical_moments,
-                             output_distribution, run, sample_distribution)
+                             check_exact_blqms, cost_law, output_distribution,
+                             run, sample_distribution)
 from qcc_lab.oracle import JointProbs, SignVector, joint_plus_probability
 from qcc_lab.protocols import (PROTOCOL_NAMES, ConstantProtocol,
                                SendAllReplyProtocol, SpherePairSampler,
@@ -338,6 +338,20 @@ def test_toner_bacon_step_matches_batch_rows():
     assert (t == 1).all()
 
 
+def test_toner_bacon_cost_column_is_one_read_only_entry():
+    """Every draw costs one bit, so the sampler's cost column is a read-only
+    stride-0 view of a single 1 rather than `count` stored ones."""
+    count = 3 * BLOCK + 11
+    _, _, t = TonerBaconProtocol().batch_outcomes(TB_A, TB_B, np.random.default_rng(5), count)
+    assert t.shape == (count,) and t.strides == (0,) and t.dtype == np.int64
+    assert not t.flags.writeable and (t == 1).all()
+    with pytest.raises(ValueError, match="read-only"):
+        t[0] = 2
+    stats = sample_distribution(TonerBaconProtocol(), TB_A, TB_B, samples=count, seed=5)
+    assert stats.t_mean == 1.0 and stats.t_max == 1
+    assert type(stats.t_mean) is float and type(stats.t_max) is int
+
+
 def test_toner_bacon_perfect_anticorrelation_when_aligned():
     p = TonerBaconProtocol()
     a = (0.0, 1.0, 0.0)
@@ -407,7 +421,8 @@ def test_toner_bacon_finite_space_falls_back_to_run(monkeypatch):
     monkeypatch.setattr(harness, "run", counted)
     assert output_distribution(p, a, b) == expected
     assert calls == list(space.points)
-    assert empirical_moments(p, [(a, b)], k_max=2).entries[0].moments == (1, 1)
+    law = cost_law(p, a, b)
+    assert (law.moment(1), law.moment(2)) == (1, 1)
 
 
 # --- constant ---------------------------------------------------------------

@@ -13,7 +13,7 @@ from qcc_lab import reduction
 from qcc_lab.dj import n0_upper_bound, promise_pairs
 from qcc_lab.errors import InvariantError, PartitionError, QccLabError
 from qcc_lab.harness import (ALICE, BOB, Action, Protocol, RandomnessSpace, Scenario,
-                             Transcript, check_exact_blqms, empirical_moments,
+                             Transcript, check_exact_blqms, cost_law,
                              output_distribution, run, sample_distribution, tail_mass)
 from qcc_lab.oracle import JointProbs, SignVector
 from qcc_lab.protocols import ConstantProtocol, SendAllReplyProtocol, TonerBaconProtocol
@@ -82,7 +82,7 @@ _Z = (0.0, 0.0, 1.0)
 _HALF = Fraction(1, 2)
 EXACT_AUDITS = {
     "output_distribution": lambda p: output_distribution(p, _Z, _Z),
-    "empirical_moments": lambda p: empirical_moments(p, [(_Z, _Z)]),
+    "cost_law": lambda p: cost_law(p, _Z, _Z),
     "tail_mass": lambda p: tail_mass(p, _Z, _Z, 1),
     "check_exact_blqms": lambda p: check_exact_blqms(
         p, [Scenario(_Z, _Z, JointProbs(0, _HALF, _HALF, 0))]),
@@ -146,16 +146,42 @@ def test_tail_hypothesis_streams_the_default_pairs(monkeypatch):
 
     lead = []
 
-    def recording_tail_mass(protocol, input_a, input_b, threshold):
+    def recording_cost_law(protocol, input_a, input_b):
         lead.append(len(yielded))
         assert yielded[-1] == (input_a, input_b)
-        return tail_mass(protocol, input_a, input_b, threshold)
+        return cost_law(protocol, input_a, input_b)
 
     monkeypatch.setattr(reduction, "promise_pairs", counting_pairs)
-    monkeypatch.setattr(reduction, "tail_mass", recording_tail_mass)
+    monkeypatch.setattr(reduction, "cost_law", recording_cost_law)
     report = check_tail_hypothesis(SendAllReplyProtocol(4), 4, 6)
     assert report.ok and report.pairs_checked == 112 == len(yielded)
     assert lead == list(range(1, 113))
+
+
+class CostFromInput(Protocol):
+    """Alice sends input_a[lam] bits, then both output +1: each pair's cost
+    on each randomness point is read from Alice's input."""
+
+    name = "cost_from_input"
+    lambda_space = RandomnessSpace.uniform((0, 1))
+
+    def step(self, party, own, lam, received):
+        if party is ALICE:
+            return Action((0,) * own[lam], output=1)
+        return Action(output=1)
+
+
+@pytest.mark.parametrize("costs,worst,named", [
+    ([(0, 0), (1, 1), (0, 1)], 0, "(0, 0)|p1"),  # all masses 0: the first pair
+    ([(0, 1), (2, 0), (0, 3), (1, 1)], Fraction(1, 2), "(2, 0)|p2"),  # first of a tie
+    ([(2, 0), (0, 3), (2, 2), (3, 0)], 1, "(2, 2)|p3"),  # a later, strictly worse pair
+], ids=["all zero", "tie", "later worse"])
+def test_tail_hypothesis_names_the_first_pair_of_the_worst_mass(costs, worst, named):
+    pairs = [(cost, f"p{i}") for i, cost in enumerate(costs, start=1)]
+    report = check_tail_hypothesis(CostFromInput(), 2, 2, pairs=pairs)
+    assert (report.worst_mass, report.worst_pair) == (worst, named)
+    assert type(report.worst_mass) is Fraction
+    assert report.ok is (worst < Fraction(1, 4)) and report.pairs_checked == len(costs)
 
 
 @pytest.mark.parametrize("n,threshold", [(2, 4), (4, 6)])
@@ -498,7 +524,7 @@ BAD_SIZES = {
     "fractional sample count":
         lambda: sample_distribution(SendAllReplyProtocol(2), *_PAIR, samples=2.5),
     "fractional moment order":
-        lambda: empirical_moments(SendAllReplyProtocol(2), [_PAIR], k_max=1.5),
+        lambda: cost_law(SendAllReplyProtocol(2), *_PAIR).moment(1.5),
     "fractional cell index n": lambda: cell_index_width(2.5),
     "fractional reject witness n": lambda: n0_upper_bound(2.5),
     "fractional moment order bound": lambda: moment_bound(4, 1.5),
