@@ -9,6 +9,10 @@ action; Alice is asked first.  Every run is a pure function of
 (protocol, input_A, input_B, lambda), which is what makes transcripts
 replayable by a single party during certificate verification.
 
+`run` trusts only its own transcript entries, party constants and bits that
+`Action` has checked, and does not validate them again; every other
+`Transcript` is checked.
+
 Costs count every transmitted bit from both parties.  A run that exceeds
 its bit budget raises NonHaltingError instead of truncating.  On a finite
 space the law of the cost T for one input pair is one `cost_law`: its
@@ -264,10 +268,10 @@ def run(protocol: Protocol, input_a, input_b, lam, *,
     """Execute one deterministic run and record outputs, transcript, cost."""
     if cap is None:
         cap = protocol.default_cap(input_a, input_b)
-    # per-party state, indexed 0 = Alice, 1 = Bob
+    # per-party state, indexed 0 = Alice, 1 = Bob; bits heard are the tuple `step` reads
     parties = (ALICE, BOB)
     own_input = (input_a, input_b)
-    received: tuple[list, list] = ([], [])
+    received: list[tuple[int, ...]] = [(), ()]
     acted_at = [-1, -1]
     outputs: list[Optional[int]] = [None, None]
     entries: list[tuple[Party, int]] = []
@@ -279,7 +283,7 @@ def run(protocol: Protocol, input_a, input_b, lam, *,
             if outputs[index] is not None or acted_at[index] >= len(heard):
                 continue  # halted, or nothing new since its last action
             party = parties[index]
-            action = protocol.step(party, own_input[index], lam, tuple(heard))
+            action = protocol.step(party, own_input[index], lam, heard)
             if not isinstance(action, Action):
                 raise ProtocolError(f"step returned {type(action).__name__}, not Action")
             acted_at[index] = len(heard)
@@ -293,7 +297,7 @@ def run(protocol: Protocol, input_a, input_b, lam, *,
                         f"{protocol.name} exceeded the {cap}-bit budget",
                         partial_transcript=Transcript(tuple(entries)),
                     )
-                received[1 - index].extend(send)
+                received[1 - index] += send
             if action.output is not None:
                 outputs[index] = action.output
         if not progressed:
@@ -302,7 +306,8 @@ def run(protocol: Protocol, input_a, input_b, lam, *,
                 f"(transcript so far: {Transcript(tuple(entries)).tokens()!r})"
             )
 
-    transcript = Transcript(tuple(entries))
+    transcript = object.__new__(Transcript)  # entries the runner built, not validated again
+    object.__setattr__(transcript, "entries", tuple(entries))
     return RunRecord(outputs[0], outputs[1], transcript, len(transcript), lam)
 
 

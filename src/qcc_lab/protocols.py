@@ -71,6 +71,12 @@ def _floor_scaled(lam, scale: int) -> int:
     return num * scale // den
 
 
+# `SendAllReplyProtocol.step`'s shared actions: wait, Alice's output per bit, Bob's per outcome
+_WAIT = Action()
+_ALICE_OUTPUTS = (Action(output=-1), Action(output=1))
+_BOB_REPLIES = tuple(Action(send=((1 + y_a) // 2,), output=y_b) for y_a, y_b in OUTCOMES)
+
+
 @dataclass(frozen=True, eq=False)
 class SendAllReplyProtocol(Protocol):
     """Alice sends all n coordinate bits; Bob samples the law and replies.
@@ -93,6 +99,7 @@ class SendAllReplyProtocol(Protocol):
         object.__setattr__(self, "n", n)
         space = RandomnessSpace.uniform(tuple(Fraction(k, n**3) for k in range(n**3)))
         object.__setattr__(self, "lambda_space", space)
+        object.__setattr__(self, "_sends", {})  # Alice's send per vector index
 
     def _own_vector(self, value) -> SignVector:
         vec = value if isinstance(value, SignVector) else SignVector(tuple(value))
@@ -104,11 +111,17 @@ class SendAllReplyProtocol(Protocol):
         own = self._own_vector(own_input)
         if party is ALICE:
             if not received:
-                return Action(send=own.to_bits())
-            return Action(output=2 * received[0] - 1)
+                send = self._sends.get(own.index)
+                if send is None:
+                    send = self._sends[own.index] = Action(send=own.to_bits())
+                return send
+            bit = received[0]
+            if type(bit) is int and 0 <= bit <= 1:
+                return _ALICE_OUTPUTS[bit]
+            return Action(output=2 * bit - 1)  # built and checked afresh: +/-1 or refused
         n = self.n
         if len(received) < n:
-            return Action()  # still waiting for Alice's coordinates
+            return _WAIT  # still waiting for Alice's coordinates
         heard = received[:n]
         if not _BITS.issuperset(heard):
             raise InvariantError(f"received bits must be 0/1, got {heard}")
@@ -118,8 +131,7 @@ class SendAllReplyProtocol(Protocol):
         cuts = _cumulative_law(n, 2 * sum(compress(coords, heard)) - sum(coords))
         # the outcome is indexed by the number of cuts at or below lam; for an
         # integer cut c, c / n^3 <= lam iff c <= floor(lam n^3)
-        y_a, y_b = OUTCOMES[bisect.bisect_right(cuts, _floor_scaled(lam, n**3))]
-        return Action(send=((1 + y_a) // 2,), output=y_b)
+        return _BOB_REPLIES[bisect.bisect_right(cuts, _floor_scaled(lam, n**3))]
 
     def outcome_table(self, input_a, input_b):
         a = self._own_vector(input_a)
@@ -148,6 +160,18 @@ def _normal_rows(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return rng.standard_normal(out=out)
 
 
+def _unit_rows(rng: np.random.Generator, draws: np.ndarray) -> np.ndarray:
+    """(l1, l2) rows, shape (2, k, 3), each row of zero norm redrawn in C order
+    (l1's first) until none is left, then divided by their norms in place."""
+    norms = np.linalg.norm(draws, axis=-1, keepdims=True)
+    while not (norms > 0).all():
+        bad = (norms <= 0)[..., 0]
+        draws[bad] = _normal_rows(rng, np.empty((int(bad.sum()), 3)))
+        norms = np.linalg.norm(draws, axis=-1, keepdims=True)
+    draws /= norms
+    return draws
+
+
 class SpherePairSampler:
     """Sampled-mode randomness: two independent uniform unit 3-vectors.
 
@@ -159,8 +183,9 @@ class SpherePairSampler:
     """
 
     def sample(self, rng: np.random.Generator) -> tuple[tuple, tuple]:
-        *_, (_, lam1, lam2) = self.blocks(rng, 1)  # the last block holds the final row
-        return tuple(float(x) for x in lam1[0]), tuple(float(x) for x in lam2[0])
+        """One pair, read from the generator as `blocks(rng, 1)` reads it."""
+        draws = _unit_rows(rng, _normal_rows(rng, np.empty((2, 1, 3))))
+        return tuple(draws[0, 0].tolist()), tuple(draws[1, 0].tolist())
 
     def blocks(self, rng: np.random.Generator, count: int):
         """Yield (rows, l1, l2): unit 3-vectors for the sample positions
@@ -198,13 +223,7 @@ class SpherePairSampler:
         if degenerate:  # astronomically rare with a true normal stream; the
             # generator is past l2 here, where the one-shot draw leaves it
             rows = np.concatenate([positions for positions, _ in degenerate])
-            draws = np.concatenate([raw for _, raw in degenerate], axis=1)
-            norms = np.linalg.norm(draws, axis=-1, keepdims=True)
-            while not (norms > 0).all():
-                bad = (norms <= 0)[..., 0]
-                draws[bad] = _normal_rows(rng, np.empty((int(bad.sum()), 3)))
-                norms = np.linalg.norm(draws, axis=-1, keepdims=True)
-            draws /= norms
+            draws = _unit_rows(rng, np.concatenate([raw for _, raw in degenerate], axis=1))
             yield rows, draws[0], draws[1]
 
 

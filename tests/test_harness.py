@@ -1,6 +1,7 @@
 """Runner contract: eligibility, transcripts, distributions, cost laws."""
 
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +14,11 @@ from qcc_lab.harness import (ALICE, BOB, Action, CheckResult, Party, Protocol,
                              Scenario, Transcript, _law_errors,
                              check_exact_blqms, cost_law, output_distribution,
                              run, sample_distribution, tail_mass)
+from qcc_lab.dj import promise_pairs
 from qcc_lab.oracle import JointProbs, SignVector
-from qcc_lab.protocols import SendAllReplyProtocol
+from qcc_lab.protocols import (ConstantProtocol, SendAllReplyProtocol, SpherePairSampler,
+                               TonerBaconProtocol)
+from qcc_lab.reduction import partition_inputs
 
 
 class TwoBranch(Protocol):
@@ -406,6 +410,7 @@ def test_run_matches_reference_runner(script, default_a, default_b, lam, cap):
     cap = 64 if cap is None else cap  # the default cap of sizeless inputs
     if isinstance(got, RunRecord):
         assert got.transcript.entries == expected.transcript.entries
+        assert_checked_transcript(got)
         assert got.t == len(got.transcript) <= max(cap, 0)
     elif got[0] is NonHaltingError:
         assert len(got[2]) == max(cap, 0)
@@ -417,12 +422,64 @@ def test_run_matches_reference_on_fixed_scripts():
                             (ALICE, 1): ((1,), True), (BOB, 3): ((0, 1), True)})
     record = run(interleaved, None, None, 0)
     assert record == reference_run(interleaved, None, None, 0)
+    assert_checked_transcript(record)
     assert record.transcript.tokens() == "A1A1B0A1B0B1"
     assert (record.y_a, record.y_b, record.t) == (1, -1, 6)  # parities 0 and 3
     stalled = Scripted({(ALICE, 0): ((1,), False)})
     for runner in (run, reference_run):
         with pytest.raises(ProtocolError, match="deadlocked.*'A1'"):
             runner(stalled, None, None, 0)
+
+
+def assert_checked_transcript(record):
+    """The runner's transcript, built without validation, is the one the
+    validating constructor makes of its entries: (Party, int) pairs."""
+    transcript = record.transcript
+    assert transcript == Transcript(transcript.entries)
+    assert type(transcript.entries) is tuple and record.t == len(transcript)
+    assert all(type(entry) is tuple and len(entry) == 2 for entry in transcript.entries)
+    assert all(type(party) is Party and type(bit) is int for party, bit in transcript.entries)
+
+
+def test_runner_transcripts_pass_the_validating_constructor():
+    """send_all_reply on every promise pair and grid point at n = 4,
+    toner_bacon at 200 sampled points, and constant."""
+    records = []
+    sar = SendAllReplyProtocol(4)
+    for a, b in promise_pairs(4):
+        records += [run(sar, a, b, lam) for lam in sar.lambda_space.points]
+    assert len(records) == 112 * 64
+    rng = np.random.default_rng(3)
+    a, b = (0.0, 0.0, 1.0), (0.6, 0.0, 0.8)
+    records += [run(TonerBaconProtocol(), a, b, SpherePairSampler().sample(rng))
+                for _ in range(200)]
+    records += [run(ConstantProtocol(y_a, y_b), None, None, 0)
+                for y_a in (1, -1) for y_b in (1, -1)]
+    for record in records:
+        assert_checked_transcript(record)
+    assert {record.t for record in records} == {5, 1, 0}
+
+
+def test_partition_validates_no_transcript_and_shares_actions(monkeypatch):
+    """No timing: the partition's 1,024 generic runs at n = 4 validate no
+    Transcript and build at most 2^n + 7 Actions, not three per run."""
+    built = Counter()
+    for cls in (Action, Transcript):
+        def counted(self, check=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            check(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    n = 4
+    protocol = SendAllReplyProtocol(n)
+    partition = partition_inputs(protocol, n, 6)
+    assert partition.cell_count == 1 and len(partition.cells[0].vectors) == 2**n
+    assert built["Transcript"] == 0
+    assert 2**n <= built["Action"] <= 2**n + 7 < 3 * 2**n * n**3
+    # the counters see every construction: a refusal validates its transcript
+    Transcript(((ALICE, 1),))
+    with pytest.raises(NonHaltingError):
+        run(Babbler(), None, None, 0, cap=2)
+    assert built["Transcript"] == 2
 
 
 def test_exact_checking_requires_finite_space():

@@ -2,6 +2,8 @@
 
 import bisect
 import math
+import re
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from qcc_lab import harness, protocols
 from qcc_lab.dj import promise_pairs
-from qcc_lab.errors import InvariantError, PromiseViolationError
-from qcc_lab.harness import (BOB, OUTCOMES, Action, RandomnessSpace, Scenario,
+from qcc_lab.errors import InvariantError, PromiseViolationError, ProtocolError
+from qcc_lab.harness import (ALICE, BOB, OUTCOMES, Action, RandomnessSpace, Scenario,
                              check_exact_blqms, cost_law, output_distribution,
                              run, sample_distribution)
 from qcc_lab.oracle import JointProbs, SignVector, joint_plus_probability
@@ -156,6 +158,41 @@ def test_send_all_reply_bob_checks_the_heard_bits():
         p.step(BOB, SignVector.parse("++"), lam, (1, 1, 1, 1))  # wrong length
     assert p.step(BOB, b, lam, (1, 1, 1)) == Action()  # still listening
     assert p.step(BOB, b, lam, (1, 1, 1, 1)) == Action((1,), output=1)
+
+
+def test_send_all_reply_shares_frozen_actions():
+    """The wait, Alice's outputs, Bob's replies and one send per vector are
+    shared frozen Actions; a heard bit that is not an int 0/1 is checked afresh."""
+    n = 4
+    p = SendAllReplyProtocol(n)
+    vectors = list(SignVector.all_vectors(n))
+    lams = p.lambda_space.points
+    sends = [p.step(ALICE, a, lams[0], ()) for a in vectors]
+    assert sends == [Action(a.to_bits()) for a in vectors]
+    for a, send in zip(vectors, sends):  # a fresh equal vector, another point
+        assert p.step(ALICE, SignVector(a.coords), lams[-1], ()) is send
+    assert len(set(map(id, sends))) == len(p._sends) == 2**n
+    a = vectors[5]
+    outputs = [p.step(ALICE, a, lams[0], (bit,)) for bit in (0, 1)]
+    assert outputs == [Action(output=-1), Action(output=1)]
+    assert p.step(ALICE, vectors[9], lams[7], (1, 0)) is outputs[1]
+    replies = {p.step(BOB, a, lam, a.to_bits()) for lam in lams}  # a.b = n
+    replies |= {p.step(BOB, a, lam, vectors[3].to_bits()) for lam in lams}  # a.b = 0
+    assert len(replies) == 4 and len(set(map(id, replies))) == 4
+    wait = p.step(BOB, a, lams[0], (1, 0))
+    assert wait == Action() and p.step(BOB, vectors[2], lams[9], ()) is wait
+    for action in (*sends, *outputs, *replies, wait):
+        with pytest.raises(FrozenInstanceError):
+            action.send = (0,)
+        with pytest.raises(FrozenInstanceError):
+            action.output = 1
+    assert sends == [Action(a.to_bits()) for a in vectors]
+    # heard bits that are not an int 0/1 build their own Action, whose checks refuse them
+    assert p.step(ALICE, a, lams[0], (True,)) == Action(output=1)
+    for bit, shown in ((2, "3"), (-1, "-3"), (1.0, "1.0"), (np.int64(0), repr(np.int64(-1)))):
+        refusal = f"output must be the int \\+1 or -1, got {re.escape(shown)}$"
+        with pytest.raises(ProtocolError, match=refusal):
+            p.step(ALICE, a, lams[0], (bit,))
 
 
 def test_send_all_reply_bob_reads_the_dot_from_bits():
@@ -319,6 +356,33 @@ def test_block_sampler_redraws_zero_norms_in_stream_order(seed, count, monkeypat
         ref1, ref2 = one_shot_pairs(ref_rng, 1, zero_below_minus_one)
         assert SpherePairSampler().sample(rng) == (tuple(ref1[0]), tuple(ref2[0]))
         assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_sample_draws_the_row_of_a_one_row_block(degenerate, monkeypatch):
+    """`sample` draws one pair directly: the rows and the generator end state
+    of `blocks(rng, 1)`, zero norms redrawn l1's first, over successive draws."""
+    draw_rows, calls = protocols._normal_rows, []
+
+    def rows(rng, out):
+        calls.append(out.shape)
+        out = draw_rows(rng, out)
+        return zero_below_minus_one(out) if degenerate else out
+
+    monkeypatch.setattr(protocols, "_normal_rows", rows)
+    redrawn = 0
+    for seed in range(40):
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            ref1, ref2 = block_pairs(ref_rng, 1)
+            calls.clear()
+            lam1, lam2 = SpherePairSampler().sample(rng)
+            redrawn += len(calls) > 1
+            assert (lam1, lam2) == (tuple(ref1[0]), tuple(ref2[0]))
+            assert all(type(x) is float for x in lam1 + lam2)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.random() == ref_rng.random()
+    assert (redrawn > 20) == degenerate  # the filter zeroes about one row in six
 
 
 def test_toner_bacon_step_matches_batch_rows():
