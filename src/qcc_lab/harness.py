@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import abc
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -200,15 +200,15 @@ class RandomnessSpace:
         return len(self.points)
 
     @cached_property
-    def _cdf(self) -> np.ndarray:
+    def _cdf(self) -> tuple[float, ...]:
         """Float CDF, exactly 1.0 from the last positive weight on, so every
         draw in [0, 1) lands on a point of positive weight."""
         cdf = np.cumsum(np.array([float(w) for w in self.weights]))
         cdf[np.flatnonzero(self.numerators)[-1]:] = 1.0
-        return cdf
+        return tuple(cdf.tolist())
 
     def sample_index(self, rng: np.random.Generator) -> int:
-        return int(self._cdf.searchsorted(rng.random(), side="right"))
+        return bisect_right(self._cdf, rng.random())
 
     def sample(self, rng: np.random.Generator):
         return self.points[self.sample_index(rng)]

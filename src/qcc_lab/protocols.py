@@ -66,6 +66,8 @@ def _exact_law(n: int, dot: int) -> JointProbs:
 
 def _floor_scaled(lam, scale: int) -> int:
     """floor(lam * scale), exact for int, Fraction and float lam."""
+    if type(lam) is Fraction:  # every grid point
+        return lam.numerator * scale // lam.denominator
     num, den = (lam.as_integer_ratio() if isinstance(lam, float)
                 else (lam.numerator, lam.denominator))
     return num * scale // den
@@ -108,7 +110,9 @@ class SendAllReplyProtocol(Protocol):
         return vec
 
     def step(self, party: Party, own_input, lam, received: tuple[int, ...]) -> Action:
-        own = self._own_vector(own_input)
+        own = own_input  # a built SignVector of length n is taken as it is
+        if type(own) is not SignVector or len(own.coords) != self.n:
+            own = self._own_vector(own_input)
         if party is ALICE:
             if not received:
                 send = self._sends.get(own.index)
@@ -160,16 +164,59 @@ def _normal_rows(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     return rng.standard_normal(out=out)
 
 
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Each row's Euclidean norm, shape (..., 1): sqrt((x^2 + y^2) + z^2),
+    summed in the order `np.linalg.norm(rows, axis=-1)` sums, so equal to it
+    bit for bit, without its copies."""
+    squares = rows * rows
+    norms = squares[..., 0:1] + squares[..., 1:2]
+    norms += squares[..., 2:3]
+    return np.sqrt(norms, out=norms)
+
+
 def _unit_rows(rng: np.random.Generator, draws: np.ndarray) -> np.ndarray:
-    """(l1, l2) rows, shape (2, k, 3), each row of zero norm redrawn in C order
-    (l1's first) until none is left, then divided by their norms in place."""
-    norms = np.linalg.norm(draws, axis=-1, keepdims=True)
+    """Rows of 3 (any leading shape), each row of zero norm redrawn in C order
+    until none is left, then divided by their norms in place."""
+    norms = _norms(draws)
     while not (norms > 0).all():
         bad = (norms <= 0)[..., 0]
         draws[bad] = _normal_rows(rng, np.empty((int(bad.sum()), 3)))
-        norms = np.linalg.norm(draws, axis=-1, keepdims=True)
+        norms = _norms(draws)
     draws /= norms
     return draws
+
+
+def _unit_blocks(rng: np.random.Generator, count: int):
+    """Yield (start, rows, zero) over the generator's next `count` rows of 3,
+    in blocks of at most `_BLOCK_ROWS`: `rows` is one reused buffer, valid
+    until the next block, holding the block's rows divided by their norms,
+    and `zero` indexes the rows of zero norm in it, left as drawn."""
+    buf = np.empty((max(1, min(count, _BLOCK_ROWS)), 3))
+    for start in range(0, count, len(buf)):
+        rows = _normal_rows(rng, buf[:count - start])
+        norms = _norms(rows)
+        zero = np.flatnonzero(~(norms > 0))
+        norms[zero] = 1.0  # astronomically rare with a true normal stream
+        rows /= norms
+        yield start, rows, zero
+
+
+def _signs(positive: np.ndarray, out=None) -> np.ndarray:
+    """+1 where `positive` holds, else -1, as int64 (written into `out` if
+    given): 2 x - 1 in place, without `np.where`'s scalar broadcasts."""
+    out = np.multiply(positive, 2, out=out, dtype=np.int64)
+    out -= 1
+    return out
+
+
+def _bob_outputs(plus1, bl1, plus2, bl2, out=None) -> np.ndarray:
+    """Bob's sgn(b.l1 + c b.l2), c = sgn(a.l1) sgn(a.l2), from the signs
+    sgn(a.l1) > 0 and sgn(a.l2) > 0 and the products b.l1 and b.l2; `bl2` is
+    overwritten, and `out` may share `bl1`'s memory.  This is
+    sgn(b.(l1 + c l2)), the products reassociated."""
+    np.negative(bl2, out=bl2, where=plus1 != plus2)
+    bl2 += bl1
+    return _signs(bl2 >= 0, out)
 
 
 class SpherePairSampler:
@@ -178,53 +225,15 @@ class SpherePairSampler:
     `count` pairs read the generator as one `normal(size=(2, count, 3))`
     draw would: all of l1, then all of l2, then one fresh row for each row
     of zero norm, l1's before l2's in row order, until none is left.  Each
-    row is then divided by its `np.linalg.norm`, and the generator is left
-    where that one-shot draw leaves it.
+    row is then divided by its norm, and the generator is left where that
+    one-shot draw leaves it.  `TonerBaconProtocol.batch_outcomes` reads the
+    stream in this order in blocks, and `sample` reads one pair.
     """
 
     def sample(self, rng: np.random.Generator) -> tuple[tuple, tuple]:
-        """One pair, read from the generator as `blocks(rng, 1)` reads it."""
+        """One pair, read from the generator as a one-pair draw reads it."""
         draws = _unit_rows(rng, _normal_rows(rng, np.empty((2, 1, 3))))
         return tuple(draws[0, 0].tolist()), tuple(draws[1, 0].tolist())
-
-    def blocks(self, rng: np.random.Generator, count: int):
-        """Yield (rows, l1, l2): unit 3-vectors for the sample positions
-        `rows`, a slice per block of at most `_BLOCK_ROWS` in order, then one
-        index array of the positions redrawn for a zero norm, whose rows
-        replace the degenerate ones yielded before.  l1 and l2 are views of
-        one reused buffer, valid until the next block is drawn, and `rng` is
-        not to be drawn from until the last block is read.
-        """
-        # the generator reads l1 and l2 in step from two saved states, the
-        # second found by drawing all of l1 once and throwing it away
-        bits = rng.bit_generator
-        size = max(1, min(count, _BLOCK_ROWS))
-        buf = np.empty((2, size, 3))
-        at_l1 = bits.state
-        for start in range(0, count, size):
-            _normal_rows(rng, buf[0, :min(size, count - start)])
-        at_l2 = bits.state
-        degenerate = []  # (positions, raw (l1, l2) rows) of rare zero norms
-        for start in range(0, count, size):
-            stop = min(start + size, count)
-            draws = buf[:, :stop - start]
-            bits.state = at_l1
-            _normal_rows(rng, draws[0])
-            at_l1, bits.state = bits.state, at_l2
-            _normal_rows(rng, draws[1])
-            at_l2 = bits.state
-            norms = np.linalg.norm(draws, axis=-1, keepdims=True)
-            bad = np.flatnonzero(~(norms > 0).all(axis=0))
-            if bad.size:  # kept as drawn, and divided by 1 until the redraw
-                degenerate.append((start + bad, draws[:, bad]))
-                norms[:, bad] = 1.0
-            draws /= norms
-            yield slice(start, stop), draws[0], draws[1]
-        if degenerate:  # astronomically rare with a true normal stream; the
-            # generator is past l2 here, where the one-shot draw leaves it
-            rows = np.concatenate([positions for positions, _ in degenerate])
-            draws = _unit_rows(rng, np.concatenate([raw for _, raw in degenerate], axis=1))
-            yield rows, draws[0], draws[1]
 
 
 def _unit3(value) -> np.ndarray:
@@ -270,17 +279,41 @@ class TonerBaconProtocol(Protocol):
         return Action(output=_sgn(float(own @ (lam1 + c * lam2))))
 
     def batch_outcomes(self, input_a, input_b, rng, count: int):
+        # two passes over the stream in its one-shot order: the l1 pass writes
+        # y_a and keeps b.l1 in y_b's own buffer, read as floats, and the l2
+        # pass writes y_b over it; rows where l1 or l2 had zero norm are
+        # finished after the redraws, from the products kept for them
         a, b = _unit3(input_a), _unit3(input_b)
         y_a = np.empty(count, dtype=np.int64)
         y_b = np.empty(count, dtype=np.int64)
-        for rows, lam1, lam2 in self.lambda_space.blocks(rng, count):
-            plus = lam1 @ a >= 0  # sgn(a.l1) = +1
-            # l1 + c l2 with c = sgn(a.l1) sgn(a.l2); a float c gives the same
-            # products without an int-to-float cast per entry
-            bob = lam2 * np.where(plus == (lam2 @ a >= 0), 1.0, -1.0)[:, None]
-            bob += lam1
-            y_a[rows] = np.where(plus, -1, 1)
-            y_b[rows] = np.where(bob @ b >= 0, 1, -1)
+        bl1 = y_b.view(np.float64)
+        zero1 = [np.empty(0, dtype=np.intp)]
+        for start, lam1, zero in _unit_blocks(rng, count):
+            stop = start + len(lam1)
+            _signs(lam1 @ a < 0, y_a[start:stop])  # -sgn(a.l1)
+            np.matmul(lam1, b, out=bl1[start:stop])
+            zero1.append(start + zero)
+        zero1 = np.concatenate(zero1)
+        zero2, kept = [], []  # kept: (rows, b.l1, sgn(a.l2) > 0, b.l2) to redo
+        for start, lam2, zero in _unit_blocks(rng, count):
+            stop = start + len(lam2)
+            plus2, bl2 = lam2 @ a >= 0, lam2 @ b
+            lo, hi = np.searchsorted(zero1, (start, stop))
+            if lo < hi or zero.size:
+                redo = np.union1d(zero1[lo:hi] - start, zero)
+                kept.append((start + redo, bl1[start + redo], plus2[redo], bl2[redo]))
+                zero2.append(start + zero)
+            _bob_outputs(y_a[start:stop] < 0, bl1[start:stop], plus2, bl2, y_b[start:stop])
+        if kept:  # the redraws, l1's rows first, where the one-shot draw reads them
+            rows, bl1, plus2, bl2 = map(np.concatenate, zip(*kept))
+            zero2 = np.concatenate(zero2)
+            fresh = _unit_rows(rng, _normal_rows(rng, np.empty((len(zero1) + len(zero2), 3))))
+            new1, new2 = fresh[:len(zero1)], fresh[len(zero1):]
+            y_a[zero1] = _signs(new1 @ a < 0)
+            at1, at2 = np.searchsorted(rows, zero1), np.searchsorted(rows, zero2)
+            bl1[at1] = new1 @ b
+            plus2[at2], bl2[at2] = new2 @ a >= 0, new2 @ b
+            y_b[rows] = _bob_outputs(y_a[rows] < 0, bl1, plus2, bl2)
         return y_a, y_b, np.broadcast_to(np.int64(1), (count,))  # read-only, no copy
 
 

@@ -24,6 +24,7 @@ from qcc_lab.oracle import (BinaryObservable, DensityMatrix, ExpectationTriple,
                             sign_vector_observable, sign_vector_projector,
                             singlet)
 from qcc_lab.protocols import SendAllReplyProtocol
+from qcc_lab.tolerances import OPERATOR_ATOL
 
 
 # --- rational matrices ----------------------------------------------------
@@ -283,6 +284,32 @@ def test_observable_projector_conversion():
     q = Projector(RationalMatrix(np.array([[0, 0], [0, huge]], dtype=object), huge))
     assert projector_to_observable(q).entries.equals(
         RationalMatrix(np.array([[-1, 0], [0, 1]]), 1))
+
+
+def test_observable_to_projector_skips_checks_it_would_pass(monkeypatch):
+    """(A + 1)/2 of a validated observable is built without the projector
+    checks, and the validating constructor accepts the same entries: exact
+    sign-vector observables, Bloch observables, and a float observable whose
+    square is off the identity by almost OPERATOR_ATOL."""
+    edge = BinaryObservable(np.diag([1 + 0.99 * OPERATOR_ATOL / 2, -1.0]))
+    observables = [sign_vector_observable(v) for v in SignVector.all_vectors(4)]
+    observables += [bloch_observable(u) for u in ((0, 0, 1), (0.6, 0, 0.8), (0, -1, 0))]
+    observables.append(edge)
+    checks = []
+    validate = Projector.__post_init__
+    monkeypatch.setattr(Projector, "__post_init__",
+                        lambda self: (checks.append(self), validate(self))[1])
+    for obs in observables:
+        fast = observable_to_projector(obs)
+        assert not checks and fast._sign_vector is None and fast.exact == obs.exact
+        checked = Projector(fast.entries)
+        assert len(checks) == 1
+        checks.clear()
+        if obs.exact:
+            assert projector_to_observable(fast).entries.equals(obs.entries)
+        else:
+            assert not fast.entries.flags.writeable
+            np.testing.assert_array_equal(checked.entries, (obs.entries + np.eye(obs.dim)) / 2)
 
 
 def test_observable_requires_involution():

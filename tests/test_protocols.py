@@ -285,12 +285,12 @@ def reference_outcomes(a, b, lam1, lam2):
     return -s1, np.where((lam1 + s1[:, None] * s2[:, None] * lam2) @ b >= 0, 1, -1)
 
 
-def block_pairs(rng, count):
-    """The block sampler's rows gathered into two arrays, later blocks winning."""
-    lam1, lam2 = np.full((count, 3), np.nan), np.full((count, 3), np.nan)
-    for rows, l1, l2 in SpherePairSampler().blocks(rng, count):
-        lam1[rows], lam2[rows] = l1, l2
-    return lam1, lam2
+class NormalsOnly:
+    """A generator that offers nothing but `standard_normal`: a sampler that
+    saves or restores `bit_generator.state` fails on it."""
+
+    def __init__(self, rng):
+        self.standard_normal = rng.standard_normal
 
 
 def zero_below_minus_one(draws):
@@ -305,22 +305,39 @@ BLOCK_COUNTS = (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 11)
 TB_A, TB_B = np.array([0.0, 0.0, 1.0]), np.array([0.6, 0.0, 0.8])
 
 
+def test_row_norms_equal_linalg_norm_bit_for_bit():
+    """The sampler's explicit row norms are `np.linalg.norm(rows, axis=-1)`
+    exactly, at every scale from subnormal squares to overflow, and on zeros."""
+    rows = np.random.default_rng(3).normal(size=(4, 5000, 3))
+    rows *= np.array([1.0, 1e-160, 1e-300, 1e154])[:, None, None]
+    rows[:, :10] = 0.0
+    with np.errstate(over="ignore"):
+        reference = np.linalg.norm(rows, axis=-1, keepdims=True)
+        assert np.array_equal(protocols._norms(rows), reference)
+    assert np.isinf(reference).any() and (reference == 0).any()
+
+
 @pytest.mark.parametrize("count", BLOCK_COUNTS)
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_block_sampler_matches_one_shot_draw(seed, count):
-    """Same rows, same outputs, and the generator left where one draw leaves it."""
-    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    ref1, ref2 = one_shot_pairs(ref_rng, count)
-    lam1, lam2 = block_pairs(rng, count)
-    assert np.array_equal(lam1, ref1) and np.array_equal(lam2, ref2)
-    assert rng.random() == ref_rng.random()
+def test_block_sampler_matches_one_shot_draw(seed, count, monkeypatch):
+    """With no zero norm the sampler reads 2 count rows, l1's then l2's, in
+    blocks of at most `_BLOCK_ROWS`, through `standard_normal` alone: the
+    one-shot draw's outputs, and the generator left in its end state."""
+    draw_rows, drawn = protocols._normal_rows, []
 
+    def rows(rng, out):
+        drawn.append(len(out))
+        return draw_rows(rng, out)
+
+    monkeypatch.setattr(protocols, "_normal_rows", rows)
     ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    y_a, y_b, t = TonerBaconProtocol().batch_outcomes(TB_A, TB_B, rng, count)
+    y_a, y_b, t = TonerBaconProtocol().batch_outcomes(TB_A, TB_B, NormalsOnly(rng), count)
     ref_a, ref_b = reference_outcomes(TB_A, TB_B, *one_shot_pairs(ref_rng, count))
     assert np.array_equal(y_a, ref_a) and np.array_equal(y_b, ref_b)
+    assert y_a.dtype == y_b.dtype == np.int64
     assert t.shape == (count,) and (t == 1).all()
-    assert rng.random() == ref_rng.random()
+    assert sum(drawn) == 2 * count and max(drawn) <= BLOCK
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("count", [1, BLOCK + 1, 2 * BLOCK + 11])
@@ -340,16 +357,10 @@ def test_block_sampler_redraws_zero_norms_in_stream_order(seed, count, monkeypat
     assert np.allclose(np.linalg.norm(np.stack([ref1, ref2]), axis=-1), 1)
 
     rng = np.random.default_rng(seed)
-    lam1, lam2 = block_pairs(rng, count)
-    assert np.array_equal(lam1, ref1) and np.array_equal(lam2, ref2)
-    assert rng.random() == ref_rng.random()
-
-    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    y_a, y_b, _ = TonerBaconProtocol().batch_outcomes(TB_A, TB_B, rng, count)
-    ref_a, ref_b = reference_outcomes(TB_A, TB_B, *one_shot_pairs(
-        ref_rng, count, zero_below_minus_one))
+    y_a, y_b, _ = TonerBaconProtocol().batch_outcomes(TB_A, TB_B, NormalsOnly(rng), count)
+    ref_a, ref_b = reference_outcomes(TB_A, TB_B, ref1, ref2)
     assert np.array_equal(y_a, ref_a) and np.array_equal(y_b, ref_b)
-    assert rng.random() == ref_rng.random()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     if count == 1:  # one pair per `sample`, also when its row is redrawn
         ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -361,7 +372,8 @@ def test_block_sampler_redraws_zero_norms_in_stream_order(seed, count, monkeypat
 @pytest.mark.parametrize("degenerate", [False, True])
 def test_sample_draws_the_row_of_a_one_row_block(degenerate, monkeypatch):
     """`sample` draws one pair directly: the rows and the generator end state
-    of `blocks(rng, 1)`, zero norms redrawn l1's first, over successive draws."""
+    of a one-pair one-shot draw, zero norms redrawn l1's first, over
+    successive draws."""
     draw_rows, calls = protocols._normal_rows, []
 
     def rows(rng, out):
@@ -374,7 +386,8 @@ def test_sample_draws_the_row_of_a_one_row_block(degenerate, monkeypatch):
     for seed in range(40):
         ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(5):
-            ref1, ref2 = block_pairs(ref_rng, 1)
+            ref1, ref2 = one_shot_pairs(
+                ref_rng, 1, zero_below_minus_one if degenerate else lambda draws: draws)
             calls.clear()
             lam1, lam2 = SpherePairSampler().sample(rng)
             redrawn += len(calls) > 1
@@ -392,13 +405,10 @@ def test_toner_bacon_step_matches_batch_rows():
     b = (0.6, 0.0, 0.8)
     count = 500
     y_a, y_b, t = p.batch_outcomes(a, b, np.random.default_rng(21), count)
-    seen = 0
-    for rows, lam1, lam2 in SpherePairSampler().blocks(np.random.default_rng(21), count):
-        for i, l1, l2 in zip(np.arange(count)[rows], lam1, lam2):
-            rec = run(p, a, b, (tuple(l1), tuple(l2)))
-            assert (rec.y_a, rec.y_b, rec.t) == (y_a[i], y_b[i], t[i])
-            seen += 1
-    assert seen == count
+    lam1, lam2 = one_shot_pairs(np.random.default_rng(21), count)
+    for i, (l1, l2) in enumerate(zip(lam1, lam2)):
+        rec = run(p, a, b, (tuple(l1), tuple(l2)))
+        assert (rec.y_a, rec.y_b, rec.t) == (y_a[i], y_b[i], t[i])
     assert (t == 1).all()
 
 
