@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import string
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional, Union
@@ -349,6 +349,18 @@ class Projector:
             if residue > OPERATOR_ATOL:
                 raise InvariantError(f"projector deviates from idempotence by {residue:.3e}")
 
+    @classmethod
+    def _unchecked(cls, entries: MatrixData) -> "Projector":
+        """A projector on `entries`, which the caller knows pass the checks
+        above, built without running them; every other field takes its
+        default, as the constructor would give it."""
+        proj = object.__new__(cls)
+        for f in fields(cls):
+            default = f.default_factory() if f.default_factory is not MISSING else f.default
+            object.__setattr__(proj, f.name, default)
+        object.__setattr__(proj, "entries", entries)
+        return proj
+
     @property
     def dim(self) -> int:
         return _data_dim(self.entries)
@@ -481,10 +493,7 @@ def observable_to_projector(obs: BinaryObservable) -> Projector:
     else:
         entries = (data + np.eye(data.shape[0])) / 2
         entries.setflags(write=False)
-    proj = object.__new__(Projector)
-    object.__setattr__(proj, "entries", entries)
-    object.__setattr__(proj, "_sign_vector", None)
-    return proj
+    return Projector._unchecked(entries)
 
 
 def projector_to_observable(proj: Projector) -> BinaryObservable:

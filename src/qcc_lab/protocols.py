@@ -66,8 +66,6 @@ def _exact_law(n: int, dot: int) -> JointProbs:
 
 def _floor_scaled(lam, scale: int) -> int:
     """floor(lam * scale), exact for int, Fraction and float lam."""
-    if type(lam) is Fraction:  # every grid point
-        return lam.numerator * scale // lam.denominator
     num, den = (lam.as_integer_ratio() if isinstance(lam, float)
                 else (lam.numerator, lam.denominator))
     return num * scale // den
@@ -110,9 +108,7 @@ class SendAllReplyProtocol(Protocol):
         return vec
 
     def step(self, party: Party, own_input, lam, received: tuple[int, ...]) -> Action:
-        own = own_input  # a built SignVector of length n is taken as it is
-        if type(own) is not SignVector or len(own.coords) != self.n:
-            own = self._own_vector(own_input)
+        own = self._own_vector(own_input)
         if party is ALICE:
             if not received:
                 send = self._sends.get(own.index)
@@ -212,8 +208,9 @@ def _signs(positive: np.ndarray, out=None) -> np.ndarray:
 def _bob_outputs(plus1, bl1, plus2, bl2, out=None) -> np.ndarray:
     """Bob's sgn(b.l1 + c b.l2), c = sgn(a.l1) sgn(a.l2), from the signs
     sgn(a.l1) > 0 and sgn(a.l2) > 0 and the products b.l1 and b.l2; `bl2` is
-    overwritten, and `out` may share `bl1`'s memory.  This is
-    sgn(b.(l1 + c l2)), the products reassociated."""
+    overwritten, and `out` may share `bl1`'s memory.  This reassociates
+    `step`'s sgn(b.(l1 + c l2)): the two round differently, so they can
+    disagree only where Bob's value lies within rounding of 0."""
     np.negative(bl2, out=bl2, where=plus1 != plus2)
     bl2 += bl1
     return _signs(bl2 >= 0, out)

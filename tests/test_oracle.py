@@ -3,6 +3,7 @@
 import copy
 import pickle
 import re
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -301,9 +302,12 @@ def test_observable_to_projector_skips_checks_it_would_pass(monkeypatch):
                         lambda self: (checks.append(self), validate(self))[1])
     for obs in observables:
         fast = observable_to_projector(obs)
-        assert not checks and fast._sign_vector is None and fast.exact == obs.exact
+        assert not checks and fast.exact == obs.exact
         checked = Projector(fast.entries)
         assert len(checks) == 1
+        for f in fields(Projector):  # every field the validating build sets
+            if f.name != "entries":
+                assert getattr(fast, f.name) == getattr(checked, f.name), f.name
         checks.clear()
         if obs.exact:
             assert projector_to_observable(fast).entries.equals(obs.entries)

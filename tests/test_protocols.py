@@ -399,7 +399,11 @@ def test_sample_draws_the_row_of_a_one_row_block(degenerate, monkeypatch):
 
 
 def test_toner_bacon_step_matches_batch_rows():
-    """The vectorized sampler and the step function agree draw for draw."""
+    """The vectorized sampler and the step function agree on these draws.
+
+    The sampler's Bob output reassociates `step`'s sgn(b.(l1 + c l2)) as
+    sgn(b.l1 + c b.l2); the two could differ only where Bob's value lies
+    within rounding of 0, and none of these draws does."""
     p = TonerBaconProtocol()
     a = (0.0, 0.0, 1.0)
     b = (0.6, 0.0, 0.8)
