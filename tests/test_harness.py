@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcc_lab.errors import InvariantError, NonHaltingError, ProtocolError
-from qcc_lab.harness import (ALICE, BOB, Action, CheckResult, Party, Protocol,
+from qcc_lab import harness
+from qcc_lab.harness import (ALICE, BOB, Action, BlqmsReport, CheckResult, Party, Protocol,
                              OUTCOMES, RandomnessSpace, RunRecord, SampleStats,
-                             Scenario, Transcript, _law_errors,
+                             Scenario, ScenarioResult, Transcript, _law_errors,
                              check_exact_blqms, cost_law, output_distribution,
-                             run, sample_distribution, tail_mass)
-from qcc_lab.dj import promise_pairs
+                             pair_label, run, sample_distribution, tail_mass)
+from qcc_lab.dj import promise_pairs, promise_scenarios
 from qcc_lab.oracle import JointProbs, SignVector
 from qcc_lab.protocols import (ConstantProtocol, SendAllReplyProtocol, SpherePairSampler,
                                TonerBaconProtocol)
@@ -678,3 +679,79 @@ def test_law_errors_match_fraction_equality(computed, target):
     got, want = _law_errors(computed, target), _law_errors_reference(computed, target)
     assert got == want
     assert [type(x) for x in got] == [type(x) for x in want]
+
+
+def reference_check_exact(protocol, scenarios):
+    """`check_exact_blqms` in exact mode with `_law_errors` called on every pair."""
+    count, worst, failures = 0, 0, []
+    for s in scenarios:
+        computed = output_distribution(protocol, s.input_a, s.input_b)
+        error_max, error_pp = _law_errors(computed, s.target)
+        count += 1
+        worst = max(worst, error_max)
+        if error_max:
+            failures.append(ScenarioResult(pair_label(s.input_a, s.input_b), computed, s.target,
+                                           float(error_max), float(error_pp), error_pp == 0))
+    return BlqmsReport(count, tuple(failures), float(worst), "exact", None, None)
+
+
+class LawByName(Protocol):
+    """A closed-form law that hands back one shared `LAWS` object per name, as
+    the cached laws of the promise family do."""
+
+    name = "law_by_name"
+    lambda_space = RandomnessSpace.uniform((0,))
+
+    def step(self, party, own, lam, received):
+        return Action(output=1)
+
+    def exact_distribution(self, input_a, input_b):
+        return LAWS[input_a]
+
+
+# (law the protocol returns, target) per pair, the target a shared `LAWS` object
+# unless it is a distinct copy
+MEMO_STREAMS = {
+    # the same target object right after a passing pair, a different failing law
+    "target kept, law fails": [("fraction", "fraction"), ("fraction other", "fraction"),
+                               ("fraction", "fraction")],
+    # the same law object against a different target, failing then passing
+    "law kept, target moves": [("fraction", "fraction"), ("fraction", "fraction near"),
+                               ("fraction", "fraction other"), ("fraction", "fraction")],
+    "law kept after a failure": [("int", "fraction"), ("int", "fraction"),
+                                 ("fraction near", "fraction"),
+                                 ("fraction near", "fraction near"),
+                                 ("fraction near", "fraction near")],
+    # an equal target that is a distinct object is compared again
+    "equal target copied": [("fraction other", "fraction"), ("fraction other", "fraction copy")],
+}
+
+
+def _memo_target(name):
+    if name == "fraction copy":
+        return JointProbs(*LAWS["fraction"].as_dict().values())
+    return LAWS[name]
+
+
+@pytest.mark.parametrize("stream", MEMO_STREAMS.values(), ids=MEMO_STREAMS.keys())
+def test_law_audit_memo_hides_no_failure(stream):
+    scenarios = [Scenario(law, str(index), _memo_target(target))
+                 for index, (law, target) in enumerate(stream)]
+    report = check_exact_blqms(LawByName(), scenarios)
+    assert report == reference_check_exact(LawByName(), scenarios)
+    assert report.failures  # every stream has a failing pair
+
+
+def test_law_audit_compares_each_repeated_pair_of_laws_once(monkeypatch):
+    expected = reference_check_exact(SendAllReplyProtocol(4), promise_scenarios(4))
+    calls = Counter()
+
+    def counted(computed, target):
+        calls["_law_errors"] += 1
+        return _law_errors(computed, target)
+
+    monkeypatch.setattr(harness, "_law_errors", counted)
+    report = check_exact_blqms(SendAllReplyProtocol(4), promise_scenarios(4))
+    # per vector a, the diagonal pair and the first of its a.b = 0 pairs are new
+    assert (report.scenarios, calls["_law_errors"]) == (112, 2 * 2**4)
+    assert report == expected
