@@ -57,6 +57,8 @@ BOB = Party.BOB
 # (y_A, y_B) in JointProbs order; also the order of cumulative quantile cuts
 OUTCOMES = ((1, 1), (-1, 1), (1, -1), (-1, -1))
 _BITS = frozenset((0, 1))
+# the four transcript entries, shared by every transcript: [sender, 0 = Alice][bit]
+_ENTRY = tuple(((party, 0), (party, 1)) for party in (ALICE, BOB))
 
 
 @dataclass(frozen=True)
@@ -65,12 +67,17 @@ class Action:
 
     send: tuple[int, ...] = ()
     output: Optional[int] = None
+    # `send` as transcript entries, one tuple per sender, 0 = Alice and 1 = Bob
+    _entries: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         send = tuple(self.send)
         if not _members(_BITS, send):
             raise ProtocolError(f"sent bits must be 0/1, got {send}")
-        object.__setattr__(self, "send", tuple(map(int, send)))
+        send = tuple(map(int, send))
+        object.__setattr__(self, "send", send)
+        object.__setattr__(self, "_entries", tuple(
+            tuple(map(entry.__getitem__, send)) for entry in _ENTRY))
         output = self.output  # an int, so True and 1.0 are refused
         if output is not None and (type(output) is not int or output not in (-1, 1)):
             raise ProtocolError(f"output must be the int +1 or -1, got {output!r}")
@@ -139,6 +146,13 @@ class RunRecord:
     transcript: Transcript
     t: int
     lam: object
+
+    @classmethod
+    def _unchecked(cls, y_a, y_b, transcript, t, lam) -> "RunRecord":
+        """The record the constructor builds, without its frozen-field `__init__`."""
+        record = object.__new__(cls)
+        vars(record).update(y_a=y_a, y_b=y_b, transcript=transcript, t=t, lam=lam)
+        return record
 
     @property
     def g(self) -> int:
@@ -269,6 +283,7 @@ def run(protocol: Protocol, input_a, input_b, lam, *,
     if cap is None:
         cap = protocol.default_cap(input_a, input_b)
     # per-party state, indexed 0 = Alice, 1 = Bob; bits heard are the tuple `step` reads
+    step = protocol.step
     parties = (ALICE, BOB)
     own_input = (input_a, input_b)
     received: list[tuple[int, ...]] = [(), ()]
@@ -282,21 +297,21 @@ def run(protocol: Protocol, input_a, input_b, lam, *,
             heard = received[index]
             if outputs[index] is not None or acted_at[index] >= len(heard):
                 continue  # halted, or nothing new since its last action
-            party = parties[index]
-            action = protocol.step(party, own_input[index], lam, heard)
+            action = step(parties[index], own_input[index], lam, heard)
             if not isinstance(action, Action):
                 raise ProtocolError(f"step returned {type(action).__name__}, not Action")
             acted_at[index] = len(heard)
             progressed = True
             send = action.send
             if send:
-                room = max(cap - len(entries), 0)
-                entries.extend([(party, bit) for bit in send[:room]])
-                if len(send) > room:
+                if len(entries) + len(send) > cap:
+                    room = max(cap - len(entries), 0)
+                    entries += action._entries[index][:room]
                     raise NonHaltingError(
                         f"{protocol.name} exceeded the {cap}-bit budget",
                         partial_transcript=Transcript(tuple(entries)),
                     )
+                entries += action._entries[index]
                 received[1 - index] += send
             if action.output is not None:
                 outputs[index] = action.output
@@ -307,8 +322,8 @@ def run(protocol: Protocol, input_a, input_b, lam, *,
             )
 
     transcript = object.__new__(Transcript)  # entries the runner built, not validated again
-    object.__setattr__(transcript, "entries", tuple(entries))
-    return RunRecord(outputs[0], outputs[1], transcript, len(transcript), lam)
+    vars(transcript)["entries"] = tuple(entries)
+    return RunRecord._unchecked(outputs[0], outputs[1], transcript, len(entries), lam)
 
 
 def _finite_space(protocol: Protocol, audit: str) -> RandomnessSpace:

@@ -64,10 +64,28 @@ def _exact_law(n: int, dot: int) -> JointProbs:
     return JointProbs(*(Fraction(c, cube) for c in (c1, c2 - c1, c3 - c2, cube - c3)))
 
 
+@lru_cache(maxsize=None)
+def _outcome_columns(n: int, dot: int) -> tuple[np.ndarray, ...]:
+    """`outcome_table`'s read-only (y_a, y_b, t) columns over the n^3 grid,
+    cached like `_exact_law`: two keys per n, off-promise a.b raises and is not kept."""
+    law = _cumulative_law(n, dot)
+    # the point k / n^3 is at or past the cut c / n^3 iff k >= c, so each
+    # outcome covers a run of consecutive grid points
+    cube = n**3
+    outcomes = np.repeat(np.array(OUTCOMES), np.diff([0, *law, cube]), axis=0)
+    columns = outcomes[:, 0], outcomes[:, 1], np.full(cube, n + 1)
+    for column in columns:
+        column.setflags(write=False)
+    return columns
+
+
 def _floor_scaled(lam, scale: int) -> int:
-    """floor(lam * scale), exact for int, Fraction and float lam."""
-    num, den = (lam.as_integer_ratio() if isinstance(lam, float)
-                else (lam.numerator, lam.denominator))
+    """floor(lam * scale), exact for int, Fraction and finite float lam."""
+    try:
+        num, den = (lam.as_integer_ratio() if isinstance(lam, float)
+                    else (lam.numerator, lam.denominator))
+    except (ValueError, OverflowError):  # nan, +inf and -inf have no ratio
+        raise InvariantError(f"randomness point must be finite, got {lam!r}") from None
     return num * scale // den
 
 
@@ -97,6 +115,7 @@ class SendAllReplyProtocol(Protocol):
         if n < 2 or n % 2:
             raise InvariantError(f"n must be even and at least 2, got {n}")
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_cube", n**3)  # grid size, and the scale of every cut
         space = RandomnessSpace.uniform(tuple(Fraction(k, n**3) for k in range(n**3)))
         object.__setattr__(self, "lambda_space", space)
         object.__setattr__(self, "_sends", {})  # Alice's send per vector index
@@ -131,17 +150,12 @@ class SendAllReplyProtocol(Protocol):
         cuts = _cumulative_law(n, 2 * sum(compress(coords, heard)) - sum(coords))
         # the outcome is indexed by the number of cuts at or below lam; for an
         # integer cut c, c / n^3 <= lam iff c <= floor(lam n^3)
-        return _BOB_REPLIES[bisect.bisect_right(cuts, _floor_scaled(lam, n**3))]
+        return _BOB_REPLIES[bisect.bisect_right(cuts, _floor_scaled(lam, self._cube))]
 
     def outcome_table(self, input_a, input_b):
         a = self._own_vector(input_a)
         b = self._own_vector(input_b)
-        law = _cumulative_law(self.n, a.dot(b))
-        # the point k / n^3 is at or past the cut c / n^3 iff k >= c, so each
-        # outcome covers a run of consecutive grid points
-        cube = self.n**3
-        outcomes = np.repeat(np.array(OUTCOMES), np.diff([0, *law, cube]), axis=0)
-        return outcomes[:, 0], outcomes[:, 1], np.full(cube, self.n + 1)
+        return _outcome_columns(self.n, a.dot(b))
 
     def exact_distribution(self, input_a, input_b) -> JointProbs:
         a = self._own_vector(input_a)

@@ -334,13 +334,20 @@ class Scripted(Protocol):
 
     name = "scripted"
 
-    def __init__(self, script, defaults=None):
+    def __init__(self, script, defaults=None, shared=None):
         self.script = script
         self.defaults = defaults or {ALICE: ((), False), BOB: ((), False)}
+        self.shared = shared  # a dict: one Action per (send, output), for both parties
 
     def step(self, party, own, lam, received):
         send, halt = self.script.get((party, len(received)), self.defaults[party])
-        return Action(send, output=(-1) ** (sum(received) + lam) if halt else None)
+        output = (-1) ** (sum(received) + lam) if halt else None
+        if self.shared is None:
+            return Action(send, output=output)
+        key = (tuple(send), output)
+        if key not in self.shared:
+            self.shared[key] = Action(send, output=output)
+        return self.shared[key]
 
 
 def reference_run(protocol, input_a, input_b, lam, *, cap=None):
@@ -400,14 +407,17 @@ _SCRIPTS = st.dictionaries(st.tuples(st.sampled_from([ALICE, BOB]), st.integers(
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(script=_SCRIPTS, default_a=_MOVES, default_b=_MOVES, lam=st.integers(0, 3),
-       cap=st.one_of(st.none(), st.integers(-1, 12)))
-def test_run_matches_reference_runner(script, default_a, default_b, lam, cap):
+       cap=st.one_of(st.none(), st.integers(-1, 12)), shared=st.booleans())
+def test_run_matches_reference_runner(script, default_a, default_b, lam, cap, shared):
     """Records, transcripts, cap hits (partial transcripts included) and
-    deadlocks agree with the dict-based reference runner."""
-    protocol = Scripted(script, {ALICE: default_a, BOB: default_b})
+    deadlocks agree with the dict-based reference runner, also when both
+    parties are handed one shared Action per (send, output)."""
+    protocol = Scripted(script, {ALICE: default_a, BOB: default_b}, {} if shared else None)
     got = _outcome(run, protocol, lam, cap)
     expected = _outcome(reference_run, protocol, lam, cap)
     assert got == expected
+    for action in (protocol.shared or {}).values():
+        assert_plain_action(action)
     cap = 64 if cap is None else cap  # the default cap of sizeless inputs
     if isinstance(got, RunRecord):
         assert got.transcript.entries == expected.transcript.entries
@@ -430,6 +440,27 @@ def test_run_matches_reference_on_fixed_scripts():
     for runner in (run, reference_run):
         with pytest.raises(ProtocolError, match="deadlocked.*'A1'"):
             runner(stalled, None, None, 0)
+    # one Action object sends Alice's bits and then Bob's, tagged with each sender
+    shared = {}
+    echo = Scripted({(ALICE, 0): ((1, 1), True), (BOB, 2): ((1, 1), True)}, shared=shared)
+    record = run(echo, None, None, 0)
+    assert len(shared) == 1 and record == reference_run(echo, None, None, 0)
+    assert record.transcript.tokens() == "A1A1B1B1" and (record.y_a, record.y_b) == (1, 1)
+    assert_checked_transcript(record)
+    for cap in (1, 3):
+        with pytest.raises(NonHaltingError) as info:
+            run(echo, None, None, 0, cap=cap)
+        assert info.value.partial_transcript.tokens() == "A1A1B1B1"[:2 * cap]
+    assert_plain_action(*shared.values())
+
+
+def assert_plain_action(action):
+    """The entries an Action keeps for the runner leave its ==, hash and
+    repr those of its send and output alone."""
+    plain = Action(action.send, output=action.output)
+    assert action == plain and hash(action) == hash(plain) == hash((action.send, action.output))
+    assert repr(action) == f"Action(send={action.send!r}, output={action.output!r})"
+    assert action != Action(action.send + (1,), output=action.output)
 
 
 def assert_checked_transcript(record):

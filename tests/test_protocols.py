@@ -20,7 +20,7 @@ from qcc_lab.oracle import JointProbs, SignVector, joint_plus_probability
 from qcc_lab.protocols import (PROTOCOL_NAMES, ConstantProtocol,
                                SendAllReplyProtocol, SpherePairSampler,
                                TonerBaconProtocol, _cumulative_law, _exact_law,
-                               make_protocol)
+                               _outcome_columns, make_protocol)
 
 
 # --- send_all_reply ----------------------------------------------------------
@@ -259,6 +259,37 @@ def test_law_cache_has_two_keys_per_n():
     assert laws.currsize == 2 and laws.misses == 3 and laws.hits == 18_176 - 2
     run(SendAllReplyProtocol(4), SignVector.parse("++--"), SignVector.parse("++--"), 0)
     assert _cumulative_law.cache_info().currsize == 3
+
+
+def test_outcome_table_is_one_read_only_table_per_dot():
+    """Pairs with equal n and a.b share one cached table, whose columns are
+    read-only; an off-promise pair raises and leaves nothing in the cache."""
+    _outcome_columns.cache_clear()
+    p = SendAllReplyProtocol(4)
+    a, b, c = (SignVector.parse(text) for text in ("++++", "++--", "+-+-"))
+    equal, orthogonal = p.outcome_table(a, a), p.outcome_table(a, b)
+    for first, second in ((equal, p.outcome_table(c, c)),
+                          (orthogonal, SendAllReplyProtocol(4).outcome_table(b, c))):
+        assert all(x is y for x, y in zip(first, second))
+    for column in (*equal, *orthogonal):
+        assert not column.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0
+    with pytest.raises(PromiseViolationError, match="a.b = 2"):
+        p.outcome_table(a, SignVector.parse("+++-"))
+    info = _outcome_columns.cache_info()
+    assert info.currsize == 2 and info.misses == 3 and info.hits == 2
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
+def test_send_all_reply_refuses_a_point_that_is_not_finite(lam):
+    p = SendAllReplyProtocol(4)
+    a = SignVector.parse("++--")
+    refusal = f"randomness point must be finite, got {lam!r}"
+    with pytest.raises(InvariantError, match=refusal):
+        p.step(BOB, a, lam, a.to_bits())
+    with pytest.raises(InvariantError, match=refusal):
+        run(p, a, a, lam)
 
 
 # --- toner_bacon -------------------------------------------------------------
