@@ -345,9 +345,9 @@ def _run_rows(protocol: Protocol, input_a, input_b, points) -> tuple[np.ndarray,
 
 
 def _rows(table, count: int, hook: str) -> tuple[np.ndarray, ...]:
-    """A hook's (y_a, y_b, t) as int64 arrays: three 1-D integer columns of
-    `count` >= 1 entries, no cost negative.  Outputs other than +/-1 are left
-    to the law's sum check, which refuses them wherever y is read."""
+    """A hook's (y_a, y_b, t) as given, uncopied at their own dtypes: three 1-D
+    integer columns of `count` >= 1 entries, no cost negative.  Outputs other than
+    +/-1 are left to the law's sum check, which refuses them wherever y is read."""
     try:
         columns = [np.asarray(column) for column in table]
     except (TypeError, ValueError) as exc:
@@ -357,7 +357,7 @@ def _rows(table, count: int, hook: str) -> tuple[np.ndarray, ...]:
         raise ProtocolError(f"{hook} returned {[f'{c.dtype}{list(c.shape)}' for c in columns]}; "
                             f"(y_a, y_b, t) must be three 1-D integer arrays of {count} "
                             "entries with no negative cost")
-    return tuple(column.astype(np.int64, copy=False) for column in columns)
+    return tuple(columns)
 
 
 def _finite_rows(protocol: Protocol, input_a, input_b) -> tuple[np.ndarray, ...]:

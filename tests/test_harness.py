@@ -239,16 +239,28 @@ def test_malformed_rows_are_refused_naming_the_hook(hook, table):
             audit(p)
 
 
-def test_well_formed_rows_of_any_integer_type_are_read_as_int64():
+def test_well_formed_rows_of_any_integer_type_pass_through_uncopied():
+    """Both hooks' columns are read at their own dtype, never cast or copied,
+    also where a Python int lies outside that dtype's range."""
     p = Tabled()
     for dtype in (np.int8, np.uint8, np.int32, np.int64):
         p.table = tuple(np.array(column, dtype=dtype) for column in ([1, 1], [1, 1], [1, 3]))
+        rows = harness._rows(p.table, 2, "outcome_table")
+        assert all(np.shares_memory(row, column) for row, column in zip(rows, p.table))
         assert tail_mass(p, None, None, 3) == Fraction(1, 2)
+        assert tail_mass(p, None, None, 300) == 0
         law = cost_law(p, None, None)
         assert (law.costs, law.masses, law.moment(1), law.moment(2)) == ((1, 3), (1, 1), 2, 5)
         assert all(type(value) is int for value in law.costs + law.masses)
         stats = sample_distribution(p, None, None, samples=2)
         assert (stats.t_mean, stats.t_max, stats.probs.p_pp) == (2.0, 3, 1.0)
+    # -1 outputs at one byte each, and a uint8 cost at and past a threshold of 300
+    p.table = (np.array([-1, 1], np.int8), np.array([-1, -1], np.int8),
+               np.array([255, 3], np.uint8))
+    assert output_distribution(p, None, None) == JointProbs(0, 0, Fraction(1, 2), Fraction(1, 2))
+    stats = sample_distribution(p, None, None, samples=2)
+    assert (stats.probs, stats.t_mean, stats.t_max) == (JointProbs(0, 0, 0.5, 0.5), 129.0, 255)
+    assert tail_mass(p, None, None, 300) == 0 and tail_mass(p, None, None, 255) == Fraction(1, 2)
     # outputs other than +/-1 pass the row check; the law's sum check refuses them
     p.table = ([1, 0], [1, 1], [1, 3])
     for audit in (lambda: output_distribution(p, None, None),

@@ -3,6 +3,7 @@
 import bisect
 import math
 import re
+import tracemalloc
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -281,11 +282,14 @@ def test_outcome_table_is_one_read_only_table_per_dot():
     assert info.currsize == 2 and info.misses == 3 and info.hits == 2
 
 
-@pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf"),
+                                 np.float32(0.5), "0.5", None])
 def test_send_all_reply_refuses_a_point_that_is_not_finite(lam):
+    """A point that is not a finite int, float or Fraction raises a lab error."""
     p = SendAllReplyProtocol(4)
     a = SignVector.parse("++--")
-    refusal = f"randomness point must be finite, got {lam!r}"
+    kind = "finite" if isinstance(lam, float) else "an int, float or Fraction"
+    refusal = re.escape(f"randomness point must be {kind}, got {lam!r}")
     with pytest.raises(InvariantError, match=refusal):
         p.step(BOB, a, lam, a.to_bits())
     with pytest.raises(InvariantError, match=refusal):
@@ -332,7 +336,9 @@ def zero_below_minus_one(draws):
 
 
 BLOCK = protocols._BLOCK_ROWS
-BLOCK_COUNTS = (1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 11)
+SPAN = 2**16  # a multiple of the block size: counts around it end on, before and past a block
+assert SPAN % BLOCK == 0
+BLOCK_COUNTS = (1, BLOCK - 1, BLOCK, BLOCK + 1, SPAN - 1, SPAN, SPAN + 1, 3 * SPAN + 11)
 TB_A, TB_B = np.array([0.0, 0.0, 1.0]), np.array([0.6, 0.0, 0.8])
 
 
@@ -365,13 +371,26 @@ def test_block_sampler_matches_one_shot_draw(seed, count, monkeypatch):
     y_a, y_b, t = TonerBaconProtocol().batch_outcomes(TB_A, TB_B, NormalsOnly(rng), count)
     ref_a, ref_b = reference_outcomes(TB_A, TB_B, *one_shot_pairs(ref_rng, count))
     assert np.array_equal(y_a, ref_a) and np.array_equal(y_b, ref_b)
-    assert y_a.dtype == y_b.dtype == np.int64
+    assert y_a.dtype == y_b.dtype == np.int8
     assert t.shape == (count,) and (t == 1).all()
     assert sum(drawn) == 2 * count and max(drawn) <= BLOCK
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("count", [1, BLOCK + 1, 2 * BLOCK + 11])
+def test_block_sampler_allocates_ten_bytes_per_row():
+    """Two one-byte outputs and one float b.l1 per row, plus a few blocks of
+    temporaries: the traced peak over several blocks and a remainder."""
+    count = 8 * BLOCK + 3
+    tracemalloc.start()
+    try:
+        TonerBaconProtocol().batch_outcomes(TB_A, TB_B, np.random.default_rng(4), count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * count + 5 * BLOCK * 3 * 8  # five blocks of rows of three doubles
+
+
+@pytest.mark.parametrize("count", [1, BLOCK + 1, SPAN + 1, 2 * SPAN + 11])
 @pytest.mark.parametrize("seed", [0, 1, 8])  # at count 1: none, l2's row, l1's row
 def test_block_sampler_redraws_zero_norms_in_stream_order(seed, count, monkeypatch):
     """Rows of zero norm in both halves are redrawn after all of l2, l1's first,

@@ -468,13 +468,15 @@ def test_verify_catches_promise_violation_as_reject():
     assert not res and "protocol rejected" in res.reason
 
 
-@pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf"),
+                                 np.float32(0.5), "0.5", None])
 def test_verify_rejects_a_table_point_that_is_not_finite(lam):
     p, part, _ = build_fixture(4, 6)
     a = SignVector.parse("++--")
     cert = build_certificate(a, part, p)
     res = verify_certificate(BOB, a, cert, DerandomizationTable(4, (lam,) * part.cell_count), p)
-    assert not res and res.reason.startswith("protocol rejected: randomness point must be finite")
+    kind = "finite" if isinstance(lam, float) else "an int, float or Fraction"
+    assert not res and res.reason.startswith(f"protocol rejected: randomness point must be {kind}")
 
 
 def test_m_of_n_frozen_values():
