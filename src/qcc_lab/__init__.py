@@ -7,12 +7,12 @@ from .errors import (DimensionMismatchError, InvariantError, NonHaltingError,
 from .tolerances import OPERATOR_ATOL, TRACE_ATOL
 from .oracle import (BinaryObservable, DensityMatrix, ExpectationTriple,
                      JointProbs, Projector, RationalMatrix, SignVector,
-                     bloch_observable, dj_target_probability,
-                     expectations_to_probs, joint_plus_probability,
-                     maximally_entangled, observable_to_projector,
-                     predict_expectations, predict_joint_probs,
-                     probs_to_expectations, projector_to_observable,
-                     sign_vector_observable, sign_vector_projector, singlet)
+                     bloch_observable, expectations_to_probs,
+                     joint_plus_probability, maximally_entangled,
+                     observable_to_projector, predict_expectations,
+                     predict_joint_probs, probs_to_expectations,
+                     projector_to_observable, sign_vector_observable,
+                     sign_vector_projector, singlet)
 from .harness import (ALICE, BOB, Action, BlqmsReport, CheckResult, CostLaw,
                       Party, Protocol, RandomnessSpace, RunRecord, SampleStats,
                       Scenario, ScenarioResult, Transcript, check_exact_blqms,
@@ -20,9 +20,9 @@ from .harness import (ALICE, BOB, Action, BlqmsReport, CheckResult, CostLaw,
                       sample_distribution, tail_mass)
 from .protocols import (PROTOCOL_NAMES, ConstantProtocol, SendAllReplyProtocol,
                         SpherePairSampler, TonerBaconProtocol, make_protocol)
-from .dj import (RejectCertificate, auy_check, auy_min_n1, check_promise,
-                 eval_f, n0_certificate, n0_upper_bound, n0_verify,
-                 n1_lower_bound, promise_pairs, promise_scenarios)
+from .dj import (RejectCertificate, auy_min_n1, check_promise, n0_certificate,
+                 n0_upper_bound, n0_verify, n1_lower_bound, promise_pairs,
+                 promise_scenarios)
 from .reduction import (DerandomizationTable, DjCertificate, Partition,
                         PartitionCell, TailReport, build_certificate,
                         cell_index_width, check_tail_hypothesis,
@@ -43,12 +43,11 @@ __all__ = [
     "QccLabError", "RandomnessSpace", "RationalMatrix", "RejectCertificate",
     "RunRecord", "SampleStats", "Scenario", "ScenarioResult",
     "SendAllReplyProtocol", "SignVector", "SpherePairSampler", "TailReport",
-    "TonerBaconProtocol", "Transcript", "auy_check", "auy_min_n1",
+    "TonerBaconProtocol", "Transcript", "auy_min_n1",
     "bloch_observable", "build_certificate", "cell_index_width",
     "check_exact_blqms", "check_promise", "check_tail_hypothesis",
     "contradiction_holds", "contradiction_threshold", "cost_law",
-    "dj_target_probability", "eval_f", "expectations_to_probs",
-    "joint_plus_probability", "m_of_n", "make_protocol",
+    "expectations_to_probs", "joint_plus_probability", "m_of_n", "make_protocol",
     "maximally_entangled", "moment_bound", "moment_bound_forms",
     "n0_certificate", "n0_upper_bound",
     "n0_verify", "n1_lower_bound", "observable_to_projector",

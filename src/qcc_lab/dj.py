@@ -32,11 +32,6 @@ def check_promise(a: SignVector, b: SignVector) -> int:
     return dot
 
 
-def eval_f(a: SignVector, b: SignVector) -> int:
-    """Task value: 1 when the vectors agree everywhere, else 0."""
-    return 1 if check_promise(a, b) == a.n else 0
-
-
 def promise_pairs(n: int) -> Iterator[tuple[SignVector, SignVector]]:
     """All ordered promise pairs: (a, a) plus every b agreeing on half.
 
@@ -145,13 +140,6 @@ def n1_lower_bound(n: int) -> float:
     if n < 2:
         raise InvariantError(f"n must be at least 2, got {n}")
     return 0.007 * n / (math.log2(n) + 3) - 1
-
-
-def auy_check(d: float, n0: float, n1: float) -> bool:
-    """Sanity gate D <= (N0 + 1)(N1 + 1) relating the three cost measures."""
-    if min(d, n0, n1) < 0:
-        raise InvariantError("cost measures must be nonnegative")
-    return d <= (n0 + 1) * (n1 + 1)
 
 
 def auy_min_n1(d: float, n0: float) -> float:

@@ -124,18 +124,6 @@ class Transcript:
         """Dump as a string over the four tokens A0, A1, B0, B1."""
         return "".join(f"{p.value}{b}" for p, b in self.entries)
 
-    @classmethod
-    def from_tokens(cls, text: str) -> "Transcript":
-        if len(text) % 2:
-            raise InvariantError(f"token string has odd length: {text!r}")
-        entries = []
-        for i in range(0, len(text), 2):
-            who, bit = text[i], text[i + 1]
-            if who not in "AB" or bit not in "01":
-                raise InvariantError(f"bad token {text[i:i+2]!r} at offset {i}")
-            entries.append((Party(who), int(bit)))
-        return cls(tuple(entries))
-
 
 @dataclass(frozen=True)
 class RunRecord:

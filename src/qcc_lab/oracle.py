@@ -38,7 +38,6 @@ projectors are never recognized by value.
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -46,7 +45,7 @@ from typing import Iterator, Optional, Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvariantError, PromiseViolationError
+from .errors import DimensionMismatchError, InvariantError
 from .tolerances import OPERATOR_ATOL, TRACE_ATOL
 
 Array = np.ndarray
@@ -234,21 +233,6 @@ class SignVector:
             return cls(tuple(1 if ch == "+" else -1 for ch in text))
         raise InvariantError(f"cannot parse sign vector from {text!r}")
 
-    def to_hex(self) -> str:
-        """Bits (1+c)/2 packed MSB-first, zero-padded to whole hex digits."""
-        return format(self.index, f"0{(self.n + 3) // 4}x")
-
-    @classmethod
-    def from_hex(cls, text: str, n: int) -> "SignVector":
-        """Inverse of `to_hex`: hex digits only, no sign or prefix, value below 2^n."""
-        if not text or not set(text) <= set(string.hexdigits):
-            raise InvariantError(f"sign-vector hex must be hex digits, got {text!r}")
-        value = int(text, 16)
-        if value.bit_length() > n:
-            raise InvariantError(f"hex {text!r} does not fit in n = {n} bits")
-        bits = [(value >> (n - 1 - i)) & 1 for i in range(n)]
-        return cls.from_bits(bits)
-
     @classmethod
     def all_vectors(cls, n: int) -> Iterator["SignVector"]:
         """All 2^n sign vectors of length n, lexicographic by bits; a bad n
@@ -406,10 +390,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return _data_dim(self.entries)
-
-    @property
-    def dim_local(self) -> int:
-        return math.isqrt(self.dim)
 
     @property
     def exact(self) -> bool:
@@ -675,15 +655,3 @@ def joint_plus_probability(a: SignVector, b: SignVector) -> Fraction:
     """General closed form (a.b)^2 / n^3 for Pr[y_A = +1 and y_B = +1]."""
     dot = a.dot(b)
     return Fraction(dot * dot, a.n**3)
-
-
-def dj_target_probability(a: SignVector, b: SignVector) -> Fraction:
-    """Promise-case closed form (a.b) / n^2; requires a.b in {0, n}.
-
-    On the promise this coincides with `joint_plus_probability`; off the
-    promise the two differ, so the promise is enforced here.
-    """
-    dot = a.dot(b)
-    if dot not in (0, a.n):
-        raise PromiseViolationError(f"a.b = {dot} violates the promise (must be 0 or {a.n})")
-    return Fraction(dot, a.n * a.n)

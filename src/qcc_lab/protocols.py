@@ -304,6 +304,7 @@ class TonerBaconProtocol(Protocol):
             _signs(lam1 @ a < 0, y_a[start:stop])  # -sgn(a.l1)
             np.matmul(lam1, b, out=bl1[start:stop])
             zero1.append(start + zero)
+        lam1 = zero = None  # free l1's block buffer for the l2 pass (a `del` fails at count 0)
         zero1 = np.concatenate(zero1)
         zero2, kept = [], []  # kept: (rows, b.l1, sgn(a.l2) > 0, b.l2) to redo
         for start, lam2, zero in _unit_blocks(rng, count):

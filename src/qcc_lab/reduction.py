@@ -11,14 +11,9 @@ replay and audit.  The formula evaluators at the bottom quantify why
 such certificates cannot stay short for protocols that are cheap at
 every order.
 
-Certificate wire format (MSB-first, zero-padded to a byte boundary):
-
-    [entry count: 16 bits big-endian]
-    [cell index - 1: ceil(log2(2 n^2)) bits big-endian]
-    [per transcript entry: sender bit (Alice=0, Bob=1), payload bit]
-
-The 16-bit count prefix is framing only; the quoted certificate length
-is index width + 2 * entries, without prefix or padding.
+Certificate length (`DjCertificate.bit_length`): the cell index field,
+ceil(log2(2 n^2)) bits, plus 2 bits per transcript entry, a sender bit
+and a payload bit.
 """
 
 from __future__ import annotations
@@ -35,8 +30,8 @@ import numpy as np
 
 from .dj import promise_pairs
 from .errors import InvariantError, PartitionError, QccLabError
-from .harness import (ALICE, Action, CheckResult, Party, Protocol, Transcript,
-                      _finite_space, _run_rows, cost_law, pair_label, run)
+from .harness import (Action, CheckResult, Party, Protocol, Transcript, _finite_space,
+                      _run_rows, cost_law, pair_label, run)
 from .oracle import SignVector, _integer
 
 
@@ -130,23 +125,6 @@ class Partition:
     def table(self) -> "DerandomizationTable":
         return DerandomizationTable(self.n, tuple(c.lam for c in self.cells))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "threshold_bits": self.threshold_bits,
-            "cell_count": self.cell_count,
-            "within_2n2_bound": self.within_bound,
-            "table_digest": self.table().digest,
-            "cells": [
-                {
-                    "lam_index": cell.lam_index,
-                    "lam": _canon_lambda(cell.lam),
-                    "vectors_hex": [v.to_hex() for v in cell.vectors],
-                }
-                for cell in self.cells
-            ],
-        }
-
 
 def partition_inputs(protocol: Protocol, n: int, threshold_bits: int) -> Partition:
     """Greedy partition: repeatedly take the point accepting the most inputs.
@@ -226,48 +204,11 @@ class DjCertificate:
         if self.j < 1 or self.j - 1 >= 1 << cell_index_width(self.n):
             raise InvariantError(
                 f"cell index {self.j} does not fit {cell_index_width(self.n)} bits")
-        if len(self.transcript) > 0xFFFF:
-            raise InvariantError("transcript too long for the 16-bit count prefix")
 
     @property
     def bit_length(self) -> int:
         """Quoted length: index width + 2 bits per transcript entry."""
         return cell_index_width(self.n) + 2 * len(self.transcript)
-
-    def serialize(self) -> bytes:
-        width = cell_index_width(self.n)
-        value = _append_field(_append_field(0, len(self.transcript), 16), self.j - 1, width)
-        for party, payload in self.transcript:
-            value = _append_field(value, (0 if party is ALICE else 2) | payload, 2)
-        total = 16 + width + 2 * len(self.transcript)
-        return (value << (-total % 8)).to_bytes((total + 7) // 8, "big")
-
-    @classmethod
-    def deserialize(cls, blob: bytes, n: int) -> "DjCertificate":
-        width = cell_index_width(n)
-        if len(blob) < 2:
-            raise InvariantError("certificate shorter than its count prefix")
-        count = int.from_bytes(blob[:2], "big")
-        total = 16 + width + 2 * count
-        if len(blob) != (total + 7) // 8:
-            raise InvariantError(
-                f"certificate is {len(blob)} bytes, expected {(total + 7) // 8}")
-        padding = 8 * len(blob) - total
-        value = int.from_bytes(blob, "big")
-        if value & ((1 << padding) - 1):
-            raise InvariantError("nonzero padding bits")
-        value >>= padding
-        j = (value >> 2 * count) % (1 << width) + 1
-        pairs = ((value >> 2 * k) & 3 for k in reversed(range(count)))
-        entries = tuple((ALICE if pair < 2 else Party.BOB, pair & 1) for pair in pairs)
-        return cls(n, j, Transcript(entries))
-
-
-def _append_field(value: int, part: int, width: int) -> int:
-    """value followed by part as `width` more bits, MSB-first."""
-    if part < 0 or part >= 1 << width:
-        raise InvariantError(f"value {part} does not fit {width} bits")
-    return value << width | part
 
 
 def build_certificate(a: SignVector, partition: Partition,

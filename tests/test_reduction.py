@@ -312,13 +312,12 @@ def test_partition_failure_witness():
 def test_partition_json_and_locator():
     p = SendAllReplyProtocol(2)
     part = partition_inputs(p, 2, 4)
-    blob = part.to_json_dict()
-    assert blob["cell_count"] == 1 and blob["within_2n2_bound"] is True
-    assert blob["table_digest"] == part.table().digest
-    cell = blob["cells"][0]
-    assert cell["lam"] == "0/1"
-    parsed = {SignVector.from_hex(h, 2).coords for h in cell["vectors_hex"]}
-    assert parsed == {v.coords for v in SignVector.all_vectors(2)}
+    assert part.cell_count == 1 and part.within_bound is True
+    assert part.table().digest == DerandomizationTable(2, (Fraction(0),)).digest
+    (cell,) = part.cells
+    assert cell.lam_index == 0 and cell.lam == 0 and type(cell.lam) is Fraction
+    assert set(cell.vectors) == set(SignVector.all_vectors(2))
+    assert all(part.cell_of(v) == (1, cell) for v in SignVector.all_vectors(2))
     with pytest.raises(InvariantError):
         part.cell_of(SignVector.parse("++--"))
 
@@ -343,63 +342,10 @@ def test_certificate_bit_lengths():
     assert DjCertificate(4, 1, five).bit_length == 15
 
 
-def test_certificate_serialize_roundtrip():
-    rng = random.Random(5)
-    for n in (2, 4, 6, 10):
-        for count in range(7):
-            entries = tuple(
-                (ALICE if rng.random() < 0.5 else BOB, rng.randrange(2))
-                for _ in range(count))
-            cert = DjCertificate(n, rng.randrange(1, 2 * n * n + 1),
-                                 Transcript(entries))
-            blob = cert.serialize()
-            assert blob[:2] == count.to_bytes(2, "big")
-            expected_bytes = (16 + cell_index_width(n) + 2 * count + 7) // 8
-            assert len(blob) == expected_bytes
-            assert DjCertificate.deserialize(blob, n) == cert
-
-
-def test_certificate_serialize_pinned_bytes():
-    # count 5 (16 bits) | j - 1 = 22 (5 bits) | A1 A0 A1 A1 B0 as (sender,
-    # payload) pairs 01 00 01 01 10 | one zero padding bit
-    cert = DjCertificate(4, 23, Transcript.from_tokens("A1A0A1A1B0"))
-    assert cert.serialize() == bytes.fromhex("0005b22c")
-    assert DjCertificate.deserialize(bytes.fromhex("0005b22c"), 4) == cert
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(n=st.sampled_from((2, 4, 6, 10)), count=st.integers(0, 20),
-       slack=st.integers(-1, 1), data=st.data())
-def test_certificate_deserialize_arbitrary_bytes(n, count, slack, data):
-    """A count prefix and arbitrary bytes, of the framed length or one off,
-    either decode to a certificate that serializes back to them or are
-    refused with InvariantError."""
-    size = (16 + cell_index_width(n) + 2 * count + 7) // 8 - 2 + slack
-    blob = count.to_bytes(2, "big") + data.draw(st.binary(min_size=size, max_size=size))
-    try:
-        cert = DjCertificate.deserialize(blob, n)
-    except InvariantError:
-        return
-    assert cert.serialize() == blob
-
-
-def test_certificate_serialize_rejects_tampering():
-    cert = DjCertificate(2, 1, Transcript(((ALICE, 1), (ALICE, 0), (BOB, 1))))
-    blob = cert.serialize()
-    with pytest.raises(InvariantError, match="padding"):
-        DjCertificate.deserialize(blob[:-1] + bytes([blob[-1] ^ 1]), 2)
-    with pytest.raises(InvariantError, match="bytes"):
-        DjCertificate.deserialize(blob[:-1], 2)
-    with pytest.raises(InvariantError, match="prefix"):
-        DjCertificate.deserialize(b"\x00", 2)
-
-
 def test_certificate_construction_limits():
     with pytest.raises(InvariantError):
         DjCertificate(2, 9, Transcript(()))  # 3-bit field holds 1..8
     DjCertificate(2, 8, Transcript(()))
-    with pytest.raises(InvariantError):
-        DjCertificate(2, 1, Transcript(((ALICE, 1),) * 65536))
     # n and j are integers before any comparison: no float or bool passes
     for n, j in ((4, 1.5), (4, 2.0), (4, True), (4.0, 1), (True, 1), (4, "1")):
         with pytest.raises(InvariantError,
@@ -408,7 +354,6 @@ def test_certificate_construction_limits():
     cert = DjCertificate(np.int64(4), np.int64(3), Transcript(()))
     assert cert == DjCertificate(4, 3, Transcript(()))
     assert type(cert.n) is int and type(cert.j) is int
-    assert DjCertificate.deserialize(cert.serialize(), 4) == cert
 
 
 def build_fixture(n, threshold):
