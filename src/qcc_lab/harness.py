@@ -104,9 +104,7 @@ class Transcript:
         entries = tuple(self.entries)
         try:
             senders, bits = zip(*entries, strict=True) if entries else ((), ())
-            # counted by identity, so senders that are already a Party skip Party()
-            if senders.count(ALICE) + senders.count(BOB) != len(senders):
-                senders = tuple(map(Party, senders))
+            senders = tuple(map(Party, senders))
         except (TypeError, ValueError):
             raise InvariantError("entries must be (sender, bit) pairs, sender A or B") from None
         if not _members(_BITS, bits):
@@ -252,7 +250,8 @@ class Protocol(abc.ABC):
         per point of `lambda_space` in its order, no cost negative, matching `run`.
 
         Return None to use the generic per-point runner.  Implementations
-        must agree with `run` exactly; tests replay random points.
+        must agree with `run` exactly; `tests/test_conformance.py` compares
+        them with `run` at every point of every promise pair up to n = 4.
         """
         return None
 

@@ -248,6 +248,18 @@ class SpherePairSampler:
         return tuple(draws[0, 0].tolist()), tuple(draws[1, 0].tolist())
 
 
+def _sphere_points(lam) -> tuple[np.ndarray, np.ndarray]:
+    """toner_bacon's randomness point (l1, l2) as two finite 3-vectors."""
+    try:
+        lam1, lam2 = (np.asarray(part, dtype=float) for part in lam)
+    except (TypeError, ValueError, OverflowError):  # not a pair, or a part not numeric
+        pass
+    else:
+        if lam1.shape == lam2.shape == (3,) and np.isfinite(lam1).all() and np.isfinite(lam2).all():
+            return lam1, lam2
+    raise InvariantError(f"randomness point must be two finite 3-vectors, got {lam!r}")
+
+
 def _unit3(value) -> np.ndarray:
     vec = np.asarray(value, dtype=float)
     if vec.shape != (3,):
@@ -280,7 +292,7 @@ class TonerBaconProtocol(Protocol):
 
     def step(self, party: Party, own_input, lam, received: tuple[int, ...]) -> Action:
         own = _unit3(own_input)
-        lam1, lam2 = (np.asarray(part, dtype=float) for part in lam)
+        lam1, lam2 = _sphere_points(lam)
         if party is ALICE:
             s1 = _sgn(float(own @ lam1))
             s2 = _sgn(float(own @ lam2))

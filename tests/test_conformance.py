@@ -1,0 +1,217 @@
+"""One conformance suite over every registered protocol.
+
+`CASES` gives each name in `PROTOCOLS` one line.  Every check runs on every
+protocol; where one does not apply, the line gives the reason, and the suite
+asserts that the check indeed does not apply.
+"""
+
+import math
+from collections import Counter
+from fractions import Fraction
+from typing import Callable, NamedTuple, Optional
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qcc_lab import harness
+from qcc_lab.dj import promise_pairs
+from qcc_lab.errors import PartitionError, QccLabError
+from qcc_lab.harness import (ALICE, BOB, OUTCOMES, RandomnessSpace, SampleStats, cost_law,
+                             output_distribution, run, sample_distribution)
+from qcc_lab.oracle import JointProbs, SignVector
+from qcc_lab.protocols import PROTOCOL_NAMES, PROTOCOLS, make_protocol, protocol_parameters
+from qcc_lab.reduction import (DerandomizationTable, DjCertificate, build_certificate,
+                               partition_inputs, verify_certificate)
+from test_harness import assert_checked_transcript
+from test_protocols import one_shot_pairs
+
+
+class Case(NamedTuple):
+    params: tuple = ({},)  # make_protocol parameter sets; a parameter n takes each size
+    sizes: tuple = (2, 4)  # the inputs are the promise pairs at each n
+    pairs: tuple = ()  # the inputs, where they are not sign vectors
+    bad_lams: tuple = ()  # randomness points that `run` refuses
+    stream: Optional[Callable] = None  # batch hook's points: (rng, count) -> lambdas, in order
+    not_applicable: dict = {}  # "rows", "exact", "certificates" or "bad_lams" -> why
+
+
+NOT_A_FINITE_NUMBER = (math.nan, math.inf, -math.inf, np.float32(0.5), "0.5", None)
+Z, X, TILTED = (0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.6, 0.0, 0.8)
+CASES = {
+    "constant": Case(
+        params=({}, {"y_b": -1}, {"y_a": -1, "y_b": -1}),
+        not_applicable={"rows": "no outcome_table: the runner plays its one point",
+                        "bad_lams": "it never reads lambda: its outputs are fixed parameters"}),
+    "send_all_reply": Case(bad_lams=NOT_A_FINITE_NUMBER),
+    "toner_bacon": Case(
+        pairs=((Z, TILTED), (Z, X), (TILTED, TILTED)),
+        bad_lams=(None, 0.5, "ab", (Z,), ((math.nan,) * 3, Z), (Z, (math.inf, 0.0, 0.0)),
+                  ((0.0, 1.0), Z)),
+        # one normal(size=(2, count, 3)) draw; the batch reassociates Bob's b.(l1 + c l2), so it
+        # could differ from `run` only where that lies within rounding of 0, and no draw here does
+        stream=lambda rng, count: zip(*one_shot_pairs(rng, count)),
+        not_applicable=dict.fromkeys(
+            ("rows", "exact", "certificates"), "no finite space: lambda is two uniform sphere "
+            "points, and the inputs are unit 3-vectors, not sign vectors")),
+}
+
+
+def built(name, sizes=None):
+    """(protocol, n, input pairs) per parameter set and size; n is None where
+    the line gives its own pairs."""
+    case = CASES[name]
+    if case.pairs:
+        return [(make_protocol(name, **params), None, list(case.pairs)) for params in case.params]
+    takes_n = "n" in protocol_parameters(PROTOCOLS[name])
+    return [(make_protocol(name, **params, **({"n": n} if takes_n else {})), n,
+             list(promise_pairs(n))) for params in case.params for n in sizes or case.sizes]
+
+
+def applies(name, check, holds) -> bool:
+    """Whether `check` runs on `name`: the line gives a reason exactly where it does not."""
+    assert (check in CASES[name].not_applicable) is not holds, (name, check)
+    return holds
+
+
+def finite(protocol) -> bool:
+    return isinstance(protocol.lambda_space, RandomnessSpace)
+
+
+@st.composite
+def promise_pair(draw, n):
+    """A sign vector a and a partner b with a.b in {n, 0}."""
+    a = tuple(draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)))
+    flipped = set(draw(st.permutations(range(n)))[: n // 2]) if draw(st.booleans()) else ()
+    return SignVector(a), SignVector(tuple(-c if i in flipped else c for i, c in enumerate(a)))
+
+
+def test_every_registered_protocol_has_one_table_line():
+    assert set(CASES) == set(PROTOCOL_NAMES)
+
+
+def check_rows(name, protocol, pairs):
+    for a, b in pairs:
+        table = protocol.outcome_table(a, b)
+        if applies(name, "rows", table is not None):
+            runs = harness._run_rows(protocol, a, b, protocol.lambda_space.points)
+            np.testing.assert_array_equal(np.column_stack(table), np.column_stack(runs))
+
+
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+def test_hook_rows_equal_the_runner_at_every_point(name):
+    for protocol, _, pairs in built(name):
+        check_rows(name, protocol, pairs)
+
+
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_hook_rows_equal_the_runner_on_drawn_pairs_at_n6(name, data):
+    drawn = data.draw(promise_pair(6))
+    for protocol, n, pairs in built(name, sizes=(6,)):
+        check_rows(name, protocol, pairs if n is None else [drawn])
+
+
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+def test_law_and_cost_law_equal_a_fraction_enumeration_of_run(name):
+    """`output_distribution` (through `exact_distribution` where a protocol has
+    it) and `cost_law` against `run` at every point, each weighted exactly; every
+    run's transcript is the one the validating constructor makes."""
+    for protocol, _, pairs in built(name):
+        if not applies(name, "exact", finite(protocol)):
+            continue
+        space = protocol.lambda_space
+        for a, b in pairs:
+            law, costs = Counter(), Counter()
+            for lam, weight in zip(space.points, space.weights):
+                record = run(protocol, a, b, lam)
+                assert_checked_transcript(record)
+                law[record.y_a, record.y_b] += weight
+                costs[record.t] += weight
+            assert output_distribution(protocol, a, b) == \
+                JointProbs(*map(law.__getitem__, OUTCOMES))
+            got = cost_law(protocol, a, b)
+            assert [(c, Fraction(m, got.den)) for c, m in zip(got.costs, got.masses)] == \
+                sorted((cost, mass) for cost, mass in costs.items() if mass)
+
+
+def per_draw_reference(protocol, a, b, samples, seed):
+    """The sampled law from one `sample` draw and one `run` per sample."""
+    rng = np.random.default_rng(seed)
+    records = [run(protocol, a, b, protocol.lambda_space.sample(rng)) for _ in range(samples)]
+    outcomes, costs = Counter((r.y_a, r.y_b) for r in records), [r.t for r in records]
+    return SampleStats(JointProbs(*(outcomes[o] / samples for o in OUTCOMES)),
+                       sum(costs) / samples, max(costs), samples, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 21])
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+def test_sampling_follows_run(name, seed):
+    """Without a batch hook, the seeded sampled law is the per-draw reference to
+    the last bit; with one, its rows are `run` at the line's stream points."""
+    count, stream = 500, CASES[name].stream
+    for protocol, _, pairs in built(name):
+        for a, b in pairs[:3]:
+            batch = protocol.batch_outcomes(a, b, np.random.default_rng(seed), count)
+            assert (batch is None) is (stream is None), name
+            if batch is None:
+                assert sample_distribution(protocol, a, b, samples=count, seed=seed) == \
+                    per_draw_reference(protocol, a, b, count, seed)
+                continue
+            points = stream(np.random.default_rng(seed), count)
+            records = [run(protocol, a, b, lam) for lam in points]
+            for record in records:
+                assert_checked_transcript(record)
+            np.testing.assert_array_equal(np.column_stack(batch),
+                                          [(r.y_a, r.y_b, r.t) for r in records])
+
+
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+def test_certificates_replay_and_jointly_accepted_reject_pairs_output_plus_one(name):
+    """At reduce's default budget M = n + 2, every vector's honest certificate
+    replays on both sides, or the partition's witness accepts nowhere.  A reject
+    pair whose two replays of a's certificate accept runs at a's point to
+    (+1, +1): the transcript is a rectangle."""
+    for protocol, n, pairs in built(name):
+        if not applies(name, "certificates", n is not None and finite(protocol)):
+            continue
+        try:
+            partition = partition_inputs(protocol, n, n + 2)
+        except PartitionError as exc:
+            y_a, y_b, t = harness._run_rows(protocol, exc.witness, exc.witness,
+                                            protocol.lambda_space.points)
+            assert not ((y_a == 1) & (y_b == 1) & (t < n + 2)).any()
+            continue
+        table = partition.table()
+        certs = {a: build_certificate(a, partition, protocol) for a in SignVector.all_vectors(n)}
+        for a, cert in certs.items():
+            assert verify_certificate(ALICE, a, cert, table, protocol)
+            assert verify_certificate(BOB, a, cert, table, protocol)
+        for a, b in pairs:
+            if a != b and verify_certificate(BOB, b, certs[a], table, protocol):
+                record = run(protocol, a, b, table.entries[certs[a].j - 1])
+                assert (record.y_a, record.y_b) == (1, 1)
+
+
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+def test_bad_points_are_refused_by_run_and_by_replay(name):
+    """Each bad lambda raises a lab error from `run`, and a replay against a
+    one-cell table holding it is rejected by the protocol with the same message.
+    A protocol that never reads lambda runs alike at points that are no number."""
+    protocol, _, pairs = built(name)[0]
+    a, bad_lams = pairs[0][0], CASES[name].bad_lams
+    honest = run(protocol, a, a, protocol.lambda_space.sample(np.random.default_rng(0)))
+    if not applies(name, "bad_lams", bool(bad_lams)):
+        assert {(r.y_a, r.y_b, r.transcript) for r in (
+            run(protocol, a, a, lam) for lam in NOT_A_FINITE_NUMBER)} == \
+            {(honest.y_a, honest.y_b, honest.transcript)}
+        return
+    cert = DjCertificate(2, 1, honest.transcript)
+    for lam in bad_lams:
+        with pytest.raises(QccLabError) as refusal:
+            run(protocol, a, a, lam)
+        replays = [verify_certificate(party, a, cert, DerandomizationTable(2, (lam,)), protocol)
+                   for party in (ALICE, BOB)]
+        assert not all(replays)
+        assert f"protocol rejected: {refusal.value}" in [replay.reason for replay in replays]

@@ -1,7 +1,6 @@
 """Runner contract: eligibility, transcripts, distributions, cost laws."""
 
 from collections import Counter
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
@@ -11,14 +10,13 @@ from hypothesis import given, settings, strategies as st
 from qcc_lab.errors import InvariantError, NonHaltingError, ProtocolError
 from qcc_lab import harness
 from qcc_lab.harness import (ALICE, BOB, Action, BlqmsReport, CheckResult, Party, Protocol,
-                             OUTCOMES, RandomnessSpace, RunRecord, SampleStats,
-                             Scenario, ScenarioResult, Transcript, _law_errors,
-                             check_exact_blqms, cost_law, output_distribution,
-                             pair_label, run, sample_distribution, tail_mass)
-from qcc_lab.dj import promise_pairs, promise_scenarios
+                             RandomnessSpace, RunRecord, Scenario, ScenarioResult,
+                             Transcript, _law_errors, check_exact_blqms, cost_law,
+                             output_distribution, pair_label, run, sample_distribution,
+                             tail_mass)
+from qcc_lab.dj import promise_scenarios
 from qcc_lab.oracle import JointProbs, SignVector
-from qcc_lab.protocols import (ConstantProtocol, SendAllReplyProtocol, SpherePairSampler,
-                               TonerBaconProtocol)
+from qcc_lab.protocols import SendAllReplyProtocol
 from qcc_lab.reduction import partition_inputs
 
 
@@ -274,35 +272,6 @@ def test_two_branch_sampled_matches_exact():
     assert again == stats
 
 
-def reference_sample_distribution(protocol, input_a, input_b, *, samples, seed=0):
-    """The sampled law as it was built before the generic row builder: one
-    draw and one run per sample, written into preallocated arrays."""
-    rng = np.random.default_rng(seed)
-    y_a = np.empty(samples, dtype=np.int8)
-    y_b = np.empty(samples, dtype=np.int8)
-    t = np.empty(samples, dtype=np.int64)
-    space = protocol.lambda_space
-    cap = protocol.default_cap(input_a, input_b)
-    for i in range(samples):
-        rec = run(protocol, input_a, input_b, space.sample(rng), cap=cap)
-        y_a[i], y_b[i], t[i] = rec.y_a, rec.y_b, rec.t
-    probs = JointProbs(*(float(np.count_nonzero((y_a == a) & (y_b == b))) / samples
-                         for a, b in OUTCOMES))
-    return SampleStats(probs, float(t.mean()), int(t.max()), samples, seed)
-
-
-@pytest.mark.parametrize("seed", [0, 2013])
-def test_sampled_fallback_matches_per_draw_reference(seed):
-    """The generic sampled route draws and runs in the reference's order, so
-    a seeded law is the same to the last bit, on equal and orthogonal pairs."""
-    p = SendAllReplyProtocol(4)
-    a = SignVector.parse("++-+")
-    for b in (a, SignVector.parse("+++-"), SignVector.parse("-+++")):
-        got = sample_distribution(p, a, b, samples=500, seed=seed)
-        assert got == reference_sample_distribution(p, a, b, samples=500, seed=seed)
-        assert got.t_mean == 5.0 and got.t_max == 5
-
-
 def test_deadlock_is_reported():
     with pytest.raises(ProtocolError, match="deadlock"):
         run(Deadlocked(), None, None, 0)
@@ -478,25 +447,6 @@ def assert_checked_transcript(record):
     assert type(transcript.entries) is tuple and record.t == len(transcript)
     assert all(type(entry) is tuple and len(entry) == 2 for entry in transcript.entries)
     assert all(type(party) is Party and type(bit) is int for party, bit in transcript.entries)
-
-
-def test_runner_transcripts_pass_the_validating_constructor():
-    """send_all_reply on every promise pair and grid point at n = 4,
-    toner_bacon at 200 sampled points, and constant."""
-    records = []
-    sar = SendAllReplyProtocol(4)
-    for a, b in promise_pairs(4):
-        records += [run(sar, a, b, lam) for lam in sar.lambda_space.points]
-    assert len(records) == 112 * 64
-    rng = np.random.default_rng(3)
-    a, b = (0.0, 0.0, 1.0), (0.6, 0.0, 0.8)
-    records += [run(TonerBaconProtocol(), a, b, SpherePairSampler().sample(rng))
-                for _ in range(200)]
-    records += [run(ConstantProtocol(y_a, y_b), None, None, 0)
-                for y_a in (1, -1) for y_b in (1, -1)]
-    for record in records:
-        assert_checked_transcript(record)
-    assert {record.t for record in records} == {5, 1, 0}
 
 
 def test_partition_validates_no_transcript_and_shares_actions(monkeypatch):
