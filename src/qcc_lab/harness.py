@@ -510,11 +510,7 @@ def check_exact_blqms(protocol: Protocol, scenarios: Iterable[Scenario], *,
 
 
 def describe_input(value) -> str:
-    if isinstance(value, SignVector):
-        return value.to_text()
-    if isinstance(value, (tuple, list)) and all(isinstance(x, float) for x in value):
-        return "(" + ", ".join(f"{x:.6g}" for x in value) + ")"
-    return str(value)
+    return value.to_text() if isinstance(value, SignVector) else str(value)
 
 
 def pair_label(input_a, input_b) -> str:

@@ -639,15 +639,25 @@ def singlet(exact: bool = True) -> DensityMatrix:
     return DensityMatrix(num.astype(complex) / 2)
 
 
+def _unit3(value, what: str) -> Array:
+    """`value` as a float 3-vector, refused unless its norm is 1 within 1e-9;
+    `what` names the value in the refusal."""
+    try:
+        vec = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InvariantError(f"{what} must be a numeric 3-vector, got {value!r}") from None
+    if vec.shape != (3,):
+        raise InvariantError(f"{what} must be a 3-vector, got shape {vec.shape}")
+    norm = float(np.linalg.norm(vec))  # not finite if an entry is not
+    if not np.isfinite(norm) or abs(norm - 1.0) > 1e-9:
+        raise InvariantError(f"{what} norm {norm!r} is not 1 within 1e-9")
+    return vec
+
+
 def bloch_observable(direction) -> BinaryObservable:
     """Spin observable u . (X, Y, Z) for a unit 3-vector u (tolerance 1e-9)."""
-    u = np.asarray(direction, dtype=float)
-    if u.shape != (3,):
-        raise InvariantError(f"direction must be a 3-vector, got shape {u.shape}")
-    norm = float(np.linalg.norm(u))  # not finite if an entry is not
-    if not np.isfinite(norm) or abs(norm - 1.0) > 1e-9:
-        raise InvariantError(f"direction norm {norm!r} is not 1 within 1e-9")
-    x, y, z = u / norm
+    u = _unit3(direction, "direction")
+    x, y, z = u / np.linalg.norm(u)
     return BinaryObservable(np.array([[z, x - 1j * y], [x + 1j * y, -z]]))
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InvariantError, PromiseViolationError
 from .harness import _BITS, ALICE, OUTCOMES, Action, Party, Protocol, RandomnessSpace
-from .oracle import JointProbs, SignVector, _integer
+from .oracle import JointProbs, SignVector, _integer, _unit3
 
 
 def _sgn(x: float) -> int:
@@ -185,31 +185,19 @@ def _norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(norms, out=norms)
 
 
-def _unit_rows(rng: np.random.Generator, draws: np.ndarray) -> np.ndarray:
-    """Rows of 3 (any leading shape), each row of zero norm redrawn in C order
-    until none is left, then divided by their norms in place."""
-    norms = _norms(draws)
-    while not (norms > 0).all():
-        bad = (norms <= 0)[..., 0]
-        draws[bad] = _normal_rows(rng, np.empty((int(bad.sum()), 3)))
-        norms = _norms(draws)
-    draws /= norms
-    return draws
-
-
 def _unit_blocks(rng: np.random.Generator, count: int):
-    """Yield (start, rows, zero) over the generator's next `count` rows of 3,
-    in blocks of at most `_BLOCK_ROWS`: `rows` is one reused buffer, valid
-    until the next block, holding the block's rows divided by their norms,
-    and `zero` indexes the rows of zero norm in it, left as drawn."""
+    """Yield (start, rows) over the generator's next `count` rows of 3, in
+    blocks of at most `_BLOCK_ROWS`: `rows` is one reused buffer, valid until
+    the next block, holding the block's rows divided by their norms.  A row of
+    zero norm is refused."""
     buf = np.empty((max(1, min(count, _BLOCK_ROWS)), 3))
     for start in range(0, count, len(buf)):
         rows = _normal_rows(rng, buf[:count - start])
         norms = _norms(rows)
-        zero = np.flatnonzero(~(norms > 0))
-        norms[zero] = 1.0  # astronomically rare with a true normal stream
+        if not (norms > 0).all():  # about 2^-156 per row from a true normal stream
+            raise InvariantError("a sampled sphere point has zero norm")
         rows /= norms
-        yield start, rows, zero
+        yield start, rows
 
 
 def _signs(positive: np.ndarray, out=None) -> np.ndarray:
@@ -220,54 +208,23 @@ def _signs(positive: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def _bob_outputs(plus1, bl1, plus2, bl2, out=None) -> np.ndarray:
-    """Bob's sgn(b.l1 + c b.l2), c = sgn(a.l1) sgn(a.l2), from the signs
-    sgn(a.l1) > 0 and sgn(a.l2) > 0 and the products b.l1 and b.l2; `bl2` is
-    overwritten.  This reassociates
-    `step`'s sgn(b.(l1 + c l2)): the two round differently, so they can
-    disagree only where Bob's value lies within rounding of 0."""
-    np.negative(bl2, out=bl2, where=plus1 != plus2)
-    bl2 += bl1
-    return _signs(bl2 >= 0, out)
-
-
 class SpherePairSampler:
     """Sampled-mode randomness: two independent uniform unit 3-vectors.
 
     `count` pairs read the generator as one `normal(size=(2, count, 3))`
-    draw would: all of l1, then all of l2, then one fresh row for each row
-    of zero norm, l1's before l2's in row order, until none is left.  Each
-    row is then divided by its norm, and the generator is left where that
-    one-shot draw leaves it.  `TonerBaconProtocol.batch_outcomes` reads the
-    stream in this order in blocks, and `sample` reads one pair.
+    draw would, all of l1 and then all of l2, each row divided by its norm;
+    a row of zero norm is refused.  `TonerBaconProtocol.batch_outcomes` reads
+    the stream in this order in blocks, and is its one sampled path.
     """
-
-    def sample(self, rng: np.random.Generator) -> tuple[tuple, tuple]:
-        """One pair, read from the generator as a one-pair draw reads it."""
-        draws = _unit_rows(rng, _normal_rows(rng, np.empty((2, 1, 3))))
-        return tuple(draws[0, 0].tolist()), tuple(draws[1, 0].tolist())
 
 
 def _sphere_points(lam) -> tuple[np.ndarray, np.ndarray]:
-    """toner_bacon's randomness point (l1, l2) as two finite 3-vectors."""
+    """toner_bacon's randomness point (l1, l2) as two unit 3-vectors."""
     try:
-        lam1, lam2 = (np.asarray(part, dtype=float) for part in lam)
-    except (TypeError, ValueError, OverflowError):  # not a pair, or a part not numeric
-        pass
-    else:
-        if lam1.shape == lam2.shape == (3,) and np.isfinite(lam1).all() and np.isfinite(lam2).all():
-            return lam1, lam2
-    raise InvariantError(f"randomness point must be two finite 3-vectors, got {lam!r}")
-
-
-def _unit3(value) -> np.ndarray:
-    vec = np.asarray(value, dtype=float)
-    if vec.shape != (3,):
-        raise InvariantError(f"inputs must be 3-vectors, got shape {vec.shape}")
-    norm = float(np.linalg.norm(vec))  # not finite if an entry is not
-    if not np.isfinite(norm) or abs(norm - 1.0) > 1e-9:
-        raise InvariantError(f"input norm {norm!r} is not 1 within 1e-9")
-    return vec
+        lam1, lam2 = lam
+    except (TypeError, ValueError):  # not a pair
+        raise InvariantError(f"randomness point must be two unit 3-vectors, got {lam!r}") from None
+    return _unit3(lam1, "sphere point"), _unit3(lam2, "sphere point")
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,7 +248,7 @@ class TonerBaconProtocol(Protocol):
         return tuple(float(p) for p in parts)
 
     def step(self, party: Party, own_input, lam, received: tuple[int, ...]) -> Action:
-        own = _unit3(own_input)
+        own = _unit3(own_input, "input")
         lam1, lam2 = _sphere_points(lam)
         if party is ALICE:
             s1 = _sgn(float(own @ lam1))
@@ -304,40 +261,27 @@ class TonerBaconProtocol(Protocol):
 
     def batch_outcomes(self, input_a, input_b, rng, count: int):
         # two passes over the stream in its one-shot order: the l1 pass writes
-        # y_a and b.l1, and the l2 pass writes y_b; rows where l1 or l2 had
-        # zero norm are finished after the redraws, from the products kept for
-        # them.  Outputs are one byte each; b.l1 is freed on return
-        a, b = _unit3(input_a), _unit3(input_b)
+        # y_a and b.l1, and the l2 pass writes y_b.  Outputs are one byte each;
+        # b.l1 is freed on return
+        a, b = _unit3(input_a, "input"), _unit3(input_b, "input")
         y_a, y_b = np.empty((2, count), dtype=np.int8)
         bl1 = np.empty(count)
-        zero1 = [np.empty(0, dtype=np.intp)]
-        for start, lam1, zero in _unit_blocks(rng, count):
+        for start, lam1 in _unit_blocks(rng, count):
             stop = start + len(lam1)
             _signs(lam1 @ a < 0, y_a[start:stop])  # -sgn(a.l1)
             np.matmul(lam1, b, out=bl1[start:stop])
-            zero1.append(start + zero)
-        lam1 = zero = None  # free l1's block buffer for the l2 pass (a `del` fails at count 0)
-        zero1 = np.concatenate(zero1)
-        zero2, kept = [], []  # kept: (rows, b.l1, sgn(a.l2) > 0, b.l2) to redo
-        for start, lam2, zero in _unit_blocks(rng, count):
+        lam1 = None  # free l1's block buffer for the l2 pass (a `del` fails at count 0)
+        for start, lam2 in _unit_blocks(rng, count):
             stop = start + len(lam2)
-            plus2, bl2 = lam2 @ a >= 0, lam2 @ b
-            lo, hi = np.searchsorted(zero1, (start, stop))
-            if lo < hi or zero.size:
-                redo = np.union1d(zero1[lo:hi] - start, zero)
-                kept.append((start + redo, bl1[start + redo], plus2[redo], bl2[redo]))
-                zero2.append(start + zero)
-            _bob_outputs(y_a[start:stop] < 0, bl1[start:stop], plus2, bl2, y_b[start:stop])
-        if kept:  # the redraws, l1's rows first, where the one-shot draw reads them
-            rows, bl1, plus2, bl2 = map(np.concatenate, zip(*kept))
-            zero2 = np.concatenate(zero2)
-            fresh = _unit_rows(rng, _normal_rows(rng, np.empty((len(zero1) + len(zero2), 3))))
-            new1, new2 = fresh[:len(zero1)], fresh[len(zero1):]
-            y_a[zero1] = _signs(new1 @ a < 0)
-            at1, at2 = np.searchsorted(rows, zero1), np.searchsorted(rows, zero2)
-            bl1[at1] = new1 @ b
-            plus2[at2], bl2[at2] = new2 @ a >= 0, new2 @ b
-            y_b[rows] = _bob_outputs(y_a[rows] < 0, bl1, plus2, bl2)
+            # Bob's sgn(b.l1 + c b.l2), c = sgn(a.l1) sgn(a.l2), c = -1 where the signs
+            # differ (y_a < 0 is sgn(a.l1) > 0).  This reassociates `step`'s
+            # sgn(b.(l1 + c l2)): the two round differently, so they can disagree
+            # only where Bob's value lies within rounding of 0
+            flip = (lam2 @ a >= 0) != (y_a[start:stop] < 0)
+            bl2 = lam2 @ b
+            np.negative(bl2, out=bl2, where=flip)
+            bl2 += bl1[start:stop]
+            _signs(bl2 >= 0, y_b[start:stop])
         return y_a, y_b, np.broadcast_to(np.int64(1), (count,))  # read-only, no copy
 
 

@@ -47,7 +47,8 @@ CASES = {
     "toner_bacon": Case(
         pairs=((Z, TILTED), (Z, X), (TILTED, TILTED)),
         bad_lams=(None, 0.5, "ab", (Z,), ((math.nan,) * 3, Z), (Z, (math.inf, 0.0, 0.0)),
-                  ((0.0, 1.0), Z)),
+                  ((0.0, 1.0), Z), ((0.0,) * 3, (0.0,) * 3), ((0.0, 0.0, 2.0), (0.0, 0.0, -1.0)),
+                  ((0.0, 0.0, 1e-300), Z)),
         # one normal(size=(2, count, 3)) draw; the batch reassociates Bob's b.(l1 + c l2), so it
         # could differ from `run` only where that lies within rounding of 0, and no draw here does
         stream=lambda rng, count: zip(*one_shot_pairs(rng, count)),
@@ -200,8 +201,10 @@ def test_bad_points_are_refused_by_run_and_by_replay(name):
     one-cell table holding it is rejected by the protocol with the same message.
     A protocol that never reads lambda runs alike at points that are no number."""
     protocol, _, pairs = built(name)[0]
-    a, bad_lams = pairs[0][0], CASES[name].bad_lams
-    honest = run(protocol, a, a, protocol.lambda_space.sample(np.random.default_rng(0)))
+    case, rng = CASES[name], np.random.default_rng(0)
+    a, bad_lams = pairs[0][0], case.bad_lams
+    honest = run(protocol, a, a, next(iter(case.stream(rng, 1))) if case.stream
+                 else protocol.lambda_space.sample(rng))
     if not applies(name, "bad_lams", bool(bad_lams)):
         assert {(r.y_a, r.y_b, r.transcript) for r in (
             run(protocol, a, a, lam) for lam in NOT_A_FINITE_NUMBER)} == \

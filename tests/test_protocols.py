@@ -18,8 +18,7 @@ from qcc_lab.harness import (ALICE, BOB, OUTCOMES, Action, RandomnessSpace, Scen
                              check_exact_blqms, cost_law, output_distribution,
                              run, sample_distribution)
 from qcc_lab.oracle import JointProbs, SignVector, joint_plus_probability
-from qcc_lab.protocols import (PROTOCOL_NAMES, ConstantProtocol,
-                               SendAllReplyProtocol, SpherePairSampler,
+from qcc_lab.protocols import (PROTOCOL_NAMES, ConstantProtocol, SendAllReplyProtocol,
                                TonerBaconProtocol, _cumulative_law, _exact_law,
                                _outcome_columns, make_protocol)
 
@@ -231,17 +230,11 @@ def test_send_all_reply_refuses_a_point_that_is_not_finite(lam):
 # --- toner_bacon -------------------------------------------------------------
 
 
-def one_shot_pairs(rng, count, degenerate=lambda draws: draws):
-    """The reference sampler: one normal(size=(2, count, 3)) draw, rows of zero
-    norm redrawn from the stream after it, then each row over its norm.
-    `degenerate` stands between the generator and every draw."""
-    draws = degenerate(rng.normal(size=(2, count, 3)))
-    norms = np.linalg.norm(draws, axis=-1, keepdims=True)
-    while not (norms > 0).all():
-        bad = (norms <= 0)[..., 0]
-        draws[bad] = degenerate(rng.normal(size=(int(bad.sum()), 3)))
-        norms = np.linalg.norm(draws, axis=-1, keepdims=True)
-    draws /= norms
+def one_shot_pairs(rng, count):
+    """The reference sampler: one normal(size=(2, count, 3)) draw, each row
+    over its norm."""
+    draws = rng.normal(size=(2, count, 3))
+    draws /= np.linalg.norm(draws, axis=-1, keepdims=True)
     return draws[0], draws[1]
 
 
@@ -258,13 +251,6 @@ class NormalsOnly:
 
     def __init__(self, rng):
         self.standard_normal = rng.standard_normal
-
-
-def zero_below_minus_one(draws):
-    """Rows whose first coordinate is below -1, about one in six of the rows
-    and of their redraws, get zero norm."""
-    draws[draws[..., 0] < -1.0] = 0.0
-    return draws
 
 
 BLOCK = protocols._BLOCK_ROWS
@@ -329,62 +315,25 @@ def test_block_sampler_allocates_ten_bytes_per_row():
     assert peak <= 10 * count + 7 * BLOCK * 3 * 8 // 2
 
 
-@pytest.mark.parametrize("count", [1, BLOCK + 1, SPAN + 1, 2 * SPAN + 11])
-@pytest.mark.parametrize("seed", [0, 1, 8])  # at count 1: none, l2's row, l1's row
-def test_block_sampler_redraws_zero_norms_in_stream_order(seed, count, monkeypatch):
-    """Rows of zero norm in both halves are redrawn after all of l2, l1's first,
-    until none is left, and their outputs are those of the redrawn rows."""
-    draw_rows = protocols._normal_rows
-    monkeypatch.setattr(protocols, "_normal_rows", lambda rng, out: (
-        zero_below_minus_one(draw_rows(rng, out))))
-    ref_rng = np.random.default_rng(seed)
-    raw = np.random.default_rng(seed).normal(size=(2, count, 3))
-    degenerate = (raw[..., 0] < -1.0).any(axis=1)  # per half
-    assert degenerate.tolist() == ({0: [False, False], 1: [False, True], 8: [True, False]}[seed]
-                                   if count == 1 else [True, True])
-    ref1, ref2 = one_shot_pairs(ref_rng, count, zero_below_minus_one)
-    assert np.allclose(np.linalg.norm(np.stack([ref1, ref2]), axis=-1), 1)
-
-    rng = np.random.default_rng(seed)
-    y_a, y_b, _ = TonerBaconProtocol().batch_outcomes(TB_A, TB_B, NormalsOnly(rng), count)
-    ref_a, ref_b = reference_outcomes(TB_A, TB_B, ref1, ref2)
-    assert np.array_equal(y_a, ref_a) and np.array_equal(y_b, ref_b)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-    if count == 1:  # one pair per `sample`, also when its row is redrawn
-        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        ref1, ref2 = one_shot_pairs(ref_rng, 1, zero_below_minus_one)
-        assert SpherePairSampler().sample(rng) == (tuple(ref1[0]), tuple(ref2[0]))
-        assert rng.random() == ref_rng.random()
-
-
-@pytest.mark.parametrize("degenerate", [False, True])
-def test_sample_draws_the_row_of_a_one_row_block(degenerate, monkeypatch):
-    """`sample` draws one pair directly: the rows and the generator end state
-    of a one-pair one-shot draw, zero norms redrawn l1's first, over
-    successive draws."""
-    draw_rows, calls = protocols._normal_rows, []
+# of the 2 (SPAN + 1) stream rows, l1's then l2's: in the first l1 block, in an
+# l2 block past the first, and the one row of the last, partial block
+@pytest.mark.parametrize("row", [0, SPAN + 1 + BLOCK + 5, 2 * SPAN + 1])
+def test_block_sampler_refuses_a_zero_norm_row(row, monkeypatch):
+    """A stream row of zero norm, which a true normal stream draws with
+    probability about 2^-156, is refused wherever it falls, not redrawn."""
+    draw_rows, drawn = protocols._normal_rows, [0]
 
     def rows(rng, out):
-        calls.append(out.shape)
         out = draw_rows(rng, out)
-        return zero_below_minus_one(out) if degenerate else out
+        if 0 <= row - drawn[0] < len(out):
+            out[row - drawn[0]] = 0.0
+        drawn[0] += len(out)
+        return out
 
     monkeypatch.setattr(protocols, "_normal_rows", rows)
-    redrawn = 0
-    for seed in range(40):
-        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(5):
-            ref1, ref2 = one_shot_pairs(
-                ref_rng, 1, zero_below_minus_one if degenerate else lambda draws: draws)
-            calls.clear()
-            lam1, lam2 = SpherePairSampler().sample(rng)
-            redrawn += len(calls) > 1
-            assert (lam1, lam2) == (tuple(ref1[0]), tuple(ref2[0]))
-            assert all(type(x) is float for x in lam1 + lam2)
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert rng.random() == ref_rng.random()
-    assert (redrawn > 20) == degenerate  # the filter zeroes about one row in six
+    with pytest.raises(InvariantError, match="zero norm"):
+        TonerBaconProtocol().batch_outcomes(TB_A, TB_B, np.random.default_rng(0), SPAN + 1)
+    assert 0 < drawn[0] - row <= BLOCK  # refused at the zeroed row's block, not later
 
 
 def test_toner_bacon_cost_column_is_one_read_only_entry():
@@ -404,10 +353,8 @@ def test_toner_bacon_cost_column_is_one_read_only_entry():
 def test_toner_bacon_perfect_anticorrelation_when_aligned():
     p = TonerBaconProtocol()
     a = (0.0, 1.0, 0.0)
-    sampler = SpherePairSampler()
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        rec = run(p, a, a, sampler.sample(rng))
+    for lam in zip(*one_shot_pairs(np.random.default_rng(2), 100)):
+        rec = run(p, a, a, lam)
         assert rec.y_a * rec.y_b == -1
         assert rec.t == 1
 
