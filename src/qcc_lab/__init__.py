@@ -19,7 +19,7 @@ from .harness import (ALICE, BOB, Action, BlqmsReport, CheckResult, CostLaw,
                       cost_law, output_distribution, pair_label, run,
                       sample_distribution, tail_mass)
 from .protocols import (PROTOCOL_NAMES, ConstantProtocol, SendAllReplyProtocol,
-                        SpherePairSampler, TonerBaconProtocol, make_protocol)
+                        TonerBaconProtocol, make_protocol)
 from .dj import (RejectCertificate, auy_min_n1, check_promise, n0_certificate,
                  n0_upper_bound, n0_verify, n1_lower_bound, promise_pairs,
                  promise_scenarios)
@@ -42,7 +42,7 @@ __all__ = [
     "Projector", "PromiseViolationError", "Protocol", "ProtocolError",
     "QccLabError", "RandomnessSpace", "RationalMatrix", "RejectCertificate",
     "RunRecord", "SampleStats", "Scenario", "ScenarioResult",
-    "SendAllReplyProtocol", "SignVector", "SpherePairSampler", "TailReport",
+    "SendAllReplyProtocol", "SignVector", "TailReport",
     "TonerBaconProtocol", "Transcript", "auy_min_n1",
     "bloch_observable", "build_certificate", "cell_index_width",
     "check_exact_blqms", "check_promise", "check_tail_hypothesis",

@@ -56,7 +56,7 @@ from .harness import (ALICE, BOB, Protocol, RandomnessSpace,
                       check_exact_blqms, cost_law, describe_input,
                       output_distribution, sample_distribution)
 from .oracle import (BinaryObservable, DensityMatrix, Projector,
-                     SignVector, bloch_observable, maximally_entangled,
+                     SignVector, _at_least, bloch_observable, maximally_entangled,
                      observable_to_projector, predict_joint_probs,
                      probs_to_expectations, sign_vector_projector, singlet)
 from .protocols import PROTOCOLS, make_protocol, protocol_parameters
@@ -263,15 +263,9 @@ def _build_protocol(args, n: int) -> Protocol:
     return protocol
 
 
-def _require_even_n(n: int) -> int:
-    if n < 2 or n % 2:
-        raise InvariantError(f"n must be even and at least 2, got {n}")
-    return n
-
-
 def _promise_front(args) -> tuple[int, Protocol]:
     """Shared front of verify and reduce: a checked n and a sign-vector protocol."""
-    n = _capped_n(_require_even_n(args.n))
+    n = _capped_n(_at_least(args.command, "n", args.n, 2, even=True))
     kind = PROTOCOLS[args.protocol].input_kind
     if kind != Protocol.input_kind:
         raise InvariantError(f"{args.command} needs sign vectors; {args.protocol} takes {kind}s")
@@ -413,7 +407,7 @@ def cmd_dj_verify(args) -> int:
 def cmd_dj_bounds(args) -> int:
     rows = []
     for n in args.n:
-        _require_even_n(n)
+        _at_least("dj bounds", "n", n, 2, even=True)
         trivial_cost = n + 1
         width = n0_upper_bound(n)
         rows.append({
@@ -520,7 +514,7 @@ def cmd_reduce(args) -> int:
 def cmd_bounds(args) -> int:
     rows = []
     for n in args.n:
-        _require_even_n(n)
+        _at_least("bounds", "n", n, 2, even=True)
         for k in args.k:
             rows.append({
                 "n": n,

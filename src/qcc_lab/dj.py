@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import DimensionMismatchError, InvariantError, PromiseViolationError
 from .harness import _BITS, BOB, CheckResult, Party, Scenario
-from .oracle import (SignVector, _integer, _members, maximally_entangled,
+from .oracle import (SignVector, _at_least, _integer, _members, maximally_entangled,
                      predict_joint_probs, sign_vector_projector)
 
 
@@ -39,8 +40,7 @@ def promise_pairs(n: int) -> Iterator[tuple[SignVector, SignVector]]:
     `all_vectors` order, flipping coordinate i toggles bit n - 1 - i of a
     vector's index, so each b is a lookup by index XOR mask.
     """
-    if n < 2 or n % 2:
-        raise InvariantError(f"n must be even and at least 2, got {n}")
+    n = _at_least("promise_pairs", "n", n, 2, even=True)
     vectors = list(SignVector.all_vectors(n))
     masks = [sum(1 << (n - 1 - i) for i in flips)
              for flips in itertools.combinations(range(n), n // 2)]
@@ -58,6 +58,7 @@ def promise_scenarios(n: int) -> Iterator[Scenario]:
     built on the call, so a bad n raises here; the scenarios are then
     yielded one per pair, each pair's projectors found by the vectors' indices.
     """
+    n = _at_least("promise_scenarios", "n", n, 2, even=True)
     state = maximally_entangled(n)
     projectors = [sign_vector_projector(a) for a in SignVector.all_vectors(n)]
     return (Scenario(a, b, predict_joint_probs(projectors[a.index], projectors[b.index], state))
@@ -65,7 +66,7 @@ def promise_scenarios(n: int) -> Iterator[Scenario]:
 
 
 def _index_width(n: int) -> int:
-    return max(1, (n - 1).bit_length())
+    return max(1, (_at_least("RejectCertificate", "n", n, 1) - 1).bit_length())
 
 
 @dataclass(frozen=True)
@@ -76,10 +77,8 @@ class RejectCertificate:
     alpha: int
 
     def __post_init__(self):
-        object.__setattr__(self, "index", _integer("RejectCertificate", "index", self.index))
+        object.__setattr__(self, "index", _at_least("RejectCertificate", "index", self.index, 1))
         object.__setattr__(self, "alpha", _integer("RejectCertificate", "alpha", self.alpha))
-        if self.index < 1:
-            raise InvariantError(f"index must be 1-based positive, got {self.index}")
         if self.alpha not in (-1, 1):
             raise InvariantError(f"alpha must be +/-1, got {self.alpha}")
 
@@ -88,9 +87,9 @@ class RejectCertificate:
 
     def encode(self, n: int) -> tuple[int, ...]:
         """(index - 1) big-endian over ceil(log2 n) bits, then sign (0 -> +1)."""
+        width = _index_width(n)
         if not 1 <= self.index <= n:
             raise InvariantError(f"index {self.index} out of range 1..{n}")
-        width = _index_width(n)
         value = self.index - 1
         bits = tuple((value >> (width - 1 - i)) & 1 for i in range(width))
         return bits + ((0 if self.alpha == 1 else 1),)
@@ -129,21 +128,20 @@ def n0_verify(party: Party, own: SignVector, cert: RejectCertificate) -> CheckRe
 
 def n0_upper_bound(n: int) -> int:
     """Bits needed to name a reject witness: ceil(log2 n) + 1."""
-    n = _integer("n0_upper_bound", "n", n)
-    if n < 2:
-        raise InvariantError(f"n must be at least 2, got {n}")
-    return _index_width(n) + 1
+    return _index_width(_at_least("n0_upper_bound", "n", n, 2)) + 1
 
 
 def n1_lower_bound(n: int) -> float:
     """Accept-side certificate lower bound 0.007 n / (log2 n + 3) - 1."""
-    if n < 2:
-        raise InvariantError(f"n must be at least 2, got {n}")
+    n = _at_least("n1_lower_bound", "n", n, 2, even=True)
     return 0.007 * n / (math.log2(n) + 3) - 1
 
 
 def auy_min_n1(d: float, n0: float) -> float:
     """Smallest N1 consistent with the gate for measured D and N0."""
-    if d < 0 or n0 < 0:
-        raise InvariantError("cost measures must be nonnegative")
+    for key, value in (("d", d), ("n0", n0)):
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not 0 <= value < math.inf):
+            raise InvariantError(
+                f"auy_min_n1 parameter {key} must be a finite nonnegative number, got {value!r}")
     return max(0.0, d / (n0 + 1) - 1)

@@ -37,7 +37,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import InvariantError, NonHaltingError, ProtocolError
-from .oracle import JointProbs, SignVector, _integer, _members
+from .oracle import JointProbs, SignVector, _at_least, _integer, _members
 
 # weight numerators are int64 while their den and sums stay below this
 _INT64_SAFE = 2**62
@@ -318,7 +318,7 @@ def _finite_space(protocol: Protocol, audit: str) -> RandomnessSpace:
     space = protocol.lambda_space
     if not isinstance(space, RandomnessSpace):
         raise InvariantError(f"{audit} needs a finite RandomnessSpace, "
-                             f"not {type(space).__name__}")
+                             f"which {protocol.name} does not have")
     return space
 
 
@@ -383,9 +383,7 @@ class SampleStats:
 def sample_distribution(protocol: Protocol, input_a, input_b, *,
                         samples: int, seed=0) -> SampleStats:
     """Estimate the joint law with a seeded generator; seed is reported back."""
-    samples = _integer("sample_distribution", "samples", samples)
-    if samples < 1:
-        raise InvariantError(f"need a positive sample count, got {samples}")
+    samples = _at_least("sample_distribution", "samples", samples, 1)
     rng = np.random.default_rng(seed)
     batch = protocol.batch_outcomes(input_a, input_b, rng, samples)
     space = protocol.lambda_space
@@ -532,9 +530,7 @@ class CostLaw:
 
     def moment(self, k: int) -> Fraction:
         """E[T^k] for an order k >= 1."""
-        k = _integer("CostLaw.moment", "k", k)
-        if k < 1:
-            raise InvariantError(f"moment order k must be at least 1, got {k}")
+        k = _at_least("CostLaw.moment", "k", k, 1)
         return Fraction(sum(c**k * m for c, m in zip(self.costs, self.masses)), self.den)
 
 
@@ -554,5 +550,6 @@ def cost_law(protocol: Protocol, input_a, input_b) -> CostLaw:
 def tail_mass(protocol: Protocol, input_a, input_b, threshold: int) -> Fraction:
     """Exact randomness mass of runs with T >= threshold."""
     _finite_space(protocol, "tail_mass")  # refused under its own name
+    threshold = _integer("tail_mass", "threshold", threshold)
     law = cost_law(protocol, input_a, input_b)
     return Fraction(law.tail(threshold), law.den)

@@ -60,6 +60,15 @@ def _integer(owner: str, key: str, value) -> int:
     return int(value)
 
 
+def _at_least(owner: str, key: str, value, low: int, *, even: bool = False) -> int:
+    """An integer parameter at least `low`, and even if asked, as an int."""
+    value = _integer(owner, key, value)
+    if value < low or (even and value % 2):
+        parity = "even and " if even else ""
+        raise InvariantError(f"{owner} parameter {key} must be {parity}at least {low}, got {value}")
+    return value
+
+
 def _members(allowed: frozenset, values) -> bool:
     """Whether every value is in `allowed`; an unhashable value is not."""
     try:
@@ -237,9 +246,7 @@ class SignVector:
     def all_vectors(cls, n: int) -> Iterator["SignVector"]:
         """All 2^n sign vectors of length n, lexicographic by bits; a bad n
         raises on the call."""
-        n = _integer("SignVector", "n", n)
-        if n < 2 or n % 2:
-            raise InvariantError(f"length must be even and positive, got {n}")
+        n = _at_least("SignVector.all_vectors", "n", n, 2, even=True)
         return (cls.from_bits([(value >> (n - 1 - i)) & 1 for i in range(n)])
                 for value in range(1 << n))
 
@@ -265,48 +272,33 @@ def _is_exact(data: MatrixData) -> bool:
     return isinstance(data, RationalMatrix)
 
 
-def _data_dim(data: MatrixData) -> int:
-    return data.dim if _is_exact(data) else data.shape[0]
-
-
 def _to_float(data: MatrixData) -> Array:
     return data.to_float() if _is_exact(data) else data
 
 
-def _check_hermitian(data: MatrixData, what: str) -> None:
-    if _is_exact(data):
-        if not data.is_symmetric():
-            raise InvariantError(f"{what} is not symmetric (exact mode)")
-        return
-    residue = float(np.abs(data - data.conj().T).max(initial=0.0))
-    if residue > TRACE_ATOL:
-        raise InvariantError(f"{what} is not Hermitian: max residue {residue:.3e}")
-
-
 @dataclass(frozen=True, eq=False)
-class BinaryObservable:
-    """Hermitian matrix with spectrum contained in {-1, +1}."""
+class _Operator:
+    """Square Hermitian entries, exact or float, read-only.  Each subclass
+    checks its own invariant in `_check` and names itself by `_noun` in
+    every refusal."""
 
     entries: MatrixData
 
     def __post_init__(self):
         data = _coerce_entries(self.entries)
         object.__setattr__(self, "entries", data)
-        _check_hermitian(data, "observable")
         if _is_exact(data):
-            square = data @ data
-            if not square.equals(RationalMatrix.identity(data.dim)):
-                raise InvariantError("observable squared is not the identity (exact mode)")
+            if not data.is_symmetric():
+                raise InvariantError(f"{self._noun} is not symmetric (exact mode)")
         else:
-            residue = float(np.abs(data @ data - np.eye(data.shape[0])).max())
-            if residue > OPERATOR_ATOL:
-                raise InvariantError(
-                    f"observable squared deviates from identity by {residue:.3e}"
-                )
+            residue = float(np.abs(data - data.conj().T).max(initial=0.0))
+            if residue > TRACE_ATOL:
+                raise InvariantError(f"{self._noun} is not Hermitian: max residue {residue:.3e}")
+        self._check(data)
 
     @property
     def dim(self) -> int:
-        return _data_dim(self.entries)
+        return self.entries.dim if self.exact else self.entries.shape[0]
 
     @property
     def exact(self) -> bool:
@@ -314,17 +306,30 @@ class BinaryObservable:
 
 
 @dataclass(frozen=True, eq=False)
-class Projector:
+class BinaryObservable(_Operator):
+    """Hermitian matrix with spectrum contained in {-1, +1}."""
+
+    _noun = "observable"
+
+    def _check(self, data: MatrixData) -> None:
+        if _is_exact(data):
+            if not (data @ data).equals(RationalMatrix.identity(data.dim)):
+                raise InvariantError("observable squared is not the identity (exact mode)")
+        else:
+            residue = float(np.abs(data @ data - np.eye(data.shape[0])).max())
+            if residue > OPERATOR_ATOL:
+                raise InvariantError(f"observable squared deviates from identity by {residue:.3e}")
+
+
+@dataclass(frozen=True, eq=False)
+class Projector(_Operator):
     """Hermitian idempotent matrix (the outcome +1 event)."""
 
-    entries: MatrixData
     # the vector a when built exactly by `sign_vector_projector(a)`; set only there
     _sign_vector: Optional[SignVector] = field(default=None, init=False, repr=False)
+    _noun = "projector"
 
-    def __post_init__(self):
-        data = _coerce_entries(self.entries)
-        object.__setattr__(self, "entries", data)
-        _check_hermitian(data, "projector")
+    def _check(self, data: MatrixData) -> None:
         if _is_exact(data):
             if not (data @ data).equals(data):
                 raise InvariantError("projector is not idempotent (exact mode)")
@@ -345,14 +350,6 @@ class Projector:
         object.__setattr__(proj, "entries", entries)
         return proj
 
-    @property
-    def dim(self) -> int:
-        return _data_dim(self.entries)
-
-    @property
-    def exact(self) -> bool:
-        return _is_exact(self.entries)
-
     def complement(self) -> "Projector":
         """Projector onto the outcome -1 event."""
         data = self.entries
@@ -362,20 +359,16 @@ class Projector:
 
 
 @dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(_Operator):
     """Shared state of two n-dimensional systems: PSD, unit trace, n^2 x n^2."""
 
-    entries: MatrixData
     # local dimension n when built by `maximally_entangled(n)`; set only there
     _entangled_n: Optional[int] = field(default=None, init=False, repr=False)
+    _noun = "state"
 
-    def __post_init__(self):
-        data = _coerce_entries(self.entries)
-        object.__setattr__(self, "entries", data)
-        dim = _data_dim(data)
-        if math.isqrt(dim) ** 2 != dim:
-            raise InvariantError(f"state dimension {dim} is not a perfect square")
-        _check_hermitian(data, "state")
+    def _check(self, data: MatrixData) -> None:
+        if math.isqrt(self.dim) ** 2 != self.dim:
+            raise InvariantError(f"state dimension {self.dim} is not a perfect square")
         if _is_exact(data):
             if data.trace() != 1:
                 raise InvariantError(f"state trace is {data.trace()}, expected 1")
@@ -386,14 +379,6 @@ class DensityMatrix:
         lowest = float(np.linalg.eigvalsh(_to_float(data)).min())
         if lowest < -OPERATOR_ATOL:
             raise InvariantError(f"state has negative eigenvalue {lowest:.3e}")
-
-    @property
-    def dim(self) -> int:
-        return _data_dim(self.entries)
-
-    @property
-    def exact(self) -> bool:
-        return _is_exact(self.entries)
 
 
 def _check_number(name: str, value: Number, low: int, high: int) -> None:
@@ -605,8 +590,7 @@ def expectations_to_probs(triple: ExpectationTriple) -> JointProbs:
 
 def maximally_entangled(n: int, exact: bool = True) -> DensityMatrix:
     """Rank-one state (1/sqrt(n)) sum_i |ii>, as an n^2 x n^2 density matrix."""
-    if not _integer_kinds({type(n)}) or n < 1:
-        raise InvariantError(f"local dimension must be a positive integer, got {n!r}")
+    n = _at_least("maximally_entangled", "n", n, 1)
     phi = np.eye(n, dtype=np.int64).ravel()  # sum_i |ii>, unnormalized
     num = np.outer(phi, phi)
     if exact:

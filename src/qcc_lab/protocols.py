@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InvariantError, PromiseViolationError
 from .harness import _BITS, ALICE, OUTCOMES, Action, Party, Protocol, RandomnessSpace
-from .oracle import JointProbs, SignVector, _integer, _unit3
+from .oracle import JointProbs, SignVector, _at_least, _integer, _unit3
 
 
 def _sgn(x: float) -> int:
@@ -112,9 +112,7 @@ class SendAllReplyProtocol(Protocol):
     name = "send_all_reply"
 
     def __post_init__(self):
-        n = _integer(self.name, "n", self.n)
-        if n < 2 or n % 2:
-            raise InvariantError(f"n must be even and at least 2, got {n}")
+        n = _at_least(self.name, "n", self.n, 2, even=True)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_cube", n**3)  # grid size, and the scale of every cut
         space = RandomnessSpace.uniform(tuple(Fraction(k, n**3) for k in range(n**3)))
@@ -208,16 +206,6 @@ def _signs(positive: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-class SpherePairSampler:
-    """Sampled-mode randomness: two independent uniform unit 3-vectors.
-
-    `count` pairs read the generator as one `normal(size=(2, count, 3))`
-    draw would, all of l1 and then all of l2, each row divided by its norm;
-    a row of zero norm is refused.  `TonerBaconProtocol.batch_outcomes` reads
-    the stream in this order in blocks, and is its one sampled path.
-    """
-
-
 def _sphere_points(lam) -> tuple[np.ndarray, np.ndarray]:
     """toner_bacon's randomness point (l1, l2) as two unit 3-vectors."""
     try:
@@ -237,7 +225,6 @@ class TonerBaconProtocol(Protocol):
     """
 
     name = "toner_bacon"
-    lambda_space = SpherePairSampler()
     input_kind = "unit 3-vector"
 
     @staticmethod
@@ -260,6 +247,10 @@ class TonerBaconProtocol(Protocol):
         return Action(output=_sgn(float(own @ (lam1 + c * lam2))))
 
     def batch_outcomes(self, input_a, input_b, rng, count: int):
+        """The one sampled path: `count` pairs (l1, l2) of independent uniform
+        unit 3-vectors, read from the generator as one `normal(size=(2, count, 3))`
+        draw would, all of l1 and then all of l2, each row divided by its norm;
+        a row of zero norm is refused."""
         # two passes over the stream in its one-shot order: the l1 pass writes
         # y_a and b.l1, and the l2 pass writes y_b.  Outputs are one byte each;
         # b.l1 is freed on return

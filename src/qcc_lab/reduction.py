@@ -32,14 +32,12 @@ from .dj import promise_pairs
 from .errors import InvariantError, PartitionError, QccLabError
 from .harness import (Action, CheckResult, Party, Protocol, Transcript, _finite_space,
                       _run_rows, cost_law, pair_label, run)
-from .oracle import SignVector, _integer
+from .oracle import SignVector, _at_least, _integer
 
 
 def cell_index_width(n: int) -> int:
     """ceil(log2(2 n^2)): bits reserved for the cell index field."""
-    n = _integer("cell_index_width", "n", n)
-    if n < 2:
-        raise InvariantError(f"n must be at least 2, got {n}")
+    n = _at_least("cell_index_width", "n", n, 2)
     return (2 * n * n - 1).bit_length()
 
 
@@ -60,10 +58,8 @@ def check_tail_hypothesis(protocol: Protocol, n: int, threshold_bits: int,
                           pairs: Optional[Iterable[tuple]] = None) -> TailReport:
     """Check mass(T >= M) < 1/(2n) for every pair (default: all promise
     pairs, streamed as they are generated)."""
-    n = _integer("check_tail_hypothesis", "n", n)
+    n = _at_least("check_tail_hypothesis", "n", n, 2)
     threshold_bits = _integer("check_tail_hypothesis", "threshold_bits", threshold_bits)
-    if n < 2:
-        raise InvariantError(f"n must be at least 2, got {n}")
     bound = Fraction(1, 2 * n)
     worst = 0  # numerator over the protocol's one den, shared by every pair
     worst_pair = ""
@@ -133,6 +129,8 @@ def partition_inputs(protocol: Protocol, n: int, threshold_bits: int) -> Partiti
     fewer than threshold_bits transmitted.  Ties pick the lowest point index;
     an input accepted nowhere raises PartitionError naming it.
     """
+    n = _at_least("partition_inputs", "n", n, 2, even=True)
+    threshold_bits = _integer("partition_inputs", "threshold_bits", threshold_bits)
     space = _finite_space(protocol, "partitioning")
     vectors = list(SignVector.all_vectors(n))
     # accepts[v, i]: vector v accepts at point i; filled vector by vector
@@ -279,8 +277,7 @@ def verify_certificate(party: Party, own: SignVector, cert: DjCertificate,
 
 def m_of_n(n: int) -> float:
     """Budget curve 0.003 n / log2 n."""
-    if n < 2:
-        raise InvariantError(f"n must be at least 2, got {n}")
+    n = _at_least("m_of_n", "n", n, 2, even=True)
     return 0.003 * n / math.log2(n)
 
 
@@ -289,9 +286,8 @@ def moment_bound_forms(n: int, k: int) -> tuple[float, float]:
     m_of_n as m_of_n(n)**k / (0.006 n).  Algebraically equal; exposed
     separately so callers can check the agreement themselves.
     """
-    n, k = _integer("moment_bound", "n", n), _integer("moment_bound", "k", k)
-    if n < 2 or n % 2 or k < 1:
-        raise InvariantError(f"need even n >= 2 and k >= 1, got n={n}, k={k}")
+    n = _at_least("moment_bound", "n", n, 2, even=True)
+    k = _at_least("moment_bound", "k", k, 1)
     direct = 0.5 * (0.003 * n) ** (k - 1) / math.log2(n) ** k
     via_threshold = m_of_n(n) ** k / (0.006 * n)
     return direct, via_threshold
@@ -316,8 +312,7 @@ def contradiction_holds(n: int) -> bool:
     Compares 0.0035 n / (log2 n + 3) - log2 n - 0.5 against m_of_n(n);
     strictly greater means no protocol can sit on the budget curve at n.
     """
-    if n < 2:
-        raise InvariantError(f"n must be at least 2, got {n}")
+    n = _at_least("contradiction_holds", "n", n, 2, even=True)
     lhs = 0.0035 * n / (math.log2(n) + 3) - math.log2(n) - 0.5
     return lhs > m_of_n(n)
 
@@ -328,8 +323,7 @@ def contradiction_threshold(limit: int = 10_000_002) -> int:
     Verifies the claim at the limit, at spot checks above it, and that the
     threshold is a genuine sign change (holds there, fails two below).
     """
-    if limit < 4 or limit % 2:
-        raise InvariantError(f"limit must be even and at least 4, got {limit}")
+    limit = _at_least("contradiction_threshold", "limit", limit, 4, even=True)
     if not contradiction_holds(limit):
         raise InvariantError(f"contradiction does not hold at limit {limit}")
     for probe in (limit, 2 * limit, 16 * limit):

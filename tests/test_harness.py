@@ -172,7 +172,8 @@ def test_two_branch_distribution_and_moments():
         {2: Fraction(1, 2), 3: Fraction(1, 2), 4: Fraction(0)}
     assert {m: law.tail(m) for m in (0, 1, 2, 3, 4)} == {0: 2, 1: 2, 2: 1, 3: 1, 4: 0}
     for k in (0, -1):
-        with pytest.raises(InvariantError, match=f"moment order k must be at least 1, got {k}"):
+        with pytest.raises(InvariantError,
+                           match=f"CostLaw.moment parameter k must be at least 1, got {k}"):
             law.moment(k)
     assert tail_mass(p, None, None, 3) == Fraction(1, 2)
 
@@ -541,12 +542,14 @@ def test_guards_raise_invariant_errors():
     point_mass = JointProbs(Fraction(1), Fraction(0), Fraction(0), Fraction(0))
     with pytest.raises(InvariantError, match="2 points vs 1 weights"):
         RandomnessSpace((0, 1), (Fraction(1),))
-    with pytest.raises(InvariantError, match="positive sample count"):
+    with pytest.raises(InvariantError,
+                       match="sample_distribution parameter samples must be at least 1, got 0"):
         sample_distribution(p, None, None, samples=0)
     with pytest.raises(InvariantError, match="seed must be an integer"):
         check_exact_blqms(p, [Scenario(None, None, point_mass)],
                           samples=10, seed=1.5)
-    with pytest.raises(InvariantError, match="moment order k must be at least 1"):
+    with pytest.raises(InvariantError,
+                       match="CostLaw.moment parameter k must be at least 1, got 0"):
         cost_law(p, None, None).moment(0)
     sampled = TwoBranch()
     sampled.lambda_space = Sampler()

@@ -311,9 +311,13 @@ def test_observable_requires_involution():
 
 
 def test_maximally_entangled_needs_a_positive_integer_dimension():
-    for n in (True, 2.0, "2", 0):
-        with pytest.raises(InvariantError, match="positive integer"):
+    for n in (True, 2.0, "2"):
+        with pytest.raises(InvariantError,
+                           match="maximally_entangled parameter n must be an integer"):
             maximally_entangled(n)
+    with pytest.raises(InvariantError,
+                       match="maximally_entangled parameter n must be at least 1, got 0"):
+        maximally_entangled(0)
     assert maximally_entangled(np.int64(2)).dim == 4
 
 
@@ -569,30 +573,29 @@ def assert_identity_matches_kron(projectors, state):
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
-def test_identity_matches_kron_on_sign_vectors(n):
-    projectors = [sign_vector_projector(v) for v in SignVector.all_vectors(n)]
-    assert_identity_matches_kron(projectors, maximally_entangled(n))
-
-
-@pytest.mark.parametrize("n", [2, 4, 6])
 def test_sign_vector_law_matches_sum_and_kron_routes(n, law_parts_calls, kron_calls):
     """Every ordered pair, off the promise too: the cached closed form on
     tagged projectors equals the sum_ij P_ij Q_ij route on the same entries
-    built by value, and the kron route on the state built by value."""
+    built by value, and the kron route on the state built by value; the
+    observables 2 P - 1 give the closed form's expectations exactly."""
     state = maximally_entangled(n)
     reference = by_value(state)
     vectors = list(SignVector.all_vectors(n))
     tagged = [sign_vector_projector(v) for v in vectors]
     untagged = [Projector(RationalMatrix(np.outer(v.coords, v.coords), n)) for v in vectors]
-    for pa, qa in zip(tagged, untagged):
-        for pb, qb in zip(tagged, untagged):
+    observables = [projector_to_observable(p) for p in tagged]
+    for pa, qa, oa in zip(tagged, untagged, observables):
+        for pb, qb, ob in zip(tagged, untagged, observables):
             closed = predict_joint_probs(pa, pb, state)
             assert closed.exact
             assert closed == predict_joint_probs(qa, qb, state)
             assert closed == predict_joint_probs(pa, pb, reference)
+            expectations = predict_expectations(oa, ob, state)
+            assert expectations.exact
+            assert expectations == probs_to_expectations(closed)
     # the closed form reaches neither route; each other call reaches one
     pairs = len(vectors) ** 2
-    assert len(law_parts_calls) == 2 * pairs and len(kron_calls) == 3 * pairs
+    assert len(law_parts_calls) == 3 * pairs and len(kron_calls) == 3 * pairs
 
 
 @pytest.mark.parametrize("n", [2, 4])

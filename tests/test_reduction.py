@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcc_lab import reduction
-from qcc_lab.dj import n0_upper_bound, promise_pairs
+from qcc_lab.dj import (RejectCertificate, auy_min_n1, n0_upper_bound, n1_lower_bound,
+                        promise_pairs)
 from qcc_lab.errors import InvariantError, PartitionError, QccLabError
 from qcc_lab.harness import (ALICE, BOB, Action, Protocol, RandomnessSpace, Scenario,
                              Transcript, check_exact_blqms, cost_law,
@@ -452,12 +453,35 @@ BAD_SIZES = {
     "fractional cell index n": lambda: cell_index_width(2.5),
     "fractional reject witness n": lambda: n0_upper_bound(2.5),
     "fractional moment order bound": lambda: moment_bound(4, 1.5),
+    "odd budget curve n": lambda: m_of_n(3),
+    "missing budget curve n": lambda: m_of_n(None),
+    "odd accept bound n": lambda: n1_lower_bound(3),
+    "fractional accept bound n": lambda: n1_lower_bound(2.5),
+    "text accept bound n": lambda: n1_lower_bound("8"),
+    "fractional contradiction n": lambda: contradiction_holds(2.5),
+    "text tail mass threshold":
+        lambda: tail_mass(SendAllReplyProtocol(2), *_PAIR, "3"),
+    "missing partition threshold":
+        lambda: partition_inputs(SendAllReplyProtocol(2), 2, None),
+    "nan cost measure": lambda: auy_min_n1(float("nan"), 1),
+    "infinite cost measure": lambda: auy_min_n1(1, float("inf")),
+    "text cost measure": lambda: auy_min_n1("3", 1),
+    "missing reject certificate n": lambda: RejectCertificate.decode((0, 0, 0), None),
+    "text reject certificate n": lambda: RejectCertificate(1, 1).encode("4"),
 }
 
 
 @pytest.mark.parametrize("call", BAD_SIZES.values(), ids=BAD_SIZES.keys())
 def test_library_entry_points_refuse_bad_sizes_with_lab_errors(call):
     """Each once raised a bare TypeError, ValueError, AttributeError or
-    ZeroDivisionError, or, for moment_bound, returned a number."""
+    ZeroDivisionError, or returned a number."""
     with pytest.raises(QccLabError):
         call()
+
+
+def test_partition_refuses_a_fractional_budget_as_bad_input():
+    """A budget of 2.5 bits is a bad parameter, not a finding that some input
+    accepts nowhere below it."""
+    with pytest.raises(InvariantError,
+                       match="partition_inputs parameter threshold_bits must be an integer"):
+        partition_inputs(SendAllReplyProtocol(2), 2, 2.5)
