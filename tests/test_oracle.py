@@ -598,6 +598,21 @@ def test_sign_vector_law_matches_sum_and_kron_routes(n, law_parts_calls, kron_ca
     assert len(law_parts_calls) == 3 * pairs and len(kron_calls) == 3 * pairs
 
 
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_identity_matches_kron_on_sign_vectors(n):
+    """Every ordered pair of observables 2 P - 1: the tagged state's
+    expectations equal the kron route's on the state built by value. The
+    projectors' kron route is swept once, in the test above."""
+    state = maximally_entangled(n)
+    reference = by_value(state)
+    observables = [sign_vector_observable(v) for v in SignVector.all_vectors(n)]
+    for oa in observables:
+        for ob in observables:
+            fast = predict_expectations(oa, ob, state)
+            assert fast.exact
+            assert fast == predict_expectations(oa, ob, reference)
+
+
 @pytest.mark.parametrize("n", [2, 4])
 def test_identity_matches_kron_on_higher_rank_projectors(n):
     vectors = list(SignVector.all_vectors(n))
