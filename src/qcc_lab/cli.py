@@ -47,9 +47,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dj import (auy_min_n1, check_promise, n0_certificate, n0_upper_bound,
-                 n0_verify, n1_lower_bound, promise_pairs, promise_scenarios,
-                 RejectCertificate)
+from .dj import (auy_min_n1, n0_certificate, n0_upper_bound, n0_verify,
+                 n1_lower_bound, promise_pairs, promise_scenarios, RejectCertificate)
 from .errors import (InvariantError, NonHaltingError, PartitionError,
                      QccLabError)
 from .harness import (ALICE, BOB, Protocol, RandomnessSpace,
@@ -231,7 +230,7 @@ def _load_scenario(path: str) -> tuple[Projector, Projector, DensityMatrix]:
             raise InvariantError('maximally_entangled state needs an integer "n"')
         state = maximally_entangled(_capped_n(n, "the maximally_entangled state"))
     elif state_spec == "singlet":
-        state = singlet(exact=False)
+        state = singlet()
     elif isinstance(state_spec, dict) and "matrix" in state_spec:
         state = DensityMatrix(_parse_matrix(state_spec["matrix"]))
     else:
@@ -363,11 +362,6 @@ def cmd_verify(args) -> int:
 def cmd_dj_cert(args) -> int:
     a = SignVector.parse(args.a)
     b = SignVector.parse(args.b)
-    dot = check_promise(a, b)
-    if dot == a.n:
-        raise InvariantError(
-            "vectors agree everywhere; reject certificates cover the a.b = 0 "
-            "case (accepting runs are certified via the reduce pipeline)")
     cert = n0_certificate(a, b)
     report = {
         "command": "dj cert",

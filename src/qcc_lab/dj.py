@@ -107,7 +107,9 @@ class RejectCertificate:
 def n0_certificate(a: SignVector, b: SignVector) -> RejectCertificate:
     """Witness for a reject pair: the first disagreeing coordinate."""
     if check_promise(a, b) != 0:
-        raise InvariantError("inputs agree everywhere; no reject witness exists")
+        raise InvariantError(
+            "vectors agree everywhere; reject certificates cover the a.b = 0 "
+            "case (accepting runs are certified via the reduce pipeline)")
     for i, (x, y) in enumerate(zip(a.coords, b.coords), start=1):
         if x != y:
             return RejectCertificate(i, x)

@@ -193,7 +193,11 @@ class RandomnessSpace:
 
     @classmethod
     def uniform(cls, points) -> "RandomnessSpace":
-        points = tuple(points)  # no points: no weights, which __post_init__ refuses
+        try:
+            points = tuple(points)  # no points: no weights, which __post_init__ refuses
+        except TypeError:
+            raise InvariantError(
+                f"RandomnessSpace.uniform needs an iterable of points, got {points!r}") from None
         return cls(points, (Fraction(1, len(points)),) * len(points) if points else ())
 
     def __len__(self) -> int:
@@ -382,8 +386,11 @@ class SampleStats:
 
 def sample_distribution(protocol: Protocol, input_a, input_b, *,
                         samples: int, seed=0) -> SampleStats:
-    """Estimate the joint law with a seeded generator; seed is reported back."""
+    """Estimate the joint law with a seeded generator: an integer seed >= 0
+    or a `np.random.SeedSequence`, reported back."""
     samples = _at_least("sample_distribution", "samples", samples, 1)
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = _at_least("sample_distribution", "seed", seed, 0)
     rng = np.random.default_rng(seed)
     batch = protocol.batch_outcomes(input_a, input_b, rng, samples)
     space = protocol.lambda_space
@@ -477,8 +484,8 @@ def check_exact_blqms(protocol: Protocol, scenarios: Iterable[Scenario], *,
     sampled = samples is not None
     if not sampled:
         _finite_space(protocol, "exact checking")
-    elif not isinstance(seed, (int, np.integer)):
-        raise InvariantError(f"seed must be an integer, got {seed!r}")
+    else:
+        seed = _at_least("check_exact_blqms", "seed", seed, 0)
     # the last comparison: consecutive promise pairs share both cached laws, and the
     # strong references keep the identity test sound on frozen laws
     count, worst, failures, last = 0, 0, [], (None, None, None)
@@ -487,7 +494,7 @@ def check_exact_blqms(protocol: Protocol, scenarios: Iterable[Scenario], *,
         if sampled:
             computed = sample_distribution(
                 protocol, input_a, input_b, samples=samples,
-                seed=np.random.SeedSequence([int(seed), index])).probs
+                seed=np.random.SeedSequence([seed, index])).probs
         elif not target.exact:
             raise InvariantError(f"scenario {pair_label(input_a, input_b)!r} has a float "
                                  "target; exact checking needs a rational one")
@@ -526,6 +533,7 @@ class CostLaw:
 
     def tail(self, threshold: int) -> int:
         """Numerator, over `den`, of mass(T >= threshold)."""
+        threshold = _integer("CostLaw.tail", "threshold", threshold)
         return sum(self.masses[bisect_left(self.costs, threshold):])
 
     def moment(self, k: int) -> Fraction:

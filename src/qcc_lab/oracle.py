@@ -18,21 +18,16 @@ Conventions:
 Expectations are derived from the joint law, which has two routes.  A
 state built by `maximally_entangled(n)` and a projector built exactly by
 `sign_vector_projector(a)` carry structural tags, set there and nowhere
-else.  On the tagged state with two tagged projectors of length n,
-sum_ij P_ij Q_ij = (a.b)^2 / n^2, so the law is the closed form
+else.  On the tagged state with two tagged projectors of length n, the
+law is the closed form
 
     p_pp = (a.b)^2 / n^3,  p_mp = p_pm = (n^2 - (a.b)^2) / n^3,
 
 built and validated once per (n, a.b) and shared by every such pair.
-Every other operand goes through `_law_parts`, the reference route: on
-the tagged state it uses the identity
-
-    Tr[(A (x) B) Phi] = sum_ij A_ij B_ij / n
-
-on integer numerators, without forming the n^2 x n^2 Kronecker product;
-every other exact state, including one built by value from the same
-entries, takes the Kronecker product and `trace_dot`.  States and
-projectors are never recognized by value.
+Every other operand goes through `_law_parts`, the reference route: the
+Kronecker trace Tr[(A (x) B) sigma], in Fractions when all three operands
+are exact and in floats otherwise.  States and projectors are never
+recognized by value.
 """
 
 from __future__ import annotations
@@ -120,6 +115,16 @@ class RationalMatrix:
     def identity(cls, dim: int) -> "RationalMatrix":
         return cls(np.eye(dim, dtype=np.int64), 1)
 
+    @classmethod
+    def _derived(cls, num: Array, den: int) -> "RationalMatrix":
+        """A matrix that an operation below built from checked ones: `num`
+        holds Python ints and `den` > 0, so neither is checked again."""
+        matrix = object.__new__(cls)
+        num.setflags(write=False)
+        object.__setattr__(matrix, "num", num)
+        object.__setattr__(matrix, "den", den)
+        return matrix
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.num.shape
@@ -146,14 +151,15 @@ class RationalMatrix:
         return bool((self.num * other.den == other.num * self.den).all())
 
     def kron(self, other: "RationalMatrix") -> "RationalMatrix":
-        return RationalMatrix(np.kron(self.num, other.num), self.den * other.den)
+        return RationalMatrix._derived(np.kron(self.num, other.num), self.den * other.den)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return RationalMatrix(self.num @ other.num, self.den * other.den)
+        return RationalMatrix._derived(self.num @ other.num, self.den * other.den)
 
     def one_minus(self) -> "RationalMatrix":
         """Identity minus self (square matrices only)."""
-        return RationalMatrix(self.den * np.eye(self.dim, dtype=object) - self.num, self.den)
+        return RationalMatrix._derived(self.den * np.eye(self.dim, dtype=object) - self.num,
+                                       self.den)
 
     def trace(self) -> Fraction:
         return Fraction(sum(self.num.diagonal()), self.den)
@@ -228,6 +234,8 @@ class SignVector:
     @classmethod
     def parse(cls, text: str) -> "SignVector":
         """Accepts '+-+-' or comma-separated '+1,-1,1,-1'."""
+        if not isinstance(text, str):
+            raise InvariantError(f"cannot parse sign vector from {text!r}")
         text = text.strip()
         if "," in text:
             coords = []
@@ -482,29 +490,18 @@ def _trace_kron_float(left: Array, right: Array, state: Array) -> float:
 
 
 def _law_parts(pa: MatrixData, pb: MatrixData, state: DensityMatrix) -> tuple:
-    """Tr[(P (x) Q) sigma], Tr[((1 - P) (x) Q) sigma], Tr[(P (x) (1 - Q)) sigma]
-    and the denominator they share.
-
-    Integers over n d_P d_Q on the tagged state with n x n operands;
-    Fractions over 1 on any other exact state; floats over 1.0 otherwise.
-    The reference for the closed form of `_sign_vector_law`.
+    """Tr[(P (x) Q) sigma], Tr[((1 - P) (x) Q) sigma] and Tr[(P (x) (1 - Q)) sigma]
+    by the Kronecker trace: Fractions when all three operands are exact,
+    floats otherwise.  The reference for the closed form of `_sign_vector_law`.
     """
     if not (_is_exact(pa) and _is_exact(pb) and state.exact):
         pa, pb, sigma = _to_float(pa), _to_float(pb), _to_float(state.entries)
         eye_a, eye_b = np.eye(len(pa)), np.eye(len(pb))
         return (_trace_kron_float(pa, pb, sigma), _trace_kron_float(eye_a - pa, pb, sigma),
-                _trace_kron_float(pa, eye_b - pb, sigma), 1.0)
-    n = state._entangled_n
-    if n is None or pa.shape != (n, n) or pb.shape != (n, n):
-        sigma = state.entries
-        return (_trace_kron_exact(pa, pb, sigma), _trace_kron_exact(pa.one_minus(), pb, sigma),
-                _trace_kron_exact(pa, pb.one_minus(), sigma), 1)
-    # Tr[(P (x) Q) Phi] = sum_ij P_ij Q_ij / n; over the same denominator,
-    # (1 - P) (x) Q has numerator sum_ij (d_P delta_ij - P_ij) Q_ij = d_P tr(Q) - pp,
-    # and P (x) (1 - Q) likewise
-    pp = (pa.num * pb.num).sum()
-    return (pp, pa.den * sum(pb.num.diagonal()) - pp,
-            pb.den * sum(pa.num.diagonal()) - pp, n * pa.den * pb.den)
+                _trace_kron_float(pa, eye_b - pb, sigma))
+    sigma = state.entries
+    return (_trace_kron_exact(pa, pb, sigma), _trace_kron_exact(pa.one_minus(), pb, sigma),
+            _trace_kron_exact(pa, pb.one_minus(), sigma))
 
 
 def _admit_probability(name: str, value: float) -> float:
@@ -539,9 +536,9 @@ def predict_joint_probs(proj_a: Projector, proj_b: Projector, state: DensityMatr
     if proj_a.dim * proj_b.dim != state.dim:
         raise DimensionMismatchError(
             f"party dims {proj_a.dim} x {proj_b.dim} do not match state dim {state.dim}")
-    pp, mp, pm, den = _law_parts(proj_a.entries, proj_b.entries, state)
-    if isinstance(den, int):
-        return JointProbs(*(Fraction(x, den) for x in (pp, mp, pm, den - pp - mp - pm)))
+    pp, mp, pm = _law_parts(proj_a.entries, proj_b.entries, state)
+    if isinstance(pp, Fraction):
+        return JointProbs(pp, mp, pm, 1 - pp - mp - pm)
     # the residual p_mm is taken after the clamps; the predict reports are pinned to it
     p_pp = _admit_probability("p_pp", pp)
     p_mp = _admit_probability("p_mp", mp)
@@ -588,20 +585,20 @@ def expectations_to_probs(triple: ExpectationTriple) -> JointProbs:
     return JointProbs(**cleaned)
 
 
-def maximally_entangled(n: int, exact: bool = True) -> DensityMatrix:
-    """Rank-one state (1/sqrt(n)) sum_i |ii>, as an n^2 x n^2 density matrix."""
+def maximally_entangled(n: int) -> DensityMatrix:
+    """Rank-one state (1/sqrt(n)) sum_i |ii>, as an exact n^2 x n^2 density
+    matrix carrying the tag that the closed form reads."""
     n = _at_least("maximally_entangled", "n", n, 1)
     phi = np.eye(n, dtype=np.int64).ravel()  # sum_i |ii>, unnormalized
-    num = np.outer(phi, phi)
-    if exact:
-        state = DensityMatrix(RationalMatrix(num, n))
-        object.__setattr__(state, "_entangled_n", n)  # entries built from n above
-        return state
-    return DensityMatrix(num.astype(complex) / n)
+    state = DensityMatrix(RationalMatrix(np.outer(phi, phi), n))
+    object.__setattr__(state, "_entangled_n", n)  # entries built from n above
+    return state
 
 
 def sign_vector_projector(a: SignVector, exact: bool = True) -> Projector:
     """Rank-one projector (1/n) |a><a| for a sign vector a."""
+    if not isinstance(a, SignVector):
+        raise InvariantError(f"sign_vector_projector needs a SignVector, got {a!r}")
     outer = np.outer(a.coords, a.coords)
     if exact:
         proj = Projector(RationalMatrix(outer, a.n))
@@ -615,12 +612,11 @@ def sign_vector_observable(a: SignVector, exact: bool = True) -> BinaryObservabl
     return projector_to_observable(sign_vector_projector(a, exact=exact))
 
 
-def singlet(exact: bool = True) -> DensityMatrix:
-    """Two-qubit state |psi><psi| with |psi> = (|01> - |10>) / sqrt(2)."""
-    num = np.array([[0, 0, 0, 0], [0, 1, -1, 0], [0, -1, 1, 0], [0, 0, 0, 0]])
-    if exact:
-        return DensityMatrix(RationalMatrix(num, 2))
-    return DensityMatrix(num.astype(complex) / 2)
+def singlet() -> DensityMatrix:
+    """Two-qubit state |psi><psi| with |psi> = (|01> - |10>) / sqrt(2), in
+    double precision."""
+    return DensityMatrix(np.array(
+        [[0, 0, 0, 0], [0, 1, -1, 0], [0, -1, 1, 0], [0, 0, 0, 0]], dtype=complex) / 2)
 
 
 def _unit3(value, what: str) -> Array:

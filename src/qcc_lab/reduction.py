@@ -155,16 +155,13 @@ def partition_inputs(protocol: Protocol, n: int, threshold_bits: int) -> Partiti
 
 
 def _canon_lambda(lam) -> str:
+    """A finite space's point, a Fraction or an int, as digest text."""
     if isinstance(lam, Fraction):
         return f"{lam.numerator}/{lam.denominator}"
     if isinstance(lam, bool):
         raise InvariantError("boolean randomness points are not canonical")
     if isinstance(lam, int):
         return str(lam)
-    if isinstance(lam, float):
-        return repr(lam)
-    if isinstance(lam, (tuple, list)):
-        return "(" + ",".join(_canon_lambda(x) for x in lam) + ")"
     raise InvariantError(f"cannot canonicalize randomness point {lam!r}")
 
 

@@ -93,7 +93,7 @@ def _random_unit(rng):
 def test_criterion_3_toner_bacon_statistics():
     start = time.perf_counter()
     protocol = TonerBaconProtocol()
-    state = singlet(exact=False)
+    state = singlet()
     rng = np.random.default_rng(77)
     worst_corr = worst_marg = 0.0
     for i in range(20):

@@ -378,9 +378,9 @@ def test_simulate_refuses_n_above_the_cap_before_building(samples, capsys,
 def test_predict_refuses_maximally_entangled_n_above_the_cap(tmp_path, capsys, monkeypatch):
     states, build = [], oracle.maximally_entangled
 
-    def counting(n, exact=True):
+    def counting(n):
         states.append(n)
-        return build(n, exact)
+        return build(n)
 
     monkeypatch.setattr(cli, "maximally_entangled", counting)
     for n in (17, 40):
@@ -488,6 +488,10 @@ def test_verify_guards(capsys):
                    "--n", "18")[0] == 2
     assert run_cli(capsys, "verify", "--protocol", "toner_bacon",
                    "--n", "2")[0] == 2
+    code, out, err = run_cli(capsys, "verify", "--protocol", "constant", "--n", "2",
+                             "--samples", "3", "--seed", "-1")
+    assert code == 2 and out == ""
+    assert "check_exact_blqms parameter seed must be at least 0, got -1" in err
 
 
 def test_dj_certificate_roundtrip(capsys):

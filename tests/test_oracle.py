@@ -363,7 +363,7 @@ def test_joint_probs_marginals_match_quantum_targets():
 
 def test_float_path_agrees_with_exact():
     n = 4
-    state_f = maximally_entangled(n, exact=False)
+    state_f = DensityMatrix(maximally_entangled(n).entries.to_float())
     state_e = maximally_entangled(n)
     rng = np.random.default_rng(11)
     vectors = list(SignVector.all_vectors(n))
@@ -395,7 +395,7 @@ def test_predict_expectations_consistent_with_probs():
 
 
 def test_singlet_expectations_from_bloch_observables():
-    state = singlet(exact=False)
+    state = singlet()
     z = bloch_observable((0.0, 0.0, 1.0))
     x = bloch_observable((1.0, 0.0, 0.0))
     tilted = bloch_observable((0.6, 0.0, 0.8))
@@ -522,7 +522,7 @@ def test_target_probability_rejects_off_promise():
     assert joint_plus_probability(a, b) == Fraction(4, 64)
 
 
-# --- maximally entangled identity against the kron reference ---------------
+# --- closed form against the kron reference --------------------------------
 
 
 def by_value(state):
@@ -556,28 +556,13 @@ def law_parts_calls(monkeypatch):
     return calls
 
 
-def assert_identity_matches_kron(projectors, state):
-    """Every ordered pair: the tagged path equals the kron path exactly."""
-    reference = by_value(state)
-    observables = [projector_to_observable(p) for p in projectors]
-    for pa in projectors:
-        for pb in projectors:
-            fast = predict_joint_probs(pa, pb, state)
-            assert fast == predict_joint_probs(pa, pb, reference)
-            assert fast.exact
-    for oa in observables:
-        for ob in observables:
-            fast = predict_expectations(oa, ob, state)
-            assert fast == predict_expectations(oa, ob, reference)
-            assert fast.exact
-
-
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_sign_vector_law_matches_sum_and_kron_routes(n, law_parts_calls, kron_calls):
     """Every ordered pair, off the promise too: the cached closed form on
-    tagged projectors equals the sum_ij P_ij Q_ij route on the same entries
-    built by value, and the kron route on the state built by value; the
-    observables 2 P - 1 give the closed form's expectations exactly."""
+    tagged projectors equals the kron route on the same entries built by
+    value, and on the state built by value; the observables 2 P - 1, which
+    carry no tag, give the closed form's expectations through the kron
+    route exactly."""
     state = maximally_entangled(n)
     reference = by_value(state)
     vectors = list(SignVector.all_vectors(n))
@@ -593,64 +578,19 @@ def test_sign_vector_law_matches_sum_and_kron_routes(n, law_parts_calls, kron_ca
             expectations = predict_expectations(oa, ob, state)
             assert expectations.exact
             assert expectations == probs_to_expectations(closed)
-    # the closed form reaches neither route; each other call reaches one
+    # the closed form reaches no trace; each other law takes three
     pairs = len(vectors) ** 2
-    assert len(law_parts_calls) == 3 * pairs and len(kron_calls) == 3 * pairs
-
-
-@pytest.mark.parametrize("n", [2, 4, 6])
-def test_identity_matches_kron_on_sign_vectors(n):
-    """Every ordered pair of observables 2 P - 1: the tagged state's
-    expectations equal the kron route's on the state built by value. The
-    projectors' kron route is swept once, in the test above."""
-    state = maximally_entangled(n)
-    reference = by_value(state)
-    observables = [sign_vector_observable(v) for v in SignVector.all_vectors(n)]
-    for oa in observables:
-        for ob in observables:
-            fast = predict_expectations(oa, ob, state)
-            assert fast.exact
-            assert fast == predict_expectations(oa, ob, reference)
-
-
-@pytest.mark.parametrize("n", [2, 4])
-def test_identity_matches_kron_on_higher_rank_projectors(n):
-    vectors = list(SignVector.all_vectors(n))
-    diagonal = [Projector(RationalMatrix(np.diag(v.to_bits()), 1)) for v in vectors]
-    rank_one = [sign_vector_projector(v) for v in vectors[:4]]
-    # P_a + P_b for orthogonal a, b: rank two with denominator n
-    a = vectors[0]
-    rank_two = [Projector(RationalMatrix(
-        sign_vector_projector(a).entries.num + sign_vector_projector(b).entries.num, n))
-        for b in vectors if a.dot(b) == 0][:4]
-    projectors = diagonal + rank_two + [p.complement() for p in diagonal + rank_one]
-    assert_identity_matches_kron(projectors, maximally_entangled(n))
-
-
-def test_identity_matches_kron_on_wide_numerators():
-    """Python-int numerators past the int64 range, on both paths."""
-    scale = 2**70
-    n = 4
-    projectors = []
-    for v in list(SignVector.all_vectors(n))[:6]:
-        p = sign_vector_projector(v).entries
-        projectors.append(Projector(RationalMatrix(p.num.astype(object) * scale,
-                                                   p.den * scale)))
-    projectors += [p.complement() for p in projectors[:2]]
-    state = maximally_entangled(n)
-    reference = by_value(state)
-    for pa in projectors:
-        for pb in projectors:
-            assert predict_joint_probs(pa, pb, state) == \
-                predict_joint_probs(pa, pb, reference)
+    assert len(law_parts_calls) == 3 * pairs and len(kron_calls) == 9 * pairs
 
 
 def test_tagged_state_skips_kron(kron_calls):
     a, b = SignVector.parse("++--"), SignVector.parse("+-+-")
     state = maximally_entangled(4)
     predict_joint_probs(sign_vector_projector(a), sign_vector_projector(b), state)
-    predict_expectations(sign_vector_observable(a), sign_vector_observable(b), state)
     assert kron_calls == []
+    # the observables 2 P - 1 carry no tag
+    predict_expectations(sign_vector_observable(a), sign_vector_observable(b), state)
+    assert len(kron_calls) == 3
 
 
 def test_state_built_by_value_takes_kron(kron_calls):
@@ -677,7 +617,7 @@ def test_untagged_operands_reach_law_parts(law_parts_calls):
     assert predict_joint_probs(untagged[0], tagged_b, state) == closed
     assert len(law_parts_calls) == 1
     loose = predict_joint_probs(untagged[2], sign_vector_projector(b, exact=False),
-                                maximally_entangled(4, exact=False))
+                                DensityMatrix(state.entries.to_float()))
     assert not loose.exact and len(law_parts_calls) == 2
     assert predict_joint_probs(tagged_a, tagged_b, by_value(state)) == closed
     assert len(law_parts_calls) == 3
@@ -710,7 +650,7 @@ def test_promise_sweep_builds_two_laws(law_parts_calls):
 
 
 def test_unequal_party_dims_take_kron(kron_calls):
-    """1 x 4 party dims match a 4 x 4 state, but the identity needs n x n."""
+    """1 x 4 party dims match a 4 x 4 state; untagged, they take the kron route."""
     state = maximally_entangled(2)
     scalar = Projector(RationalMatrix(np.array([[1]]), 1))
     wide = Projector(RationalMatrix(np.diag([1, 0, 0, 1]), 1))

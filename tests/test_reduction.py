@@ -16,7 +16,7 @@ from qcc_lab.errors import InvariantError, PartitionError, QccLabError
 from qcc_lab.harness import (ALICE, BOB, Action, Protocol, RandomnessSpace, Scenario,
                              Transcript, check_exact_blqms, cost_law,
                              output_distribution, run, sample_distribution, tail_mass)
-from qcc_lab.oracle import JointProbs, SignVector
+from qcc_lab.oracle import JointProbs, SignVector, sign_vector_projector
 from qcc_lab.protocols import ConstantProtocol, SendAllReplyProtocol, TonerBaconProtocol
 from qcc_lab.reduction import (DerandomizationTable, DjCertificate, Partition,
                                PartitionCell, build_certificate, cell_index_width,
@@ -315,6 +315,8 @@ def test_derandomization_table_digest():
     assert other.digest != table.digest
     ints = DerandomizationTable(2, (0, 1, 2, 3))
     assert ints.digest == hashlib.sha256(b"n=2;0;1;2;3").hexdigest()
+    with pytest.raises(InvariantError, match="cannot canonicalize randomness point 0.5"):
+        DerandomizationTable(2, (0, 0.5)).digest
 
 
 def test_certificate_bit_lengths():
@@ -438,6 +440,7 @@ def test_contradiction_threshold():
 
 
 _PAIR = (SignVector.parse("++"), SignVector.parse("++"))
+_BAD_SEEDS = (("negative", -1), ("bool", True), ("text", "x"))
 BAD_SIZES = {
     "tail check at n = 0": lambda: check_tail_hypothesis(SendAllReplyProtocol(2), 0, 3),
     "fractional tail threshold":
@@ -468,13 +471,23 @@ BAD_SIZES = {
     "text cost measure": lambda: auy_min_n1("3", 1),
     "missing reject certificate n": lambda: RejectCertificate.decode((0, 0, 0), None),
     "text reject certificate n": lambda: RejectCertificate(1, 1).encode("4"),
+    "missing sign vector text": lambda: SignVector.parse(None),
+    "text sign vector projector": lambda: sign_vector_projector("++"),
+    "non-iterable uniform points": lambda: RandomnessSpace.uniform(5),
+    "text cost law tail threshold":
+        lambda: cost_law(SendAllReplyProtocol(2), *_PAIR).tail("3"),
+    **{f"{kind} sample seed": (lambda seed=seed: sample_distribution(
+        SendAllReplyProtocol(2), *_PAIR, samples=3, seed=seed)) for kind, seed in _BAD_SEEDS},
+    **{f"{kind} sampled audit seed": (lambda seed=seed: check_exact_blqms(
+        SendAllReplyProtocol(2), [Scenario(*_PAIR, JointProbs(1, 0, 0, 0))],
+        samples=5, seed=seed)) for kind, seed in _BAD_SEEDS},
 }
 
 
 @pytest.mark.parametrize("call", BAD_SIZES.values(), ids=BAD_SIZES.keys())
 def test_library_entry_points_refuse_bad_sizes_with_lab_errors(call):
     """Each once raised a bare TypeError, ValueError, AttributeError or
-    ZeroDivisionError, or returned a number."""
+    ZeroDivisionError, or returned a result."""
     with pytest.raises(QccLabError):
         call()
 
