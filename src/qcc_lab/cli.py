@@ -150,14 +150,6 @@ def render_csv(columns: list[str], rows: list[list]) -> str:
     return out.getvalue()
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _floats(mapping: dict) -> dict:
     return {key: float(value) for key, value in mapping.items()}
 
@@ -186,7 +178,7 @@ def _parse_matrix(rows) -> np.ndarray:
     return np.array([[cell(c) for c in row] for row in rows], dtype=complex)
 
 
-def _parse_party(doc: dict, key: str, exact_state: bool) -> Projector:
+def _parse_party(doc: dict, key: str) -> Projector:
     spec = doc.get(key)
     if not isinstance(spec, dict):
         raise InvariantError(f'scenario needs an object under "{key}"')
@@ -196,7 +188,7 @@ def _parse_party(doc: dict, key: str, exact_state: bool) -> Projector:
             f'"{key}" needs exactly one of vector/bloch/projector/observable')
     kind = kinds[0]
     if kind == "vector":
-        return sign_vector_projector(_parse_sign_vector(spec[kind]), exact=exact_state)
+        return sign_vector_projector(_parse_sign_vector(spec[kind]))
     if kind == "bloch":
         direction = spec[kind]
         if not isinstance(direction, (list, tuple)) or len(direction) != 3:
@@ -235,9 +227,7 @@ def _load_scenario(path: str) -> tuple[Projector, Projector, DensityMatrix]:
         state = DensityMatrix(_parse_matrix(state_spec["matrix"]))
     else:
         raise InvariantError(f"unrecognized state spec {state_spec!r}")
-    proj_a = _parse_party(doc, "alice", state.exact)
-    proj_b = _parse_party(doc, "bob", state.exact)
-    return proj_a, proj_b, state
+    return _parse_party(doc, "alice"), _parse_party(doc, "bob"), state
 
 
 def _build_protocol(args, n: int) -> Protocol:
@@ -272,19 +262,19 @@ def _promise_front(args) -> tuple[int, Protocol]:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its report, a dict or CSV text, and its exit code
+
+Report = tuple[dict | str, int]
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args) -> Report:
     proj_a, proj_b, state = _load_scenario(args.scenario)
     probs = predict_joint_probs(proj_a, proj_b, state)
     probs_map = probs.as_dict()
     expectations = probs_to_expectations(probs).as_dict()
     if args.format == "csv":
         columns = ["p_pp", "p_mp", "p_pm", "p_mm", "e_ab", "e_a", "e_b"]
-        values = [*probs_map.values(), *expectations.values()]
-        _emit(render_csv(columns, [values]), args.out)
-        return 0
+        return render_csv(columns, [[*probs_map.values(), *expectations.values()]]), 0
     report = {
         "command": "predict",
         "scenario": args.scenario,
@@ -295,11 +285,10 @@ def cmd_predict(args) -> int:
         "expectations": expectations if probs.exact else _floats(expectations),
         "expectations_float": _floats(expectations),
     }
-    _emit(canonical_json(report), args.out)
-    return 0
+    return report, 0
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> Report:
     contract = PROTOCOLS[args.protocol]
     if contract.default_input is None and not (args.a and args.b):
         raise InvariantError(f"{args.protocol} needs --a and --b {contract.input_kind}s")
@@ -330,11 +319,10 @@ def cmd_simulate(args) -> int:
         report["t_mean"] = stats.t_mean
         report["t_max"] = stats.t_max
     report["expectations_float"] = _floats(probs_to_expectations(probs).as_dict())
-    _emit(canonical_json(report), args.out)
-    return 0
+    return report, 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Report:
     n, protocol = _promise_front(args)
     report_obj = check_exact_blqms(protocol, promise_scenarios(n), samples=args.samples,
                                    seed=args.seed)
@@ -353,13 +341,11 @@ def cmd_verify(args) -> int:
         "failures": failures[:20],
         "failure_count": len(failures),
     }
-    _emit(canonical_json(report), args.out)
-    if report_obj.all_full is False or report_obj.all_restricted is False:
-        return 3
-    return 0
+    failed = report_obj.all_full is False or report_obj.all_restricted is False
+    return report, 3 if failed else 0
 
 
-def cmd_dj_cert(args) -> int:
+def cmd_dj_cert(args) -> Report:
     a = SignVector.parse(args.a)
     b = SignVector.parse(args.b)
     cert = n0_certificate(a, b)
@@ -373,11 +359,10 @@ def cmd_dj_cert(args) -> int:
         "bit_length": cert.bit_length(a.n),
         "bit_bound": n0_upper_bound(a.n),
     }
-    _emit(canonical_json(report), args.out)
-    return 0
+    return report, 0
 
 
-def cmd_dj_verify(args) -> int:
+def cmd_dj_verify(args) -> Report:
     own = SignVector.parse(args.vector)
     if any(ch not in "01" for ch in args.cert) or not args.cert:
         raise InvariantError("--cert takes the certificate's 0/1 bit string")
@@ -394,11 +379,10 @@ def cmd_dj_verify(args) -> int:
         "accepted": verdict.accepted,
         "reason": verdict.reason,
     }
-    _emit(canonical_json(report), args.out)
-    return 0 if verdict.accepted else 3
+    return report, 0 if verdict.accepted else 3
 
 
-def cmd_dj_bounds(args) -> int:
+def cmd_dj_bounds(args) -> Report:
     rows = []
     for n in args.n:
         _at_least("dj bounds", "n", n, 2, even=True)
@@ -412,12 +396,10 @@ def cmd_dj_bounds(args) -> int:
             "d_trivial": trivial_cost,
             "auy_min_n1": auy_min_n1(trivial_cost, width),
         })
-    report = {"command": "dj bounds", "seed": args.seed, "rows": rows}
-    _emit(canonical_json(report), args.out)
-    return 0
+    return {"command": "dj bounds", "seed": args.seed, "rows": rows}, 0
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> Report:
     if args.M is not None and args.M < 1:
         raise InvariantError(f"--M is a bit budget and must be at least 1, got {args.M}")
     n, protocol = _promise_front(args)
@@ -445,8 +427,7 @@ def cmd_reduce(args) -> int:
     }
     if witness is not None:
         report["partition"] = None
-        _emit(canonical_json(report), args.out)
-        return 3
+        return report, 3
 
     tail = check_tail_hypothesis(protocol, n, threshold)
     report["tail"] = {
@@ -462,8 +443,7 @@ def cmd_reduce(args) -> int:
         partition = partition_inputs(protocol, n, threshold)
     except PartitionError as exc:
         report["partition"] = {"ok": False, "witness": str(exc)}
-        _emit(canonical_json(report), args.out)
-        return 3
+        return report, 3
     table = partition.table()
     report["partition"] = {
         "ok": True,
@@ -499,13 +479,12 @@ def cmd_reduce(args) -> int:
                                   "reference": reference_bits,
                                   "within_reference": max_bits <= reference_bits}
 
-    _emit(canonical_json(report), args.out)
     ok = (tail.ok and partition.within_bound and passed == total
           and jointly_accepted == 0 and max_bits <= reference_bits)
-    return 0 if ok else 3
+    return report, 0 if ok else 3
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> Report:
     rows = []
     for n in args.n:
         _at_least("bounds", "n", n, 2, even=True)
@@ -521,12 +500,8 @@ def cmd_bounds(args) -> int:
     if args.format == "csv":
         columns = ["n", "k", "n1_lower_bound", "m_of_n", "moment_bound",
                    "contradiction"]
-        _emit(render_csv(columns, [[row[c] for c in columns] for row in rows]),
-              args.out)
-        return 0
-    report = {"command": "bounds", "seed": args.seed, "rows": rows}
-    _emit(canonical_json(report), args.out)
-    return 0
+        return render_csv(columns, [[row[c] for c in columns] for row in rows]), 0
+    return {"command": "bounds", "seed": args.seed, "rows": rows}, 0
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +592,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report, code = args.func(args)
+        text = report if isinstance(report, str) else canonical_json(report)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except PartitionError as exc:
         print(f"finding: {exc}", file=sys.stderr)
         if exc.witness is not None:

@@ -110,10 +110,8 @@ def n0_certificate(a: SignVector, b: SignVector) -> RejectCertificate:
         raise InvariantError(
             "vectors agree everywhere; reject certificates cover the a.b = 0 "
             "case (accepting runs are certified via the reduce pipeline)")
-    for i, (x, y) in enumerate(zip(a.coords, b.coords), start=1):
-        if x != y:
-            return RejectCertificate(i, x)
-    raise AssertionError("unreachable: a.b = 0 forces a disagreement")
+    return next(RejectCertificate(i, x) for i, (x, y) in
+                enumerate(zip(a.coords, b.coords), start=1) if x != y)
 
 
 def n0_verify(party: Party, own: SignVector, cert: RejectCertificate) -> CheckResult:

@@ -214,9 +214,6 @@ class RandomnessSpace:
     def sample_index(self, rng: np.random.Generator) -> int:
         return bisect_right(self._cdf, rng.random())
 
-    def sample(self, rng: np.random.Generator):
-        return self.points[self.sample_index(rng)]
-
     def mass(self, mask: np.ndarray) -> int:
         """Weight numerator, over `den`, of the points where mask holds; int64
         numerators (den < `_INT64_SAFE`) are nonnegative and sum to den, so none wraps."""
@@ -225,10 +222,12 @@ class RandomnessSpace:
 
 class Protocol(abc.ABC):
     """Base contract for pluggable protocols; every audit runs over the
-    protocol's own `lambda_space`, a `RandomnessSpace` for exact audits."""
+    protocol's own randomness.  That is a finite `RandomnessSpace`, which
+    exact audits enumerate and sampled audits draw from by `sample_index`,
+    or `None` with a `batch_outcomes` hook, its only sampled path."""
 
     name: str = "protocol"
-    lambda_space = None  # natural randomness source; subclasses set it
+    lambda_space = None  # a RandomnessSpace, or None with a batch_outcomes hook
     # input contract, read from the class: the input kind named in errors,
     # its text parser, and the text used when none is given (None: required)
     input_kind: str = "sign vector"
@@ -393,15 +392,12 @@ def sample_distribution(protocol: Protocol, input_a, input_b, *,
         seed = _at_least("sample_distribution", "seed", seed, 0)
     rng = np.random.default_rng(seed)
     batch = protocol.batch_outcomes(input_a, input_b, rng, samples)
-    space = protocol.lambda_space
     if batch is not None:
         y_a, y_b, t = _rows(batch, samples, "batch_outcomes")
-    elif not callable(getattr(space, "sample", None)):
-        raise InvariantError(f"the sampled law needs a lambda_space with a sample "
-                             f"method, not {type(space).__name__}")
     else:  # one draw per sample, in order
+        space = _finite_space(protocol, "the sampled law without a batch_outcomes hook")
         y_a, y_b, t = _run_rows(protocol, input_a, input_b,
-                                (space.sample(rng) for _ in range(samples)))
+                                (space.points[space.sample_index(rng)] for _ in range(samples)))
     probs = JointProbs(*(float(np.count_nonzero((y_a == a) & (y_b == b))) / samples
                          for a, b in OUTCOMES))
     return SampleStats(probs, float(t.mean()), int(t.max()), samples, seed)

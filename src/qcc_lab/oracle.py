@@ -16,7 +16,7 @@ Conventions:
       in double precision under the tolerances in `tolerances`.
 
 Expectations are derived from the joint law, which has two routes.  A
-state built by `maximally_entangled(n)` and a projector built exactly by
+state built by `maximally_entangled(n)` and a projector built by
 `sign_vector_projector(a)` carry structural tags, set there and nowhere
 else.  On the tagged state with two tagged projectors of length n, the
 law is the closed form
@@ -106,10 +106,7 @@ class RationalMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "num", _int_matrix(self.num))
-        den = int(self.den)
-        if den <= 0:
-            raise InvariantError(f"denominator must be positive, got {den}")
-        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "den", _at_least("RationalMatrix", "den", self.den, 1))
 
     @classmethod
     def identity(cls, dim: int) -> "RationalMatrix":
@@ -333,7 +330,7 @@ class BinaryObservable(_Operator):
 class Projector(_Operator):
     """Hermitian idempotent matrix (the outcome +1 event)."""
 
-    # the vector a when built exactly by `sign_vector_projector(a)`; set only there
+    # the vector a when built by `sign_vector_projector(a)`; set only there
     _sign_vector: Optional[SignVector] = field(default=None, init=False, repr=False)
     _noun = "projector"
 
@@ -389,17 +386,22 @@ class DensityMatrix(_Operator):
             raise InvariantError(f"state has negative eigenvalue {lowest:.3e}")
 
 
-def _check_number(name: str, value: Number, low: int, high: int) -> None:
+def _number(name: str, value: Number, low: int, high: int) -> Number:
+    """A law entry in [low, high]: an int as its `Fraction`, so every exact
+    entry is one, and a float as given."""
     if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
         raise InvariantError(f"{name} must be an int, a float or a Fraction, got {value!r}")
+    if isinstance(value, int):
+        value = Fraction(value)
     if isinstance(value, Fraction):
         num, den = value.numerator, value.denominator  # den > 0
         if not (low * den <= num <= high * den):
             raise InvariantError(f"{name} = {value} outside [{low}, {high}]")
-        return
-    # int and float values are admitted within operator tolerance; producers clamp
+        return value
+    # float values are admitted within operator tolerance; producers clamp
     if not (low - OPERATOR_ATOL <= value <= high + OPERATOR_ATOL):
         raise InvariantError(f"{name} = {value} outside [{low}, {high}]")
+    return value
 
 
 @dataclass(frozen=True)
@@ -413,7 +415,7 @@ class JointProbs:
 
     def __post_init__(self):
         for name, value in self.as_dict().items():
-            _check_number(name, value, 0, 1)
+            object.__setattr__(self, name, _number(name, value, 0, 1))
         total = self.p_pp + self.p_mp + self.p_pm + self.p_mm
         if isinstance(total, Fraction):
             if total != 1:
@@ -444,7 +446,7 @@ class ExpectationTriple:
 
     def __post_init__(self):
         for name, value in self.as_dict().items():
-            _check_number(name, value, -1, 1)
+            object.__setattr__(self, name, _number(name, value, -1, 1))
 
     def as_dict(self) -> dict[str, Number]:
         return {"e_ab": self.e_ab, "e_a": self.e_a, "e_b": self.e_b}
@@ -595,21 +597,18 @@ def maximally_entangled(n: int) -> DensityMatrix:
     return state
 
 
-def sign_vector_projector(a: SignVector, exact: bool = True) -> Projector:
-    """Rank-one projector (1/n) |a><a| for a sign vector a."""
+def sign_vector_projector(a: SignVector) -> Projector:
+    """Rank-one projector (1/n) |a><a| for a sign vector a, exact and tagged."""
     if not isinstance(a, SignVector):
         raise InvariantError(f"sign_vector_projector needs a SignVector, got {a!r}")
-    outer = np.outer(a.coords, a.coords)
-    if exact:
-        proj = Projector(RationalMatrix(outer, a.n))
-        object.__setattr__(proj, "_sign_vector", a)  # entries built from a above
-        return proj
-    return Projector(outer.astype(complex) / a.n)
+    proj = Projector(RationalMatrix(np.outer(a.coords, a.coords), a.n))
+    object.__setattr__(proj, "_sign_vector", a)  # entries built from a above
+    return proj
 
 
-def sign_vector_observable(a: SignVector, exact: bool = True) -> BinaryObservable:
+def sign_vector_observable(a: SignVector) -> BinaryObservable:
     """Observable 2 P_a - 1 for the sign-vector projector P_a."""
-    return projector_to_observable(sign_vector_projector(a, exact=exact))
+    return projector_to_observable(sign_vector_projector(a))
 
 
 def singlet() -> DensityMatrix:

@@ -120,10 +120,11 @@ class SendAllReplyProtocol(Protocol):
         object.__setattr__(self, "_sends", {})  # Alice's send per vector index
 
     def _own_vector(self, value) -> SignVector:
-        vec = value if isinstance(value, SignVector) else SignVector(tuple(value))
-        if len(vec.coords) != self.n:
-            raise InvariantError(f"input length {vec.n} does not match protocol n = {self.n}")
-        return vec
+        if not isinstance(value, SignVector):
+            raise InvariantError(f"{self.name} takes SignVector inputs, got {value!r}")
+        if len(value.coords) != self.n:
+            raise InvariantError(f"input length {value.n} does not match protocol n = {self.n}")
+        return value
 
     def step(self, party: Party, own_input, lam, received: tuple[int, ...]) -> Action:
         own = self._own_vector(own_input)

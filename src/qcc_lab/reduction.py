@@ -199,6 +199,9 @@ class DjCertificate:
         if self.j < 1 or self.j - 1 >= 1 << cell_index_width(self.n):
             raise InvariantError(
                 f"cell index {self.j} does not fit {cell_index_width(self.n)} bits")
+        if not isinstance(self.transcript, Transcript):
+            raise InvariantError(
+                f"DjCertificate transcript must be a Transcript, got {self.transcript!r}")
 
     @property
     def bit_length(self) -> int:
@@ -332,8 +335,6 @@ def contradiction_threshold(limit: int = 10_000_002) -> int:
     while high - low > 2:
         mid = (low + high) // 2
         mid -= mid % 2
-        if mid in (low, high):
-            break
         if contradiction_holds(mid):
             high = mid
         else:

@@ -3,8 +3,11 @@
 import hashlib
 import json
 import math
+import shlex
 from dataclasses import dataclass
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qcc_lab import cli, oracle, protocols
@@ -46,6 +49,13 @@ def test_predict_maximally_entangled(tmp_path, capsys):
     assert report["expectations_float"]["e_ab"] == pytest.approx(1.0)
     assert report["expectations_float"]["e_a"] == pytest.approx(-0.5)
     assert report["seed"] == 0
+    # the same vectors as lists of ints
+    listed = write_scenario(tmp_path, {
+        "state": "maximally_entangled", "n": 4,
+        "alice": {"vector": [1, 1, -1, -1]}, "bob": {"vector": [1, 1, -1, -1]},
+    }, name="listed.json")
+    code, out, _ = run_cli(capsys, "predict", "--scenario", listed)
+    assert code == 0 and json.loads(out) == {**report, "scenario": listed}
 
 
 def test_predict_csv(tmp_path, capsys):
@@ -641,6 +651,15 @@ def test_bounds_out_file(tmp_path, capsys):
     content = out_file.read_text()
     assert content.startswith("n,k,")
     assert len(content.splitlines()) == 4
+    # a failing verdict's report goes to the file too, and a write error exits 2
+    _, printed, _ = run_cli(capsys, "verify", "--protocol", "constant", "--n", "2")
+    verdict_file = tmp_path / "verify.json"
+    code, out, _ = run_cli(capsys, "verify", "--protocol", "constant", "--n", "2",
+                           "--out", str(verdict_file))
+    assert code == 3 and out == "" and verdict_file.read_text() == printed
+    code, out, err = run_cli(capsys, "bounds", "--n", "4",
+                             "--out", str(tmp_path / "missing" / "bounds.json"))
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_usage_errors_exit_two(capsys):
@@ -731,18 +750,16 @@ def test_registered_protocol_runs_through_cli(capsys, monkeypatch):
 
 
 
-class CoinSampler:
-    """Sampled-mode randomness with no finite space: a fair +/-1 coin."""
-
-    def sample(self, rng):
-        return 1 if rng.random() < 0.5 else -1
-
-
 @dataclass(frozen=True, eq=False)
 class SampledParity(Parity):
-    """Parity over a coin that can only be sampled."""
+    """Parity over a fair +/-1 coin that only its batch hook samples."""
 
-    lambda_space = CoinSampler()
+    lambda_space = None
+
+    def batch_outcomes(self, input_a, input_b, rng, count):
+        coins = np.where(rng.random(count) < 0.5, 1, -1)
+        flips = input_a[0] * input_a[1] * input_b[0] * input_b[1]
+        return coins, coins * flips, np.ones(count, dtype=np.int64)
 
 
 def test_sampled_space_guards(capsys, monkeypatch):
@@ -775,3 +792,27 @@ def test_promise_commands_refuse_non_sign_vector_protocols(capsys, monkeypatch):
                                  "--n", "2")
         assert code == 2 and out == ""
         assert "takes unit 3-vectors" in err
+
+
+# --- the README's examples ---------------------------------------------------
+
+
+def readme_cli_section() -> str:
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    """Every `$ qcc-lab ...` line of the README's CLI section, with the scenario
+    file shown there, exits 0, or 3 where its comment says "exits 3"."""
+    section = readme_cli_section()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scenario.json").write_text(section.split("```json\n", 1)[1].split("```", 1)[0])
+    cases = []
+    for line in section.splitlines():
+        if line.startswith("$ qcc-lab "):
+            command, _, comment = line[len("$ qcc-lab "):].partition("#")
+            cases.append((command.strip(), 3 if "exits 3" in comment else 0))
+    assert len(cases) >= 10
+    codes = [(command, run_cli(capsys, *shlex.split(command))[0]) for command, _ in cases]
+    assert codes == cases

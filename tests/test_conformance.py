@@ -138,9 +138,11 @@ def test_law_and_cost_law_equal_a_fraction_enumeration_of_run(name):
 
 
 def per_draw_reference(protocol, a, b, samples, seed):
-    """The sampled law from one `sample` draw and one `run` per sample."""
-    rng = np.random.default_rng(seed)
-    records = [run(protocol, a, b, protocol.lambda_space.sample(rng)) for _ in range(samples)]
+    """The sampled law from one `sample_index` draw of the protocol's finite
+    `RandomnessSpace` and one `run` per sample."""
+    rng, space = np.random.default_rng(seed), protocol.lambda_space
+    records = [run(protocol, a, b, space.points[space.sample_index(rng)])
+               for _ in range(samples)]
     outcomes, costs = Counter((r.y_a, r.y_b) for r in records), [r.t for r in records]
     return SampleStats(JointProbs(*(outcomes[o] / samples for o in OUTCOMES)),
                        sum(costs) / samples, max(costs), samples, seed)
@@ -202,9 +204,9 @@ def test_bad_points_are_refused_by_run_and_by_replay(name):
     A protocol that never reads lambda runs alike at points that are no number."""
     protocol, _, pairs = built(name)[0]
     case, rng = CASES[name], np.random.default_rng(0)
-    a, bad_lams = pairs[0][0], case.bad_lams
+    a, bad_lams, space = pairs[0][0], case.bad_lams, protocol.lambda_space
     honest = run(protocol, a, a, next(iter(case.stream(rng, 1))) if case.stream
-                 else protocol.lambda_space.sample(rng))
+                 else space.points[space.sample_index(rng)])
     if not applies(name, "bad_lams", bool(bad_lams)):
         assert {(r.y_a, r.y_b, r.transcript) for r in (
             run(protocol, a, a, lam) for lam in NOT_A_FINITE_NUMBER)} == \

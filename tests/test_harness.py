@@ -16,7 +16,7 @@ from qcc_lab.harness import (ALICE, BOB, Action, BlqmsReport, CheckResult, Party
                              tail_mass)
 from qcc_lab.dj import promise_scenarios
 from qcc_lab.oracle import JointProbs, SignVector
-from qcc_lab.protocols import SendAllReplyProtocol
+from qcc_lab.protocols import ConstantProtocol, SendAllReplyProtocol
 from qcc_lab.reduction import partition_inputs
 
 
@@ -488,7 +488,8 @@ def test_sampling_requires_a_space_with_sample():
             return Action(output=1)
 
     target = JointProbs(Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-    message = "the sampled law needs a lambda_space with a sample method, not NoneType"
+    message = ("the sampled law without a batch_outcomes hook needs a finite "
+               "RandomnessSpace, which protocol does not have")
     with pytest.raises(InvariantError, match=message):
         sample_distribution(NoSpace(), None, None, samples=4)
     with pytest.raises(InvariantError, match=message):
@@ -515,6 +516,14 @@ def test_check_exact_blqms_flags():
     for samples in (None, 10):
         with pytest.raises(InvariantError, match="no scenarios"):
             check_exact_blqms(p, [], samples=samples)
+
+
+def test_an_all_int_law_is_an_exact_target():
+    """Int entries are stored as Fractions, so the exact audit takes an all-int
+    point mass as a rational target, which `constant` meets."""
+    a = SignVector.parse("++")
+    report = check_exact_blqms(ConstantProtocol(), [Scenario(a, a, JointProbs(1, 0, 0, 0))])
+    assert report.mode == "exact" and report.all_full is True and report.failures == ()
 
 
 def test_check_exact_blqms_sampled_mode():
@@ -635,7 +644,6 @@ def test_sample_index_lands_on_positive_weight_below_one():
     uniform = RandomnessSpace.uniform(range(10))
     assert np.cumsum([0.1] * 10)[-1] <= top  # the float sum falls short of 1
     assert uniform.sample_index(_Draws(top)) == 9
-    assert uniform.sample(_Draws(top)) == 9
     assert [uniform.sample_index(_Draws((k + 0.5) / 10)) for k in range(10)] == \
         list(range(10))
     trailing = RandomnessSpace((0, 1, 2, 3), (Fraction(1, 3), Fraction(2, 3), 0, 0))

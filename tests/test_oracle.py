@@ -237,6 +237,8 @@ def test_projector_rejects_non_idempotent():
         Projector(np.array([[0.5, 0.0], [0.0, 0.7]]))
     with pytest.raises(InvariantError):
         Projector(np.array([[0.0, 1.0], [0.0, 0.0]]))  # not Hermitian
+    with pytest.raises(InvariantError, match=r"projector is not symmetric \(exact mode\)"):
+        Projector(RationalMatrix([[0, 1], [0, 0]], 1))
     # diag(1, 0) over 2^40: num * den leaves int64, idempotence stays exact
     big = 2**40
     Projector(RationalMatrix(np.array([[big, 0], [0, 0]]), big))
@@ -306,6 +308,8 @@ def test_observable_to_projector_skips_checks_it_would_pass(monkeypatch):
 def test_observable_requires_involution():
     with pytest.raises(InvariantError):
         BinaryObservable(np.diag([1.0, 0.5]))
+    with pytest.raises(InvariantError, match="observable squared is not the identity"):
+        BinaryObservable(RationalMatrix([[1, 0], [0, 0]], 1))
     # a valid non-exact observable: Pauli X
     BinaryObservable(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
@@ -328,6 +332,8 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0]))  # negative eigenvalue
     with pytest.raises(InvariantError):
         DensityMatrix(np.eye(3) / 3)  # dimension not a perfect square
+    with pytest.raises(InvariantError, match="state trace is 2, expected 1"):
+        DensityMatrix(RationalMatrix(np.eye(4, dtype=np.int64), 2))
     state = maximally_entangled(2)
     assert state.dim == 4 and state.exact
 
@@ -372,8 +378,8 @@ def test_float_path_agrees_with_exact():
         b = vectors[rng.integers(len(vectors))]
         exact = predict_joint_probs(sign_vector_projector(a),
                                     sign_vector_projector(b), state_e)
-        loose = predict_joint_probs(sign_vector_projector(a, exact=False),
-                                    sign_vector_projector(b, exact=False), state_f)
+        loose = predict_joint_probs(Projector(sign_vector_projector(a).entries.to_float()),
+                                    Projector(sign_vector_projector(b).entries.to_float()), state_f)
         assert not loose.exact
         for field in ("p_pp", "p_mp", "p_pm", "p_mm"):
             assert getattr(loose, field) == pytest.approx(
@@ -479,7 +485,9 @@ def test_joint_probs_validation():
             JointProbs(0, 0, 0.5, bad)
         with pytest.raises(InvariantError, match="e_a must be an int, a float or a Fraction"):
             ExpectationTriple(0, bad, 0)
-    assert JointProbs(1, 0, 0, 0).p_pp == 1
+    point_mass = JointProbs(1, 0, 0, 0)
+    assert point_mass.p_pp == 1 and point_mass.exact
+    assert all(type(p) is Fraction for p in point_mass.as_dict().values())
     assert ExpectationTriple(Fraction(1, 2), -1, 0.25).e_b == 0.25
 
 
@@ -487,7 +495,8 @@ def test_joint_probs_validation():
     (JointProbs(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), Fraction(0)), True),
     (JointProbs(0.5, Fraction(1, 4), Fraction(1, 4), Fraction(0)), False),
     (ExpectationTriple(Fraction(1, 2), Fraction(-1), Fraction(0)), True),
-    (ExpectationTriple(Fraction(1, 2), -1, 0), False),
+    (ExpectationTriple(Fraction(1, 2), -1, 0.0), False),
+    (ExpectationTriple(Fraction(1, 2), -1, 0), True),
 ])
 def test_exact_is_computed_once_and_leaves_value_semantics(value, exact):
     """`exact` is cached on the frozen instance: equality, hashing, copies
@@ -608,15 +617,15 @@ def test_untagged_operands_reach_law_parts(law_parts_calls):
     state = maximally_entangled(4)
     tagged_a, tagged_b = sign_vector_projector(a), sign_vector_projector(b)
     closed = predict_joint_probs(tagged_a, tagged_b, state)
-    # the tag is set only by an exact `sign_vector_projector`, never by value
+    # the tag is set only by `sign_vector_projector`, never by value
     untagged = [Projector(tagged_a.entries), tagged_a.complement(),
-                sign_vector_projector(a, exact=False),
+                Projector(sign_vector_projector(a).entries.to_float()),
                 observable_to_projector(sign_vector_observable(a))]
     assert tagged_a._sign_vector is a
     assert all(p._sign_vector is None for p in untagged)
     assert predict_joint_probs(untagged[0], tagged_b, state) == closed
     assert len(law_parts_calls) == 1
-    loose = predict_joint_probs(untagged[2], sign_vector_projector(b, exact=False),
+    loose = predict_joint_probs(untagged[2], Projector(sign_vector_projector(b).entries.to_float()),
                                 DensityMatrix(state.entries.to_float()))
     assert not loose.exact and len(law_parts_calls) == 2
     assert predict_joint_probs(tagged_a, tagged_b, by_value(state)) == closed
@@ -650,7 +659,8 @@ def test_promise_sweep_builds_two_laws(law_parts_calls):
 
 
 def test_unequal_party_dims_take_kron(kron_calls):
-    """1 x 4 party dims match a 4 x 4 state; untagged, they take the kron route."""
+    """1 x 4 party dims match a 4 x 4 state; untagged, they take the kron route.
+    1 x 1 dims do not, and are refused before any trace."""
     state = maximally_entangled(2)
     scalar = Projector(RationalMatrix(np.array([[1]]), 1))
     wide = Projector(RationalMatrix(np.diag([1, 0, 0, 1]), 1))
@@ -658,3 +668,5 @@ def test_unequal_party_dims_take_kron(kron_calls):
     assert len(kron_calls) == 3
     assert probs == predict_joint_probs(scalar, wide, by_value(state))
     assert probs.p_pp == 1  # the diagonal of Phi lies on |00> and |11>
+    with pytest.raises(DimensionMismatchError, match="party dims 1 x 1 do not match state dim 4"):
+        predict_joint_probs(scalar, scalar, state)

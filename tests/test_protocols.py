@@ -83,6 +83,11 @@ def test_send_all_reply_enforces_promise():
     with pytest.raises(InvariantError):
         run(p, SignVector.parse("++"), SignVector.parse("++"),
             p.lambda_space.points[0])  # wrong length
+    # the same signs as a tuple are refused, not coerced
+    for call in (lambda: run(p, (1, 1, 1, 1), a, p.lambda_space.points[0]),
+                 lambda: p.exact_distribution(a, (1, 1, 1, 1))):
+        with pytest.raises(InvariantError, match="send_all_reply takes SignVector inputs"):
+            call()
 
 
 def test_send_all_reply_bob_checks_the_heard_bits():

@@ -16,7 +16,7 @@ from qcc_lab.errors import InvariantError, PartitionError, QccLabError
 from qcc_lab.harness import (ALICE, BOB, Action, Protocol, RandomnessSpace, Scenario,
                              Transcript, check_exact_blqms, cost_law,
                              output_distribution, run, sample_distribution, tail_mass)
-from qcc_lab.oracle import JointProbs, SignVector, sign_vector_projector
+from qcc_lab.oracle import JointProbs, RationalMatrix, SignVector, sign_vector_projector
 from qcc_lab.protocols import ConstantProtocol, SendAllReplyProtocol, TonerBaconProtocol
 from qcc_lab.reduction import (DerandomizationTable, DjCertificate, Partition,
                                PartitionCell, build_certificate, cell_index_width,
@@ -293,6 +293,16 @@ def test_partition_failure_witness():
     assert "accepts nowhere" in str(excinfo.value)
 
 
+def test_certificate_replay_that_breaks_the_cell_promise_is_a_finding():
+    """A cell whose point no longer accepts its member is refused, naming it."""
+    vectors = tuple(SignVector.all_vectors(2))
+    # at 7/8 equal inputs of n = 2 run to (-1, -1)
+    part = Partition(2, 4, (PartitionCell(vectors, 7, Fraction(7, 8)),))
+    with pytest.raises(PartitionError, match=r"replay broke the cell promise for \+\+") as info:
+        build_certificate(vectors[-1], part, SendAllReplyProtocol(2))
+    assert info.value.witness == vectors[-1]
+
+
 def test_partition_json_and_locator():
     p = SendAllReplyProtocol(2)
     part = partition_inputs(p, 2, 4)
@@ -375,6 +385,18 @@ def test_verify_rejects_forgeries():
     wrong_n = DjCertificate(4, 1, Transcript(((ALICE, 1),) * 4 + ((BOB, 1),)))
     res = verify_certificate(ALICE, a, wrong_n, table, p)
     assert not res and "n=4" in res.reason
+
+    # Bob waits for Alice's bits, and an empty transcript holds none
+    silent = DjCertificate(2, cert.j, Transcript(()))
+    res = verify_certificate(BOB, a, silent, table, p)
+    assert not res and res.reason == "transcript exhausted before halting"
+
+    class Garbled(SendAllReplyProtocol):
+        def step(self, party, own_input, lam, received):
+            return "halt"
+
+    res = verify_certificate(ALICE, a, cert, table, Garbled(2))
+    assert not res and res.reason == "protocol returned a malformed action"
 
 
 def test_verify_catches_promise_violation_as_reject():
@@ -473,6 +495,11 @@ BAD_SIZES = {
     "text reject certificate n": lambda: RejectCertificate(1, 1).encode("4"),
     "missing sign vector text": lambda: SignVector.parse(None),
     "text sign vector projector": lambda: sign_vector_projector("++"),
+    "fractional matrix denominator": lambda: RationalMatrix([[1]], 1.5),
+    "bool matrix denominator": lambda: RationalMatrix([[1]], True),
+    "text matrix denominator": lambda: RationalMatrix([[1]], "a"),
+    "missing matrix denominator": lambda: RationalMatrix([[1]], None),
+    "missing certificate transcript": lambda: DjCertificate(4, 1, None),
     "non-iterable uniform points": lambda: RandomnessSpace.uniform(5),
     "text cost law tail threshold":
         lambda: cost_law(SendAllReplyProtocol(2), *_PAIR).tail("3"),
