@@ -28,7 +28,8 @@ Scenario JSON for `predict`:
 
 where SPEC is one of {"vector": "+-+-" or [1,-1,...]} for a sign-vector
 projector, {"bloch": [x,y,z]} for a qubit observable, {"projector": M},
-or {"observable": M}; matrix cells are numbers or [re, im] pairs.
+or {"observable": M}; matrix rows are lists, and matrix cells and Bloch
+components are JSON ints or floats, a cell possibly an [re, im] pair of them.
 
 CSV column orders (fixed): predict -> p_pp,p_mp,p_pm,p_mm,e_ab,e_a,e_b;
 bounds -> n,k,n1_lower_bound,m_of_n,moment_bound,contradiction.
@@ -164,17 +165,24 @@ def _parse_sign_vector(value) -> SignVector:
     raise InvariantError(f"expected a sign vector, got {value!r}")
 
 
+def _json_number(value, what: str) -> float:
+    """A JSON int or float as a float; anything else, or an int past the float range, errs."""
+    if isinstance(value, bool):
+        raise InvariantError(f"{what} must be numbers, not booleans")
+    if not isinstance(value, (int, float)) or abs(value) > sys.float_info.max:
+        raise InvariantError(f"{what} must be ints or floats in the float range, got {value!r}")
+    return float(value)
+
+
 def _parse_matrix(rows) -> np.ndarray:
     def cell(c):
-        if isinstance(c, bool):
-            raise InvariantError("matrix cells must be numbers, not booleans")
-        if isinstance(c, (list, tuple)):
+        if isinstance(c, list):
             if len(c) != 2:
                 raise InvariantError("matrix cells are numbers or [re, im] pairs")
-            return complex(float(c[0]), float(c[1]))
-        return complex(float(c))
-    if not isinstance(rows, (list, tuple)) or not rows:
-        raise InvariantError("matrix must be a nonempty list of rows")
+            return complex(_json_number(c[0], "matrix cells"), _json_number(c[1], "matrix cells"))
+        return complex(_json_number(c, "matrix cells"))
+    if not isinstance(rows, list) or not rows or not all(isinstance(row, list) for row in rows):
+        raise InvariantError("matrix must be a nonempty list of rows, each a list")
     return np.array([[cell(c) for c in row] for row in rows], dtype=complex)
 
 
@@ -191,9 +199,10 @@ def _parse_party(doc: dict, key: str) -> Projector:
         return sign_vector_projector(_parse_sign_vector(spec[kind]))
     if kind == "bloch":
         direction = spec[kind]
-        if not isinstance(direction, (list, tuple)) or len(direction) != 3:
+        if not isinstance(direction, list) or len(direction) != 3:
             raise InvariantError('"bloch" takes a 3-component direction')
-        return observable_to_projector(bloch_observable([float(x) for x in direction]))
+        return observable_to_projector(bloch_observable(
+            [_json_number(x, '"bloch" components') for x in direction]))
     if kind == "projector":
         return Projector(_parse_matrix(spec[kind]))
     return observable_to_projector(BinaryObservable(_parse_matrix(spec[kind])))
@@ -326,7 +335,6 @@ def cmd_verify(args) -> Report:
     n, protocol = _promise_front(args)
     report_obj = check_exact_blqms(protocol, promise_scenarios(n), samples=args.samples,
                                    seed=args.seed)
-    failures = [failure.label for failure in report_obj.failures]
     report = {
         "command": "verify",
         "protocol": args.protocol,
@@ -338,8 +346,8 @@ def cmd_verify(args) -> Report:
         "all_full": report_obj.all_full,
         "all_restricted": report_obj.all_restricted,
         "worst_error": report_obj.worst_error,
-        "failures": failures[:20],
-        "failure_count": len(failures),
+        "failures": [failure.label for failure in report_obj.failures],
+        "failure_count": report_obj.failure_count,
     }
     failed = report_obj.all_full is False or report_obj.all_restricted is False
     return report, 3 if failed else 0
@@ -415,7 +423,7 @@ def cmd_reduce(args) -> Report:
     # the partition construction presumes the protocol reproduces the
     # target acceptance mass on every promise pair; audit that first
     law_report = check_exact_blqms(protocol, promise_scenarios(n))
-    witness = next((r for r in law_report.failures if not r.passed_restricted), None)
+    witness = law_report.first_restricted_failure
     report["acceptance_mass"] = {
         "ok": witness is None,
         "pairs": law_report.scenarios,

@@ -411,6 +411,13 @@ class Scenario:
     input_b: object
     target: JointProbs
 
+    @classmethod
+    def _unchecked(cls, input_a, input_b, target) -> "Scenario":
+        """The scenario the constructor builds, without its frozen-field `__init__`."""
+        scenario = object.__new__(cls)
+        vars(scenario).update(input_a=input_a, input_b=input_b, target=target)
+        return scenario
+
 
 @dataclass(frozen=True)
 class ScenarioResult:
@@ -424,10 +431,14 @@ class ScenarioResult:
     passed_restricted: bool
 
 
+WITNESS_LIMIT = 20
+
+
 @dataclass(frozen=True)
 class BlqmsReport:
     """Simulated laws against quantum targets: the scenario count, the worst
-    error, and the exact-mode failures in scenario order.
+    error, and bounded exact-mode witnesses: the first `WITNESS_LIMIT` failures
+    in scenario order, the first restricted failure, and both failure counts.
 
     `passed_restricted` checks p_pp alone (the joint +1 outcome); the full
     check compares all four probabilities.  In sampled mode no scenario
@@ -435,7 +446,10 @@ class BlqmsReport:
     """
 
     scenarios: int
-    failures: tuple[ScenarioResult, ...]
+    failures: tuple[ScenarioResult, ...]  # the first WITNESS_LIMIT
+    failure_count: int
+    restricted_failure_count: int
+    first_restricted_failure: Optional[ScenarioResult]
     worst_error: float
     mode: str  # "exact" or "sampled"
     samples: Optional[int]
@@ -443,11 +457,11 @@ class BlqmsReport:
 
     @property
     def all_full(self) -> Optional[bool]:
-        return None if self.mode == "sampled" else not self.failures
+        return None if self.mode == "sampled" else not self.failure_count
 
     @property
     def all_restricted(self) -> Optional[bool]:
-        return None if self.mode == "sampled" else all(f.passed_restricted for f in self.failures)
+        return None if self.mode == "sampled" else not self.restricted_failure_count
 
 
 def _equal_entries(c, t) -> bool:
@@ -475,7 +489,7 @@ def check_exact_blqms(protocol: Protocol, scenarios: Iterable[Scenario], *,
     rational, and a scenario passes iff its law equals the target exactly.
     With `samples` set, the law is estimated from a per-scenario seed
     instead and no scenario fails.  The scenarios are read once, in one
-    pass; only a failure keeps a result and a label.
+    pass; only a witness kept in the report builds a result and a label.
     """
     sampled = samples is not None
     if not sampled:
@@ -484,7 +498,8 @@ def check_exact_blqms(protocol: Protocol, scenarios: Iterable[Scenario], *,
         seed = _at_least("check_exact_blqms", "seed", seed, 0)
     # the last comparison: consecutive promise pairs share both cached laws, and the
     # strong references keep the identity test sound on frozen laws
-    count, worst, failures, last = 0, 0, [], (None, None, None)
+    count, worst, last = 0, 0, (None, None, None)
+    failures, failure_count, restricted_count, first_restricted = [], 0, 0, None
     for index, scenario in enumerate(scenarios):
         input_a, input_b, target = scenario.input_a, scenario.input_b, scenario.target
         if sampled:
@@ -502,12 +517,20 @@ def check_exact_blqms(protocol: Protocol, scenarios: Iterable[Scenario], *,
         count += 1
         worst = max(worst, error_max)
         if error_max and not sampled:
-            failures.append(ScenarioResult(pair_label(input_a, input_b), computed, target,
-                                           float(error_max), float(error_pp), error_pp == 0))
+            failure_count += 1
+            restricted_count += error_pp != 0
+            first = error_pp != 0 and first_restricted is None
+            if first or len(failures) < WITNESS_LIMIT:
+                result = ScenarioResult(pair_label(input_a, input_b), computed, target,
+                                        float(error_max), float(error_pp), error_pp == 0)
+                if len(failures) < WITNESS_LIMIT:
+                    failures.append(result)
+                first_restricted = result if first else first_restricted
     if not count:
         raise InvariantError("no scenarios to check; an empty audit would pass vacuously")
     mode = ("sampled", samples, seed) if sampled else ("exact", None, None)
-    return BlqmsReport(count, tuple(failures), float(worst), *mode)
+    return BlqmsReport(count, tuple(failures), failure_count, restricted_count,
+                       first_restricted, float(worst), *mode)
 
 
 def describe_input(value) -> str:

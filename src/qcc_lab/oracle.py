@@ -200,7 +200,10 @@ class SignVector:
             raise InvariantError(f"dot needs a SignVector, got {type(other).__name__}")
         if len(other.coords) != len(self.coords):
             raise DimensionMismatchError(f"lengths differ: {len(self)} vs {len(other)}")
-        # a coordinate adds +1 where the bits agree and -1 where they differ
+        return self._dot(other)
+
+    def _dot(self, other: "SignVector") -> int:
+        """a.b, unchecked, for a sign vector of the same length: +1 per equal bit, -1 per other."""
         return len(self.coords) - 2 * (self.index ^ other.index).bit_count()
 
     @cached_property
@@ -309,6 +312,18 @@ class _Operator:
     def exact(self) -> bool:
         return _is_exact(self.entries)
 
+    @classmethod
+    def _unchecked(cls, entries: MatrixData, **tags):
+        """An operator on `entries`, which the caller knows pass every check
+        of `cls`, built without running them; a field named in `tags` takes
+        that value and every other its default, as the constructor gives it."""
+        operator = object.__new__(cls)
+        for f in fields(cls):
+            default = f.default_factory() if f.default_factory is not MISSING else f.default
+            object.__setattr__(operator, f.name, tags.get(f.name, default))
+        object.__setattr__(operator, "entries", entries)
+        return operator
+
 
 @dataclass(frozen=True, eq=False)
 class BinaryObservable(_Operator):
@@ -342,18 +357,6 @@ class Projector(_Operator):
             residue = float(np.abs(data @ data - data).max())
             if residue > OPERATOR_ATOL:
                 raise InvariantError(f"projector deviates from idempotence by {residue:.3e}")
-
-    @classmethod
-    def _unchecked(cls, entries: MatrixData) -> "Projector":
-        """A projector on `entries`, which the caller knows pass the checks
-        above, built without running them; every other field takes its
-        default, as the constructor would give it."""
-        proj = object.__new__(cls)
-        for f in fields(cls):
-            default = f.default_factory() if f.default_factory is not MISSING else f.default
-            object.__setattr__(proj, f.name, default)
-        object.__setattr__(proj, "entries", entries)
-        return proj
 
     def complement(self) -> "Projector":
         """Projector onto the outcome -1 event."""
@@ -534,7 +537,7 @@ def predict_joint_probs(proj_a: Projector, proj_b: Projector, state: DensityMatr
     a, b = proj_a._sign_vector, proj_b._sign_vector
     if a is not None and b is not None and state._entangled_n == a.n == b.n:
         # the tags fix the dims: n x n projectors on the n^2 x n^2 state
-        return _sign_vector_law(a.n, a.dot(b))
+        return _sign_vector_law(a.n, a._dot(b))
     if proj_a.dim * proj_b.dim != state.dim:
         raise DimensionMismatchError(
             f"party dims {proj_a.dim} x {proj_b.dim} do not match state dim {state.dim}")
@@ -589,21 +592,25 @@ def expectations_to_probs(triple: ExpectationTriple) -> JointProbs:
 
 def maximally_entangled(n: int) -> DensityMatrix:
     """Rank-one state (1/sqrt(n)) sum_i |ii>, as an exact n^2 x n^2 density
-    matrix carrying the tag that the closed form reads."""
+    matrix carrying the tag that the closed form reads, built without the checks
+    that `DensityMatrix(state.entries)` runs and passes: for phi = sum_i |ii>,
+    phi phi^T / n is symmetric and rank one with trace phi.phi / n = 1, so PSD."""
     n = _at_least("maximally_entangled", "n", n, 1)
-    phi = np.eye(n, dtype=np.int64).ravel()  # sum_i |ii>, unnormalized
-    state = DensityMatrix(RationalMatrix(np.outer(phi, phi), n))
-    object.__setattr__(state, "_entangled_n", n)  # entries built from n above
-    return state
+    phi = np.eye(n, dtype=object).ravel()  # sum_i |ii>, unnormalized, Python ints
+    return DensityMatrix._unchecked(RationalMatrix._derived(np.outer(phi, phi), n),
+                                    _entangled_n=n)
 
 
 def sign_vector_projector(a: SignVector) -> Projector:
-    """Rank-one projector (1/n) |a><a| for a sign vector a, exact and tagged."""
+    """Rank-one projector (1/n) |a><a| for a sign vector a, exact and tagged,
+    built without the checks that `Projector(proj.entries)` runs and passes:
+    a a^T / n is symmetric, and a.a = n makes it idempotent, as
+    (a a^T)(a a^T) = a (a.a) a^T = n a a^T."""
     if not isinstance(a, SignVector):
         raise InvariantError(f"sign_vector_projector needs a SignVector, got {a!r}")
-    proj = Projector(RationalMatrix(np.outer(a.coords, a.coords), a.n))
-    object.__setattr__(proj, "_sign_vector", a)  # entries built from a above
-    return proj
+    coords = np.array(a.coords, dtype=object)
+    return Projector._unchecked(RationalMatrix._derived(np.outer(coords, coords), a.n),
+                                _sign_vector=a)
 
 
 def sign_vector_observable(a: SignVector) -> BinaryObservable:

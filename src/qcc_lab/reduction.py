@@ -18,7 +18,6 @@ and a payload bit.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -178,6 +177,7 @@ class DerandomizationTable:
 
     @cached_property
     def digest(self) -> str:
+        import hashlib  # here, its only use, so no other command maps OpenSSL's libcrypto (~3.6 MB)
         body = f"n={self.n};" + ";".join(_canon_lambda(x) for x in self.entries)
         return hashlib.sha256(body.encode()).hexdigest()
 

@@ -3,7 +3,10 @@
 import hashlib
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -182,6 +185,17 @@ def test_predict_malformed_scenarios_exit_two(tmp_path, capsys):
         (["singlet"], "scenario file must hold a JSON object"),
         ({"state": "maximally_entangled", "n": True, "alice": {"vector": "+-"},
           "bob": {"vector": "+-"}}, 'maximally_entangled state needs an integer "n"'),
+        # JSON values of the wrong type: refused, not a TypeError from float()
+        ({**singlet_z, "state": {"matrix": [[{}]]}, "alice": {"bloch": [0, 0, 1]}},
+         "matrix cells must be ints or floats in the float range, got {}"),
+        ({**singlet_z, "alice": {"bloch": [0, None, 1]}},
+         '"bloch" components must be ints or floats in the float range, got None'),
+        ({**singlet_z, "state": {"matrix": [1, 2]}, "alice": {"bloch": [0, 0, 1]}},
+         "matrix must be a nonempty list of rows, each a list"),
+        ({**singlet_z, "alice": {"bloch": ["0", "0", "1"]}},
+         "\"bloch\" components must be ints or floats in the float range, got '0'"),
+        ({**singlet_z, "alice": {"projector": [[1, 0], [0, 10**400]]}},
+         "matrix cells must be ints or floats in the float range"),
     ]
     for doc, message in cases:
         code, out, err = run_cli(capsys, "predict", "--scenario",
@@ -433,6 +447,37 @@ def test_non_finite_inputs_exit_two(argv, scenario, message, tmp_path, capsys):
     assert err.startswith("error: ") and message in err
 
 
+# run in a fresh interpreter: which modules the exact commands load
+_LOADED_AFTER = """
+import contextlib, io, json, sys
+from qcc_lab import cli
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    loaded.append("_hashlib" in sys.modules)
+print(*loaded)
+"""
+
+
+def test_exact_commands_leave_hashlib_unloaded(tmp_path):
+    """hashlib maps OpenSSL's libcrypto and only `reduce`'s table digest reads
+    it: an exact verify and a tagged predict leave it unloaded, and the reduce
+    run after them shows that the probe sees it."""
+    scenario = write_scenario(tmp_path, {"state": "maximally_entangled", "n": 4,
+                                         "alice": {"vector": "++--"}, "bob": {"vector": "+-+-"}})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    commands = [["verify", "--protocol", "send_all_reply", "--n", "4"],
+                ["predict", "--scenario", scenario],
+                ["reduce", "--protocol", "send_all_reply", "--n", "2"]]
+    done = subprocess.run([sys.executable, "-c", _LOADED_AFTER, json.dumps(commands)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "False", "True"]
+
+
 def test_verify_send_all_reply_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--protocol", "send_all_reply",
                            "--n", "2")
@@ -461,12 +506,13 @@ CONSTANT_N4_FAILURES = [
 
 
 def test_law_audit_failures_in_promise_order(capsys):
-    """Every pair fails on a constant law; the report keeps them in promise
-    order under the labels verify prints, and reduce names the first pair
-    whose p_pp is off."""
+    """Every pair fails on a constant law; the report keeps the first 20 in
+    promise order under the labels verify prints, and the counts, and reduce
+    names the first pair whose p_pp is off."""
     pairs = list(promise_pairs(4))
     report = check_exact_blqms(ConstantProtocol(), promise_scenarios(4))
-    assert [f.label for f in report.failures] == [pair_label(a, b) for a, b in pairs]
+    assert [f.label for f in report.failures] == [pair_label(a, b) for a, b in pairs][:20]
+    assert report.failure_count == report.restricted_failure_count == len(pairs) == 112
     assert [f.label for f in report.failures][:20] == CONSTANT_N4_FAILURES
     code, out, _ = run_cli(capsys, "verify", "--protocol", "constant", "--n", "4")
     verified = json.loads(out)
@@ -474,7 +520,9 @@ def test_law_audit_failures_in_promise_order(capsys):
     assert verified["failures"] == CONSTANT_N4_FAILURES and verified["worst_error"] == 1
     # outputs (+1, -1): p_pp is right exactly on the reject pairs
     split = check_exact_blqms(ConstantProtocol(y_b=-1), promise_scenarios(4))
-    assert [f.passed_restricted for f in split.failures] == [a != b for a, b in pairs]
+    assert [f.passed_restricted for f in split.failures] == [a != b for a, b in pairs][:20]
+    assert (split.failure_count, split.restricted_failure_count) == (112, 2**4)
+    assert split.first_restricted_failure.label == "----|----"
     assert split.all_full is False and split.all_restricted is False
     code, out, _ = run_cli(capsys, "reduce", "--protocol", "constant", "--n", "4")
     mass = json.loads(out)["acceptance_mass"]

@@ -681,7 +681,9 @@ def test_law_errors_match_fraction_equality(computed, target):
 
 
 def reference_check_exact(protocol, scenarios):
-    """`check_exact_blqms` in exact mode with `_law_errors` called on every pair."""
+    """`check_exact_blqms` in exact mode with `_law_errors` called on every pair,
+    every failure listed and then cut to the report's witnesses: the first 20,
+    the first restricted failure and both counts."""
     count, worst, failures = 0, 0, []
     for s in scenarios:
         computed = output_distribution(protocol, s.input_a, s.input_b)
@@ -691,7 +693,9 @@ def reference_check_exact(protocol, scenarios):
         if error_max:
             failures.append(ScenarioResult(pair_label(s.input_a, s.input_b), computed, s.target,
                                            float(error_max), float(error_pp), error_pp == 0))
-    return BlqmsReport(count, tuple(failures), float(worst), "exact", None, None)
+    restricted = [f for f in failures if not f.passed_restricted]
+    return BlqmsReport(count, tuple(failures[:20]), len(failures), len(restricted),
+                       restricted[0] if restricted else None, float(worst), "exact", None, None)
 
 
 class LawByName(Protocol):
@@ -739,6 +743,21 @@ def test_law_audit_memo_hides_no_failure(stream):
     report = check_exact_blqms(LawByName(), scenarios)
     assert report == reference_check_exact(LawByName(), scenarios)
     assert report.failures  # every stream has a failing pair
+
+
+def test_law_audit_keeps_a_bounded_witness_list():
+    """Past the first 20 failures only the counts and the first restricted
+    failure are kept, however late that comes; the reference lists them all."""
+    scenarios = list(promise_scenarios(4))
+    late = [s for s in scenarios if s.input_a != s.input_b] + [
+        s for s in scenarios if s.input_a == s.input_b]
+    report = check_exact_blqms(ConstantProtocol(y_b=-1), late)
+    assert report == reference_check_exact(ConstantProtocol(y_b=-1), late)
+    assert len(report.failures) == 20 and all(f.passed_restricted for f in report.failures)
+    assert (report.failure_count, report.restricted_failure_count) == (112, 16)
+    first = report.first_restricted_failure
+    assert first.label == pair_label(late[96].input_a, late[96].input_b) == "----|----"
+    assert report.all_full is False and report.all_restricted is False
 
 
 def test_law_audit_compares_each_repeated_pair_of_laws_once(monkeypatch):

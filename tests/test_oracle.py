@@ -305,6 +305,57 @@ def test_observable_to_projector_skips_checks_it_would_pass(monkeypatch):
             np.testing.assert_array_equal(checked.entries, (obs.entries + np.eye(obs.dim)) / 2)
 
 
+def _checks_counted(monkeypatch, cls):
+    """Count the validating constructor's runs on `cls`."""
+    checks, validate = [], cls.__post_init__
+    monkeypatch.setattr(cls, "__post_init__", lambda self: (checks.append(self), validate(self))[1])
+    return checks
+
+
+def _same_build(fast, checked, reference, tag):
+    """`fast` holds the reference's entries as read-only Python-int numerators
+    over the same den, and every field of the validated build but the tag."""
+    num = fast.entries.num
+    assert num.dtype == object and not num.flags.writeable
+    assert all(type(x) is int for x in num.flat)
+    assert num.tolist() == reference.entries.num.tolist()
+    assert fast.entries.den == reference.entries.den
+    for f in fields(type(fast)):
+        if f.name not in ("entries", tag):
+            assert getattr(fast, f.name) == getattr(checked, f.name), f.name
+    assert getattr(checked, tag) is None
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_sign_vector_projector_skips_checks_it_would_pass(monkeypatch, n):
+    """a a^T / n is built without the projector checks, which its entries pass;
+    `Projector` on a a^T over n is the validating reference."""
+    checks = _checks_counted(monkeypatch, Projector)
+    for a in SignVector.all_vectors(n):
+        fast = sign_vector_projector(a)
+        assert not checks and fast._sign_vector is a
+        checked = Projector(fast.entries)
+        reference = Projector(RationalMatrix(np.outer(a.coords, a.coords), n))
+        assert len(checks) == 2
+        _same_build(fast, checked, reference, "_sign_vector")
+        checks.clear()
+
+
+def test_maximally_entangled_skips_checks_it_would_pass(monkeypatch):
+    """phi phi^T / n is built without the state checks, which its entries pass;
+    `DensityMatrix` on phi phi^T over n is the validating reference."""
+    checks = _checks_counted(monkeypatch, DensityMatrix)
+    for n in range(1, 9):
+        fast = maximally_entangled(n)
+        assert not checks and fast._entangled_n == n and fast.dim == n * n
+        phi = np.eye(n, dtype=np.int64).ravel()
+        checked = DensityMatrix(fast.entries)
+        reference = DensityMatrix(RationalMatrix(np.outer(phi, phi), n))
+        assert len(checks) == 2
+        _same_build(fast, checked, reference, "_entangled_n")
+        checks.clear()
+
+
 def test_observable_requires_involution():
     with pytest.raises(InvariantError):
         BinaryObservable(np.diag([1.0, 0.5]))
