@@ -61,8 +61,7 @@ def promise_scenarios(n: int) -> Iterator[Scenario]:
     n = _at_least("promise_scenarios", "n", n, 2, even=True)
     state = maximally_entangled(n)
     projectors = [sign_vector_projector(a) for a in SignVector.all_vectors(n)]
-    return (Scenario._unchecked(a, b, predict_joint_probs(projectors[a.index],
-                                                          projectors[b.index], state))
+    return (Scenario(a, b, predict_joint_probs(projectors[a.index], projectors[b.index], state))
             for a, b in promise_pairs(n))
 
 

@@ -411,13 +411,6 @@ class Scenario:
     input_b: object
     target: JointProbs
 
-    @classmethod
-    def _unchecked(cls, input_a, input_b, target) -> "Scenario":
-        """The scenario the constructor builds, without its frozen-field `__init__`."""
-        scenario = object.__new__(cls)
-        vars(scenario).update(input_a=input_a, input_b=input_b, target=target)
-        return scenario
-
 
 @dataclass(frozen=True)
 class ScenarioResult:

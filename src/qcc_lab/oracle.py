@@ -317,6 +317,9 @@ class _Operator:
         """An operator on `entries`, which the caller knows pass every check
         of `cls`, built without running them; a field named in `tags` takes
         that value and every other its default, as the constructor gives it."""
+        unknown = set(tags) - {f.name for f in fields(cls)}
+        if unknown:
+            raise TypeError(f"{cls.__name__} has no field {', '.join(sorted(unknown))}")
         operator = object.__new__(cls)
         for f in fields(cls):
             default = f.default_factory() if f.default_factory is not MISSING else f.default

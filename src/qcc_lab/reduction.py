@@ -177,7 +177,9 @@ class DerandomizationTable:
 
     @cached_property
     def digest(self) -> str:
-        import hashlib  # here, its only use, so no other command maps OpenSSL's libcrypto (~3.6 MB)
+        # imported here, its only use: on numpy >= 2 no other exact command then
+        # maps OpenSSL's libcrypto (~3.6 MB); numpy 1.x maps it on import
+        import hashlib
         body = f"n={self.n};" + ";".join(_canon_lambda(x) for x in self.entries)
         return hashlib.sha256(body.encode()).hexdigest()
 

@@ -450,8 +450,9 @@ def test_non_finite_inputs_exit_two(argv, scenario, message, tmp_path, capsys):
 # run in a fresh interpreter: which modules the exact commands load
 _LOADED_AFTER = """
 import contextlib, io, json, sys
+import numpy
+loaded = ["_hashlib" in sys.modules]
 from qcc_lab import cli
-loaded = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
@@ -462,8 +463,11 @@ print(*loaded)
 
 def test_exact_commands_leave_hashlib_unloaded(tmp_path):
     """hashlib maps OpenSSL's libcrypto and only `reduce`'s table digest reads
-    it: an exact verify and a tagged predict leave it unloaded, and the reduce
-    run after them shows that the probe sees it."""
+    it: an exact verify and a tagged predict load no `_hashlib` beyond what
+    `import numpy` alone loads, and the reduce run after them shows that the
+    probe sees it. numpy >= 2 imports numpy.random lazily and so loads none;
+    numpy 1.x imports it at once, and its bit_generator imports secrets -> hmac
+    -> _hashlib, so there the baseline already holds it."""
     scenario = write_scenario(tmp_path, {"state": "maximally_entangled", "n": 4,
                                          "alice": {"vector": "++--"}, "bob": {"vector": "+-+-"}})
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -475,7 +479,10 @@ def test_exact_commands_leave_hashlib_unloaded(tmp_path):
     done = subprocess.run([sys.executable, "-c", _LOADED_AFTER, json.dumps(commands)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "False", "True"]
+    baseline, *loaded = done.stdout.split()
+    assert loaded == [baseline, baseline, "True"]
+    if int(np.__version__.split(".")[0]) >= 2:
+        assert baseline == "False"
 
 
 def test_verify_send_all_reply_passes(capsys):

@@ -356,6 +356,15 @@ def test_maximally_entangled_skips_checks_it_would_pass(monkeypatch):
         checks.clear()
 
 
+def test_unchecked_build_refuses_an_unknown_tag():
+    """A misspelled tag would build an untagged operator that takes the slow
+    route without a word, so `_unchecked` refuses names that are not fields."""
+    entries = sign_vector_projector(SignVector.parse("+-")).entries
+    with pytest.raises(TypeError, match="Projector has no field _sign_vectr"):
+        Projector._unchecked(entries, _sign_vectr=SignVector.parse("+-"))
+    assert Projector._unchecked(entries)._sign_vector is None
+
+
 def test_observable_requires_involution():
     with pytest.raises(InvariantError):
         BinaryObservable(np.diag([1.0, 0.5]))
