@@ -255,6 +255,8 @@ class Protocol(abc.ABC):
         Return None to use the generic per-point runner.  Implementations
         must agree with `run` exactly; `tests/test_conformance.py` compares
         them with `run` at every point of every promise pair up to n = 4.
+        A tuple of read-only columns must never change: the exact readers
+        reuse their last result when the hook returns that tuple again.
         """
         return None
 
@@ -272,39 +274,40 @@ def run(protocol: Protocol, input_a, input_b, lam, *,
     """Execute one deterministic run and record outputs, transcript, cost."""
     if cap is None:
         cap = protocol.default_cap(input_a, input_b)
-    # per-party state, indexed 0 = Alice, 1 = Bob; bits heard are the tuple `step` reads
+    # per party: the bits heard (the tuple `step` reads), how many it had heard
+    # when it last acted, and its output
     step = protocol.step
-    parties = (ALICE, BOB)
-    own_input = (input_a, input_b)
-    received: list[tuple[int, ...]] = [(), ()]
-    acted_at = [-1, -1]
-    outputs: list[Optional[int]] = [None, None]
+    heard_a = heard_b = ()
+    acted_a = acted_b = -1
+    out_a = out_b = None
     entries: list[tuple[Party, int]] = []
 
-    while outputs[0] is None or outputs[1] is None:
+    while out_a is None or out_b is None:
         progressed = False
-        for index in (0, 1):
-            heard = received[index]
-            if outputs[index] is not None or acted_at[index] >= len(heard):
-                continue  # halted, or nothing new since its last action
-            action = step(parties[index], own_input[index], lam, heard)
+        if out_a is None and acted_a < len(heard_a):
+            action = step(ALICE, input_a, lam, heard_a)
             if not isinstance(action, Action):
                 raise ProtocolError(f"step returned {type(action).__name__}, not Action")
-            acted_at[index] = len(heard)
-            progressed = True
+            acted_a, progressed = len(heard_a), True
             send = action.send
             if send:
                 if len(entries) + len(send) > cap:
-                    room = max(cap - len(entries), 0)
-                    entries += action._entries[index][:room]
-                    raise NonHaltingError(
-                        f"{protocol.name} exceeded the {cap}-bit budget",
-                        partial_transcript=Transcript(tuple(entries)),
-                    )
-                entries += action._entries[index]
-                received[1 - index] += send
-            if action.output is not None:
-                outputs[index] = action.output
+                    raise _over_cap(protocol, cap, entries, action._entries[0])
+                entries += action._entries[0]
+                heard_b += send
+            out_a = action.output
+        if out_b is None and acted_b < len(heard_b):
+            action = step(BOB, input_b, lam, heard_b)
+            if not isinstance(action, Action):
+                raise ProtocolError(f"step returned {type(action).__name__}, not Action")
+            acted_b, progressed = len(heard_b), True
+            send = action.send
+            if send:
+                if len(entries) + len(send) > cap:
+                    raise _over_cap(protocol, cap, entries, action._entries[1])
+                entries += action._entries[1]
+                heard_a += send
+            out_b = action.output
         if not progressed:
             raise ProtocolError(
                 f"{protocol.name} deadlocked: no party can act "
@@ -313,7 +316,15 @@ def run(protocol: Protocol, input_a, input_b, lam, *,
 
     transcript = object.__new__(Transcript)  # entries the runner built, not validated again
     vars(transcript)["entries"] = tuple(entries)
-    return RunRecord._unchecked(outputs[0], outputs[1], transcript, len(entries), lam)
+    return RunRecord._unchecked(out_a, out_b, transcript, len(entries), lam)
+
+
+def _over_cap(protocol: Protocol, cap: int, entries: list, sent: tuple) -> NonHaltingError:
+    """The error for an action whose bits would pass the cap: it carries
+    exactly the first `cap` bits of the transcript."""
+    partial = tuple(entries) + sent[:max(cap - len(entries), 0)]
+    return NonHaltingError(f"{protocol.name} exceeded the {cap}-bit budget",
+                           partial_transcript=Transcript(partial))
 
 
 def _finite_space(protocol: Protocol, audit: str) -> RandomnessSpace:
@@ -329,8 +340,10 @@ def _run_rows(protocol: Protocol, input_a, input_b, points) -> tuple[np.ndarray,
     """The generic runner: one `run` per point, in order, under one bit
     budget; (y_a, y_b, t) as int64 arrays, built once from the records."""
     cap = protocol.default_cap(input_a, input_b)
-    rows = [(r.y_a, r.y_b, r.t) for r in
-            (run(protocol, input_a, input_b, lam, cap=cap) for lam in points)]
+    rows = []
+    for lam in points:
+        record = run(protocol, input_a, input_b, lam, cap=cap)
+        rows += record.y_a, record.y_b, record.t
     return tuple(np.array(rows, dtype=np.int64).reshape(-1, 3).T)
 
 
@@ -350,11 +363,34 @@ def _rows(table, count: int, hook: str) -> tuple[np.ndarray, ...]:
     return tuple(columns)
 
 
-def _finite_rows(protocol: Protocol, input_a, input_b) -> tuple[np.ndarray, ...]:
+# the last read-only table each exact summary read, with its space and result.  A hook
+# that caches its tables hands back the same tuple for every pair with the same law
+# (send_all_reply: one per (n, a.b)), whose summary is then reused without checking the
+# columns again.  The strong references keep the identity test sound, as in
+# `check_exact_blqms`; a writeable column could change in place, so it is never kept
+_LAST_TABLE: dict = {}
+
+
+def _table_summary(summarise, protocol: Protocol, space: RandomnessSpace, input_a, input_b):
+    """`summarise(space, y_a, y_b, t)` over the protocol's rows on its finite space:
+    the `outcome_table` hook's, asked once per call, else the generic runner's."""
     table = protocol.outcome_table(input_a, input_b)
+    last = _LAST_TABLE.get(summarise)
+    if last is not None and last[0] is table and last[1] is space:
+        return last[2]
     if table is None:
-        return _run_rows(protocol, input_a, input_b, protocol.lambda_space.points)
-    return _rows(table, len(protocol.lambda_space), "outcome_table")
+        rows = _run_rows(protocol, input_a, input_b, space.points)
+    else:
+        rows = _rows(table, len(space), "outcome_table")
+    summary = summarise(space, *rows)
+    if type(table) is tuple and not any(column.flags.writeable for column in rows):
+        _LAST_TABLE[summarise] = table, space, summary
+    return summary
+
+
+def _law_of(space: RandomnessSpace, y_a, y_b, t) -> JointProbs:
+    return JointProbs(*(Fraction(space.mass((y_a == a) & (y_b == b)), space.den)
+                        for a, b in OUTCOMES))
 
 
 def output_distribution(protocol: Protocol, input_a, input_b) -> JointProbs:
@@ -367,9 +403,7 @@ def output_distribution(protocol: Protocol, input_a, input_b) -> JointProbs:
     closed = protocol.exact_distribution(input_a, input_b)
     if closed is not None:
         return closed
-    y_a, y_b, _ = _finite_rows(protocol, input_a, input_b)
-    return JointProbs(*(Fraction(space.mass((y_a == a) & (y_b == b)), space.den)
-                        for a, b in OUTCOMES))
+    return _table_summary(_law_of, protocol, space, input_a, input_b)
 
 
 @dataclass(frozen=True)
@@ -558,7 +592,10 @@ def cost_law(protocol: Protocol, input_a, input_b) -> CostLaw:
     """The law of T by weighted enumeration of a finite space: one mass per
     distinct cost, and a cost seen only at zero-weight points is left out."""
     space = _finite_space(protocol, "the cost law")
-    _, _, t = _finite_rows(protocol, input_a, input_b)
+    return _table_summary(_cost_law_of, protocol, space, input_a, input_b)
+
+
+def _cost_law_of(space: RandomnessSpace, y_a, y_b, t) -> CostLaw:
     ordered = np.sort(t)
     if ordered[0] == ordered[-1]:  # one cost at every point carries all of den
         return CostLaw((int(ordered[0]),), (space.den,), space.den)

@@ -25,13 +25,12 @@ import bisect
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
 
 import numpy as np
 
 from .errors import InvariantError, PromiseViolationError
 from .harness import _BITS, ALICE, OUTCOMES, Action, Party, Protocol, RandomnessSpace
-from .oracle import JointProbs, SignVector, _at_least, _integer, _unit3
+from .oracle import JointProbs, SignVector, _at_least, _integer, _members, _unit3
 
 
 def _sgn(x: float) -> int:
@@ -118,6 +117,7 @@ class SendAllReplyProtocol(Protocol):
         space = RandomnessSpace.uniform(tuple(Fraction(k, n**3) for k in range(n**3)))
         object.__setattr__(self, "lambda_space", space)
         object.__setattr__(self, "_sends", {})  # Alice's send per vector index
+        object.__setattr__(self, "_indices", {})  # Alice's vector index per checked heard tuple
 
     def _own_vector(self, value) -> SignVector:
         if not isinstance(value, SignVector):
@@ -142,12 +142,15 @@ class SendAllReplyProtocol(Protocol):
         if len(received) < n:
             return _WAIT  # still waiting for Alice's coordinates
         heard = received[:n]
-        if not _BITS.issuperset(heard):
-            raise InvariantError(f"received bits must be 0/1, got {heard}")
-        # Alice's coordinate is 2h - 1 for heard bit h, so
-        # a.b = 2 * (sum of own coordinates where h = 1) - sum of own coordinates
-        coords = own.coords
-        cuts = _cumulative_law(n, 2 * sum(compress(coords, heard)) - sum(coords))
+        try:
+            index_a = self._indices[heard]
+        except (KeyError, TypeError):  # not seen yet, or unhashable
+            if not _members(_BITS, heard):
+                raise InvariantError(f"received bits must be 0/1, got {heard}") from None
+            # the heard bits are Alice's `to_bits`, so read MSB-first they are her index
+            index_a = self._indices[heard] = int("".join(map(str, map(int, heard))), 2)
+        # `SignVector._dot`'s formula: +1 per equal bit, -1 per other
+        cuts = _cumulative_law(n, n - 2 * (index_a ^ own.index).bit_count())
         # the outcome is indexed by the number of cuts at or below lam; for an
         # integer cut c, c / n^3 <= lam iff c <= floor(lam n^3)
         return _BOB_REPLIES[bisect.bisect_right(cuts, _floor_scaled(lam, self._cube))]
@@ -278,6 +281,16 @@ class TonerBaconProtocol(Protocol):
         return y_a, y_b, np.broadcast_to(np.int64(1), (count,))  # read-only, no copy
 
 
+@lru_cache(maxsize=None)
+def _constant_columns(y_a: int, y_b: int) -> tuple[np.ndarray, ...]:
+    """`ConstantProtocol.outcome_table`'s read-only (y_a, y_b, t) columns at its
+    one point, cached: one key per pair of outputs, of which there are four."""
+    columns = np.array([y_a]), np.array([y_b]), np.array([0])
+    for column in columns:
+        column.setflags(write=False)
+    return columns
+
+
 @dataclass(frozen=True, eq=False)
 class ConstantProtocol(Protocol):
     """Outputs fixed values with zero communication; a broken baseline."""
@@ -298,6 +311,9 @@ class ConstantProtocol(Protocol):
 
     def step(self, party: Party, own_input, lam, received: tuple[int, ...]) -> Action:
         return Action(output=self.y_a if party is ALICE else self.y_b)
+
+    def outcome_table(self, input_a, input_b):
+        return _constant_columns(self.y_a, self.y_b)
 
 
 PROTOCOLS: dict[str, type[Protocol]] = {

@@ -164,6 +164,51 @@ def _canon_lambda(lam) -> str:
     raise InvariantError(f"cannot canonicalize randomness point {lam!r}")
 
 
+def _root_bits(prime: int, k: int) -> int:
+    """The first 32 bits of the fractional part of prime^(1/k), exactly: the
+    integer k-th root of prime * 2^(32 k), corrected from its float estimate."""
+    scaled = prime << 32 * k
+    root = round(scaled ** (1 / k))
+    while root**k > scaled:
+        root -= 1
+    while (root + 1) ** k <= scaled:
+        root += 1
+    return root & 0xFFFFFFFF
+
+
+def _sha256_hex(data: bytes) -> str:
+    """FIPS 180-4 SHA-256 of `data`, as `hashlib.sha256(data).hexdigest()` gives it.
+
+    Pure Python, so the digest is one route on every CPython build and maps no
+    OpenSSL; a table body is a few hundred bytes at most, so speed does not matter,
+    and the constants are derived per call (about 0.5 ms), not at import.
+    """
+    mask = 0xFFFFFFFF
+
+    def rotr(x, r):
+        return (x >> r | x << 32 - r) & mask
+
+    # from the first 64 primes: the initial hash from the square roots of the first 8,
+    # the round constants from the cube roots of all 64
+    primes = [p for p in range(2, 312) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    h = [_root_bits(p, 2) for p in primes[:8]]
+    rounds = [_root_bits(p, 3) for p in primes]
+    data = data + b"\x80" + bytes(-(len(data) + 9) % 64) + (8 * len(data)).to_bytes(8, "big")
+    for block in range(0, len(data), 64):
+        w = [int.from_bytes(data[i:i + 4], "big") for i in range(block, block + 64, 4)]
+        for i in range(16, 64):
+            s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ w[i - 15] >> 3
+            s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ w[i - 2] >> 10
+            w.append((w[i - 16] + s0 + w[i - 7] + s1) & mask)
+        a, b, c, d, e, f, g, hh = h
+        for k, wi in zip(rounds, w):
+            t1 = hh + (rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25)) + (e & f ^ ~e & g) + k + wi
+            t2 = (rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22)) + (a & b ^ a & c ^ b & c)
+            a, b, c, d, e, f, g, hh = (t1 + t2) & mask, a, b, c, (d + t1) & mask, e, f, g
+        h = [(x + y) & mask for x, y in zip(h, (a, b, c, d, e, f, g, hh))]
+    return "".join(f"{x:08x}" for x in h)
+
+
 @dataclass(frozen=True, eq=False)
 class DerandomizationTable:
     """Shared map from 1-based cell index to randomness point.
@@ -177,11 +222,8 @@ class DerandomizationTable:
 
     @cached_property
     def digest(self) -> str:
-        # imported here, its only use: on numpy >= 2 no other exact command then
-        # maps OpenSSL's libcrypto (~3.6 MB); numpy 1.x maps it on import
-        import hashlib
         body = f"n={self.n};" + ";".join(_canon_lambda(x) for x in self.entries)
-        return hashlib.sha256(body.encode()).hexdigest()
+        return _sha256_hex(body.encode())
 
     def __len__(self) -> int:
         return len(self.entries)

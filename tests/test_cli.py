@@ -462,12 +462,13 @@ print(*loaded)
 
 
 def test_exact_commands_leave_hashlib_unloaded(tmp_path):
-    """hashlib maps OpenSSL's libcrypto and only `reduce`'s table digest reads
-    it: an exact verify and a tagged predict load no `_hashlib` beyond what
-    `import numpy` alone loads, and the reduce run after them shows that the
-    probe sees it. numpy >= 2 imports numpy.random lazily and so loads none;
-    numpy 1.x imports it at once, and its bit_generator imports secrets -> hmac
-    -> _hashlib, so there the baseline already holds it."""
+    """hashlib maps OpenSSL's libcrypto, and no command imports it: an exact
+    verify, a tagged predict and a reduce, whose table digest is computed in
+    Python, load no `_hashlib` beyond what `import numpy` alone loads, and the
+    sampled verify run after them shows that the probe sees it. numpy >= 2
+    imports numpy.random lazily and so loads none until a sampled path reads
+    it, through secrets -> hmac; numpy 1.x imports it at once, so there the
+    baseline already holds it."""
     scenario = write_scenario(tmp_path, {"state": "maximally_entangled", "n": 4,
                                          "alice": {"vector": "++--"}, "bob": {"vector": "+-+-"}})
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -475,12 +476,13 @@ def test_exact_commands_leave_hashlib_unloaded(tmp_path):
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
     commands = [["verify", "--protocol", "send_all_reply", "--n", "4"],
                 ["predict", "--scenario", scenario],
-                ["reduce", "--protocol", "send_all_reply", "--n", "2"]]
+                ["reduce", "--protocol", "send_all_reply", "--n", "2"],
+                ["verify", "--protocol", "send_all_reply", "--n", "2", "--samples", "5"]]
     done = subprocess.run([sys.executable, "-c", _LOADED_AFTER, json.dumps(commands)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     baseline, *loaded = done.stdout.split()
-    assert loaded == [baseline, baseline, "True"]
+    assert loaded == [baseline, baseline, baseline, "True"]
     if int(np.__version__.split(".")[0]) >= 2:
         assert baseline == "False"
 

@@ -41,8 +41,7 @@ Z, X, TILTED = (0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.6, 0.0, 0.8)
 CASES = {
     "constant": Case(
         params=({}, {"y_b": -1}, {"y_a": -1, "y_b": -1}),
-        not_applicable={"rows": "no outcome_table: the runner plays its one point",
-                        "bad_lams": "it never reads lambda: its outputs are fixed parameters"}),
+        not_applicable={"bad_lams": "it never reads lambda: its outputs are fixed parameters"}),
     "send_all_reply": Case(bad_lams=NOT_A_FINITE_NUMBER),
     "toner_bacon": Case(
         pairs=((Z, TILTED), (Z, X), (TILTED, TILTED)),

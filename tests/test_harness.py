@@ -1,5 +1,6 @@
 """Runner contract: eligibility, transcripts, distributions, cost laws."""
 
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from qcc_lab.harness import (ALICE, BOB, Action, BlqmsReport, CheckResult, Party
 from qcc_lab.dj import promise_scenarios
 from qcc_lab.oracle import JointProbs, SignVector
 from qcc_lab.protocols import ConstantProtocol, SendAllReplyProtocol
-from qcc_lab.reduction import partition_inputs
+from qcc_lab.reduction import check_tail_hypothesis, partition_inputs
 
 
 class TwoBranch(Protocol):
@@ -612,6 +613,57 @@ def test_cost_law_leaves_out_costs_seen_only_at_zero_weight_points():
     assert law.tail(5) == law.tail(6) == law.tail(7) == 2
     assert tail_mass(p, None, None, 5) == Fraction(1, 2)
     assert law.moment(1) == Fraction(7, 2)
+
+
+def test_exact_summaries_reuse_only_the_same_read_only_table():
+    """`cost_law` and `output_distribution` reuse their last result only for the
+    same tuple of read-only columns over the same space: a writeable column
+    changed in place changes the next result, and an equal table that is another
+    object, a list, or the same tuple over another space is read afresh."""
+    p = Tabled()
+    columns = [np.array([1, 1]), np.array([1, -1]), np.array([1, 3])]
+    p.table = tuple(columns)
+    assert cost_law(p, None, None).costs == (1, 3)
+    assert output_distribution(p, None, None) == JointProbs(Fraction(1, 2), 0, Fraction(1, 2), 0)
+    columns[1][1], columns[2][1] = 1, 5
+    assert cost_law(p, None, None).costs == (1, 5)
+    assert output_distribution(p, None, None) == JointProbs(1, 0, 0, 0)
+    for column in columns:
+        column.setflags(write=False)
+    law, probs = cost_law(p, None, None), output_distribution(p, None, None)
+    assert cost_law(p, None, None) is law and output_distribution(p, None, None) is probs
+    for table in (tuple(columns), list(columns)):
+        p.table = table
+        assert cost_law(p, None, None) is not law
+        assert cost_law(p, None, None) == law and output_distribution(p, None, None) == probs
+    p.table = tuple(columns)
+    law = cost_law(p, None, None)
+    p.lambda_space = RandomnessSpace((0, 1), (Fraction(1, 4), Fraction(3, 4)))
+    assert cost_law(p, None, None).masses == (1, 3)
+    assert output_distribution(p, None, None) == JointProbs(1, 0, 0, 0)
+
+
+def test_tail_check_reads_a_cached_table_only_when_it_changes(monkeypatch):
+    """send_all_reply's tail check asks its hook once per pair, and checks and
+    sorts its columns only where the table differs from the last pair's: at the
+    pair (a, a) and at a's first orthogonal partner, twice per vector."""
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    n = 4
+    p = SendAllReplyProtocol(n)
+    monkeypatch.setattr(harness, "_LAST_TABLE", {})
+    monkeypatch.setattr(harness, "_rows", counted("rows", harness._rows))
+    monkeypatch.setattr(SendAllReplyProtocol, "outcome_table",
+                        counted("hook", SendAllReplyProtocol.outcome_table))
+    report = check_tail_hypothesis(p, n, n + 2)
+    assert report.ok and report.pairs_checked == calls["hook"] == 2**n * (1 + math.comb(n, n // 2))
+    assert calls["rows"] == 2 * 2**n
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

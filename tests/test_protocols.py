@@ -21,6 +21,7 @@ from qcc_lab.oracle import JointProbs, SignVector, joint_plus_probability
 from qcc_lab.protocols import (PROTOCOL_NAMES, ConstantProtocol, SendAllReplyProtocol,
                                TonerBaconProtocol, _cumulative_law, _exact_law,
                                _outcome_columns, make_protocol)
+from qcc_lab.reduction import partition_inputs
 
 
 # --- send_all_reply ----------------------------------------------------------
@@ -91,12 +92,16 @@ def test_send_all_reply_enforces_promise():
 
 
 def test_send_all_reply_bob_checks_the_heard_bits():
+    """A heard tuple that is not all bits is refused on every call and never
+    enters Bob's map, also when it is unhashable."""
     p = SendAllReplyProtocol(4)
     b = SignVector.parse("++++")
     lam = p.lambda_space.points[0]
-    for heard in ((1, 1, 2, 1), (1, -1, 1, 1), (1, 1, 1, 1.5)):
-        with pytest.raises(InvariantError, match="0/1"):
-            p.step(BOB, b, lam, heard)
+    for heard in ((1, 1, 2, 1), (1, -1, 1, 1), (1, 1, 1, 1.5), (1, [1], 1, 1)):
+        for _ in range(2):
+            with pytest.raises(InvariantError, match="0/1"):
+                p.step(BOB, b, lam, heard)
+    assert p._indices == {}
     with pytest.raises(PromiseViolationError, match="a.b = 2"):
         p.step(BOB, b, lam, (1, 1, 1, 0))  # heard +++-
     with pytest.raises(InvariantError):
@@ -150,6 +155,30 @@ def test_send_all_reply_bob_reads_the_dot_from_bits():
     for a, b in ((a, b) for a in vectors for b in vectors if a.dot(b) not in (0, n)):
         with pytest.raises(PromiseViolationError, match=f"a.b = {a.dot(b)}"):
             p.step(BOB, b, p.lambda_space.points[0], a.to_bits())
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_send_all_reply_bob_maps_heard_bits_to_the_dot(n, monkeypatch):
+    """On every promise pair, the a.b Bob reads through his map of heard tuples
+    is `SignVector.dot`; after a full partition the map holds one entry per
+    vector, keyed by its bits."""
+    seen = []
+
+    def law(n, dot, cached=_cumulative_law):
+        seen.append(dot)
+        return cached(n, dot)
+
+    monkeypatch.setattr(protocols, "_cumulative_law", law)
+    p = SendAllReplyProtocol(n)
+    lam = p.lambda_space.points[-1]
+    pairs = list(promise_pairs(n))
+    for a, b in pairs:
+        p.step(BOB, b, lam, a.to_bits())
+    assert seen == [a.dot(b) for a, b in pairs]
+    monkeypatch.undo()
+    p = SendAllReplyProtocol(n)
+    partition_inputs(p, n, n + 2)
+    assert p._indices == {a.to_bits(): a.index for a in SignVector.all_vectors(n)}
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -450,6 +479,21 @@ def test_constant_outputs_are_integers():
     p = ConstantProtocol(y_a=np.int64(-1))
     rec = run(p, None, None, 0)
     assert (rec.y_a, rec.y_b) == (-1, 1) and type(rec.y_a) is int
+
+
+def test_constant_outcome_table_is_one_read_only_table_per_outputs():
+    """Every pair of inputs, and every instance with the same outputs, shares one
+    cached read-only one-point table; its law is read from the table once."""
+    p, a, b = ConstantProtocol(y_b=-1), SignVector.parse("++"), SignVector.parse("+-")
+    table = p.outcome_table(a, a)
+    assert p.outcome_table(a, b) is table is ConstantProtocol(y_b=-1).outcome_table(None, None)
+    assert ConstantProtocol().outcome_table(a, a) is not table
+    assert [column.tolist() for column in table] == [[1], [-1], [0]]
+    for column in table:
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0
+    law = output_distribution(p, a, a)
+    assert law == JointProbs(0, 0, 1, 0) and output_distribution(p, a, b) is law
 
 
 def test_constant_fails_on_two_distinct_targets():

@@ -1,9 +1,11 @@
 """Tail checks, greedy partitions, replay certificates, budget formulas."""
 
+import ast
 import hashlib
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,6 +329,39 @@ def test_derandomization_table_digest():
     assert ints.digest == hashlib.sha256(b"n=2;0;1;2;3").hexdigest()
     with pytest.raises(InvariantError, match="cannot canonicalize randomness point 0.5"):
         DerandomizationTable(2, (0, 0.5)).digest
+
+
+def _pinned_table_digests() -> dict:
+    """The benchmark's TABLE_DIGESTS literal, read from `perfbench/workloads.py`."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    (value,) = (node.value for node in ast.parse(path.read_text()).body
+                if isinstance(node, ast.Assign) and ast.unparse(node.targets) == "TABLE_DIGESTS")
+    return ast.literal_eval(value)
+
+
+def test_sha256_matches_hashlib_at_every_padding_edge():
+    """Every length from 0 to 130 bytes: one and two blocks, and the 55/56
+    and 64-byte edges where the length field moves to a new block."""
+    rng = random.Random(0)
+    for length in range(131):
+        data = bytes(rng.randrange(256) for _ in range(length))
+        assert reduction._sha256_hex(data) == hashlib.sha256(data).hexdigest(), length
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(data=st.binary(max_size=300))
+def test_sha256_matches_hashlib_on_drawn_bytes(data):
+    assert reduction._sha256_hex(data) == hashlib.sha256(data).hexdigest()
+
+
+def test_pinned_table_digests_are_the_sha256_of_their_bodies():
+    """The single-cell send_all_reply tables the benchmark pins, n = 4 and 6 among them."""
+    pinned = _pinned_table_digests()
+    assert {4, 6} <= set(pinned)
+    for n, digest in pinned.items():
+        body = f"n={n};0/1".encode()
+        assert hashlib.sha256(body).hexdigest() == digest
+        assert DerandomizationTable(n, (Fraction(0),)).digest == digest
 
 
 def test_certificate_bit_lengths():
