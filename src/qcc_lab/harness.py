@@ -47,10 +47,6 @@ class Party(Enum):
     ALICE = "A"
     BOB = "B"
 
-    @property
-    def peer(self) -> "Party":
-        return Party.BOB if self is Party.ALICE else Party.ALICE
-
 
 ALICE = Party.ALICE
 BOB = Party.BOB
@@ -255,8 +251,8 @@ class Protocol(abc.ABC):
         Return None to use the generic per-point runner.  Implementations
         must agree with `run` exactly; `tests/test_conformance.py` compares
         them with `run` at every point of every promise pair up to n = 4.
-        A tuple of read-only columns must never change: the exact readers
-        reuse their last result when the hook returns that tuple again.
+        A tuple of read-only columns must never change: the exact readers keep
+        their result for it and reuse it when the hook returns that tuple again.
         """
         return None
 
@@ -363,28 +359,33 @@ def _rows(table, count: int, hook: str) -> tuple[np.ndarray, ...]:
     return tuple(columns)
 
 
-# the last read-only table each exact summary read, with its space and result.  A hook
+# each exact summary's results per read-only table and space, keyed by their ids.  A hook
 # that caches its tables hands back the same tuple for every pair with the same law
 # (send_all_reply: one per (n, a.b)), whose summary is then reused without checking the
-# columns again.  The strong references keep the identity test sound, as in
-# `check_exact_blqms`; a writeable column could change in place, so it is never kept
-_LAST_TABLE: dict = {}
+# columns again.  Each entry holds its table and space, so neither id can be reused
+# while it is kept; a writeable column could change in place, so it is never kept.
+# Past `_SUMMARY_LIMIT` entries the dict is cleared, so fresh tables cannot grow it
+_SUMMARIES: dict = {}
+_SUMMARY_LIMIT = 16
 
 
 def _table_summary(summarise, protocol: Protocol, space: RandomnessSpace, input_a, input_b):
     """`summarise(space, y_a, y_b, t)` over the protocol's rows on its finite space:
     the `outcome_table` hook's, asked once per call, else the generic runner's."""
     table = protocol.outcome_table(input_a, input_b)
-    last = _LAST_TABLE.get(summarise)
-    if last is not None and last[0] is table and last[1] is space:
-        return last[2]
+    key = summarise, id(table), id(space)
+    kept = _SUMMARIES.get(key)
+    if kept is not None:
+        return kept[2]
     if table is None:
         rows = _run_rows(protocol, input_a, input_b, space.points)
     else:
         rows = _rows(table, len(space), "outcome_table")
     summary = summarise(space, *rows)
     if type(table) is tuple and not any(column.flags.writeable for column in rows):
-        _LAST_TABLE[summarise] = table, space, summary
+        if len(_SUMMARIES) >= _SUMMARY_LIMIT:
+            _SUMMARIES.clear()
+        _SUMMARIES[key] = table, space, summary
     return summary
 
 
@@ -491,18 +492,10 @@ class BlqmsReport:
         return None if self.mode == "sampled" else not self.restricted_failure_count
 
 
-def _equal_entries(c, t) -> bool:
-    """c == t; normalized `Fraction`s are equal iff their numerators and
-    denominators are, which skips `Fraction.__eq__`'s type dispatch."""
-    if type(c) is Fraction and type(t) is Fraction:
-        return c.numerator == t.numerator and c.denominator == t.denominator
-    return c == t
-
-
 def _law_errors(computed: JointProbs, target: JointProbs) -> tuple:
     """Largest and p_pp absolute differences, exact for rational laws."""
     # equal entries give an exact 0 without a subtraction
-    deltas = [0 if _equal_entries(c, t) else abs(c - t) for c, t in zip(
+    deltas = [0 if c == t else abs(c - t) for c, t in zip(
         (computed.p_pp, computed.p_mp, computed.p_pm, computed.p_mm),
         (target.p_pp, target.p_mp, target.p_pm, target.p_mm))]
     return max(deltas), deltas[0]
@@ -597,8 +590,6 @@ def cost_law(protocol: Protocol, input_a, input_b) -> CostLaw:
 
 def _cost_law_of(space: RandomnessSpace, y_a, y_b, t) -> CostLaw:
     ordered = np.sort(t)
-    if ordered[0] == ordered[-1]:  # one cost at every point carries all of den
-        return CostLaw((int(ordered[0]),), (space.den,), space.den)
     distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))].tolist()
     costs, masses = zip(*((c, m) for c in distinct if (m := space.mass(t == c))))
     return CostLaw(costs, masses, space.den)

@@ -361,13 +361,6 @@ class Projector(_Operator):
             if residue > OPERATOR_ATOL:
                 raise InvariantError(f"projector deviates from idempotence by {residue:.3e}")
 
-    def complement(self) -> "Projector":
-        """Projector onto the outcome -1 event."""
-        data = self.entries
-        if _is_exact(data):
-            return Projector(data.one_minus())
-        return Projector(np.eye(data.shape[0]) - data)
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix(_Operator):

@@ -25,6 +25,7 @@ import bisect
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,11 +39,19 @@ def _sgn(x: float) -> int:
     return 1 if x >= 0 else -1
 
 
+class _Law(NamedTuple):
+    """send_all_reply's law at one (n, a.b), in the three forms its readers take."""
+
+    cuts: tuple[int, int, int]  # Bob's cumulative cuts, as numerators over n^3
+    probs: JointProbs  # `exact_distribution`'s law
+    columns: tuple[np.ndarray, ...]  # `outcome_table`'s read-only (y_a, y_b, t)
+
+
 @lru_cache(maxsize=None)
-def _cumulative_law(n: int, dot: int) -> tuple[int, int, int]:
-    """Cumulative joint-law thresholds for outcome order pp, mp, pm, mm, as
-    integer numerators over n^3: (a.b)^2, then n^2 (the marginal 1/n), then
-    2 n^2 - (a.b)^2.
+def _law(n: int, dot: int) -> _Law:
+    """The law of a pair with a.b = dot over the n^3 grid.  The cuts, for outcome
+    order pp, mp, pm, mm, are (a.b)^2, then n^2 (the marginal 1/n), then
+    2 n^2 - (a.b)^2; each outcome's count of grid points is the gap below its cut.
 
     The law depends on the inputs only through n and a.b, so on the promise
     the cache holds two keys per n; an off-promise a.b raises and is not kept.
@@ -51,31 +60,16 @@ def _cumulative_law(n: int, dot: int) -> tuple[int, int, int]:
         raise PromiseViolationError(
             f"send_all_reply inputs must satisfy the promise, got a.b = {dot}"
         )
-    return dot * dot, n * n, 2 * n * n - dot * dot
-
-
-@lru_cache(maxsize=None)
-def _exact_law(n: int, dot: int) -> JointProbs:
-    """The joint law as closed interval counts over n^3, cached like
-    `_cumulative_law`: two keys per n, off-promise a.b raises and is not kept."""
-    c1, c2, c3 = _cumulative_law(n, dot)
     cube = n**3
-    return JointProbs(*(Fraction(c, cube) for c in (c1, c2 - c1, c3 - c2, cube - c3)))
-
-
-@lru_cache(maxsize=None)
-def _outcome_columns(n: int, dot: int) -> tuple[np.ndarray, ...]:
-    """`outcome_table`'s read-only (y_a, y_b, t) columns over the n^3 grid,
-    cached like `_exact_law`: two keys per n, off-promise a.b raises and is not kept."""
-    law = _cumulative_law(n, dot)
+    cuts = dot * dot, n * n, 2 * n * n - dot * dot
+    counts = [high - low for low, high in zip((0, *cuts), (*cuts, cube))]
     # the point k / n^3 is at or past the cut c / n^3 iff k >= c, so each
     # outcome covers a run of consecutive grid points
-    cube = n**3
-    outcomes = np.repeat(np.array(OUTCOMES), np.diff([0, *law, cube]), axis=0)
+    outcomes = np.repeat(np.array(OUTCOMES), counts, axis=0)
     columns = outcomes[:, 0], outcomes[:, 1], np.full(cube, n + 1)
     for column in columns:
         column.setflags(write=False)
-    return columns
+    return _Law(cuts, JointProbs(*(Fraction(c, cube) for c in counts)), columns)
 
 
 def _floor_scaled(lam, scale: int) -> int:
@@ -117,7 +111,7 @@ class SendAllReplyProtocol(Protocol):
         space = RandomnessSpace.uniform(tuple(Fraction(k, n**3) for k in range(n**3)))
         object.__setattr__(self, "lambda_space", space)
         object.__setattr__(self, "_sends", {})  # Alice's send per vector index
-        object.__setattr__(self, "_indices", {})  # Alice's vector index per checked heard tuple
+        object.__setattr__(self, "_heard", {})  # Alice's vector per checked heard tuple
 
     def _own_vector(self, value) -> SignVector:
         if not isinstance(value, SignVector):
@@ -143,14 +137,12 @@ class SendAllReplyProtocol(Protocol):
             return _WAIT  # still waiting for Alice's coordinates
         heard = received[:n]
         try:
-            index_a = self._indices[heard]
+            alice = self._heard[heard]
         except (KeyError, TypeError):  # not seen yet, or unhashable
             if not _members(_BITS, heard):
                 raise InvariantError(f"received bits must be 0/1, got {heard}") from None
-            # the heard bits are Alice's `to_bits`, so read MSB-first they are her index
-            index_a = self._indices[heard] = int("".join(map(str, map(int, heard))), 2)
-        # `SignVector._dot`'s formula: +1 per equal bit, -1 per other
-        cuts = _cumulative_law(n, n - 2 * (index_a ^ own.index).bit_count())
+            alice = self._heard[heard] = SignVector.from_bits(heard)
+        cuts = _law(n, own._dot(alice)).cuts
         # the outcome is indexed by the number of cuts at or below lam; for an
         # integer cut c, c / n^3 <= lam iff c <= floor(lam n^3)
         return _BOB_REPLIES[bisect.bisect_right(cuts, _floor_scaled(lam, self._cube))]
@@ -159,12 +151,12 @@ class SendAllReplyProtocol(Protocol):
     def outcome_table(self, input_a, input_b):
         a = self._own_vector(input_a)
         b = self._own_vector(input_b)
-        return _outcome_columns(self.n, a._dot(b))
+        return _law(self.n, a._dot(b)).columns
 
     def exact_distribution(self, input_a, input_b) -> JointProbs:
         a = self._own_vector(input_a)
         b = self._own_vector(input_b)
-        return _exact_law(self.n, a._dot(b))
+        return _law(self.n, a._dot(b)).probs
 
 
 # rows per sampled block: 2M samples take a median 0.26 s at 2^14, 0.27 s at 2^15 and

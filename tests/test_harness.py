@@ -83,7 +83,6 @@ def test_action_validation():
     # bits are normalized to a tuple of ints, whatever sequence held them
     normalized = Action([np.int64(1), True, 0]).send
     assert normalized == (1, 1, 0) and all(type(b) is int for b in normalized)
-    assert Party.ALICE.peer is Party.BOB and Party.BOB.peer is Party.ALICE
 
 
 def test_transcript_tokens_roundtrip():
@@ -202,6 +201,13 @@ class Tabled(TwoBranch):
 
     def batch_outcomes(self, input_a, input_b, rng, count):
         return self.table
+
+
+class Fresh(TwoBranch):
+    """TwoBranch whose table is a fresh tuple of the set columns on every call."""
+
+    def outcome_table(self, input_a, input_b):
+        return tuple(self.columns)
 
 
 MALFORMED_ROWS = {
@@ -357,7 +363,7 @@ def reference_run(protocol, input_a, input_b, lam, *, cap=None):
                         partial_transcript=Transcript(tuple(entries)),
                     )
                 entries.append((party, bit))
-                received[party.peer].append(bit)
+                received[BOB if party is ALICE else ALICE].append(bit)
             if action.output is not None:
                 outputs[party] = action.output
         if not progressed:
@@ -616,7 +622,7 @@ def test_cost_law_leaves_out_costs_seen_only_at_zero_weight_points():
 
 
 def test_exact_summaries_reuse_only_the_same_read_only_table():
-    """`cost_law` and `output_distribution` reuse their last result only for the
+    """`cost_law` and `output_distribution` reuse a kept result only for the
     same tuple of read-only columns over the same space: a writeable column
     changed in place changes the next result, and an equal table that is another
     object, a list, or the same tuple over another space is read afresh."""
@@ -645,8 +651,8 @@ def test_exact_summaries_reuse_only_the_same_read_only_table():
 
 def test_tail_check_reads_a_cached_table_only_when_it_changes(monkeypatch):
     """send_all_reply's tail check asks its hook once per pair, and checks and
-    sorts its columns only where the table differs from the last pair's: at the
-    pair (a, a) and at a's first orthogonal partner, twice per vector."""
+    sorts the columns of each distinct table once: promise order alternates the
+    a.b = n and a.b = 0 tables, and both stay kept."""
     calls = Counter()
 
     def counted(name, original):
@@ -657,13 +663,30 @@ def test_tail_check_reads_a_cached_table_only_when_it_changes(monkeypatch):
 
     n = 4
     p = SendAllReplyProtocol(n)
-    monkeypatch.setattr(harness, "_LAST_TABLE", {})
+    monkeypatch.setattr(harness, "_SUMMARIES", {})
     monkeypatch.setattr(harness, "_rows", counted("rows", harness._rows))
     monkeypatch.setattr(SendAllReplyProtocol, "outcome_table",
                         counted("hook", SendAllReplyProtocol.outcome_table))
     report = check_tail_hypothesis(p, n, n + 2)
     assert report.ok and report.pairs_checked == calls["hook"] == 2**n * (1 + math.comb(n, n // 2))
-    assert calls["rows"] == 2 * 2**n
+    assert calls["rows"] == 2
+
+
+def test_fresh_read_only_tables_keep_the_summaries_bounded(monkeypatch):
+    """A hook that returns a fresh tuple of read-only columns on every call leaves
+    at most `_SUMMARY_LIMIT` entries, and every result equals a fresh read."""
+    monkeypatch.setattr(harness, "_SUMMARIES", {})
+    columns = [np.array([1, 1]), np.array([1, -1]), np.array([1, 3])]
+    for column in columns:
+        column.setflags(write=False)
+    p = Fresh()
+    p.columns = columns
+    law, probs = harness._cost_law_of(p.lambda_space, *columns), \
+        harness._law_of(p.lambda_space, *columns)
+    for _ in range(3 * harness._SUMMARY_LIMIT):
+        assert cost_law(p, None, None) == law
+        assert output_distribution(p, None, None) == probs
+        assert 0 < len(harness._SUMMARIES) <= harness._SUMMARY_LIMIT
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

@@ -252,13 +252,6 @@ def test_projector_rejects_non_idempotent():
         Projector(RationalMatrix(np.array([[huge, 0], [0, 1]], dtype=object), huge))
 
 
-def test_projector_complement():
-    p = sign_vector_projector(SignVector.parse("+-"))
-    q = p.complement()
-    np.testing.assert_allclose(p.entries.to_float() + q.entries.to_float(),
-                               np.eye(2))
-
-
 def test_observable_projector_conversion():
     a = sign_vector_observable(SignVector.parse("++--"))
     p = observable_to_projector(a)
@@ -678,14 +671,14 @@ def test_untagged_operands_reach_law_parts(law_parts_calls):
     tagged_a, tagged_b = sign_vector_projector(a), sign_vector_projector(b)
     closed = predict_joint_probs(tagged_a, tagged_b, state)
     # the tag is set only by `sign_vector_projector`, never by value
-    untagged = [Projector(tagged_a.entries), tagged_a.complement(),
+    untagged = [Projector(tagged_a.entries),
                 Projector(sign_vector_projector(a).entries.to_float()),
                 observable_to_projector(sign_vector_observable(a))]
     assert tagged_a._sign_vector is a
     assert all(p._sign_vector is None for p in untagged)
     assert predict_joint_probs(untagged[0], tagged_b, state) == closed
     assert len(law_parts_calls) == 1
-    loose = predict_joint_probs(untagged[2], Projector(sign_vector_projector(b).entries.to_float()),
+    loose = predict_joint_probs(untagged[1], Projector(sign_vector_projector(b).entries.to_float()),
                                 DensityMatrix(state.entries.to_float()))
     assert not loose.exact and len(law_parts_calls) == 2
     assert predict_joint_probs(tagged_a, tagged_b, by_value(state)) == closed

@@ -17,10 +17,9 @@ from qcc_lab.errors import InvariantError, PromiseViolationError, ProtocolError
 from qcc_lab.harness import (ALICE, BOB, OUTCOMES, Action, RandomnessSpace, Scenario,
                              check_exact_blqms, cost_law, output_distribution,
                              run, sample_distribution)
-from qcc_lab.oracle import JointProbs, SignVector, joint_plus_probability
+from qcc_lab.oracle import JointProbs, SignVector, _sign_vector_law, joint_plus_probability
 from qcc_lab.protocols import (PROTOCOL_NAMES, ConstantProtocol, SendAllReplyProtocol,
-                               TonerBaconProtocol, _cumulative_law, _exact_law,
-                               _outcome_columns, make_protocol)
+                               TonerBaconProtocol, _law, make_protocol)
 from qcc_lab.reduction import partition_inputs
 
 
@@ -101,7 +100,7 @@ def test_send_all_reply_bob_checks_the_heard_bits():
         for _ in range(2):
             with pytest.raises(InvariantError, match="0/1"):
                 p.step(BOB, b, lam, heard)
-    assert p._indices == {}
+    assert p._heard == {}
     with pytest.raises(PromiseViolationError, match="a.b = 2"):
         p.step(BOB, b, lam, (1, 1, 1, 0))  # heard +++-
     with pytest.raises(InvariantError):
@@ -158,27 +157,20 @@ def test_send_all_reply_bob_reads_the_dot_from_bits():
 
 
 @pytest.mark.parametrize("n", [4, 6])
-def test_send_all_reply_bob_maps_heard_bits_to_the_dot(n, monkeypatch):
-    """On every promise pair, the a.b Bob reads through his map of heard tuples
-    is `SignVector.dot`; after a full partition the map holds one entry per
-    vector, keyed by its bits."""
-    seen = []
-
-    def law(n, dot, cached=_cumulative_law):
-        seen.append(dot)
-        return cached(n, dot)
-
-    monkeypatch.setattr(protocols, "_cumulative_law", law)
-    p = SendAllReplyProtocol(n)
-    lam = p.lambda_space.points[-1]
-    pairs = list(promise_pairs(n))
-    for a, b in pairs:
-        p.step(BOB, b, lam, a.to_bits())
-    assert seen == [a.dot(b) for a, b in pairs]
-    monkeypatch.undo()
+def test_send_all_reply_bob_maps_heard_bits_to_the_dot(n):
+    """After a full partition Bob's map holds, per vector, its bits as the key and
+    `SignVector.from_bits` of them as the value, whose `_dot` with Bob's vector is
+    a.b on every promise pair; a refused tuple never enters it."""
     p = SendAllReplyProtocol(n)
     partition_inputs(p, n, n + 2)
-    assert p._indices == {a.to_bits(): a.index for a in SignVector.all_vectors(n)}
+    lam = p.lambda_space.points[0]
+    refused = ((2,) * n, (1, -1) * (n // 2), (1.5,) + (1,) * (n - 1), ([1],) + (1,) * (n - 1))
+    for heard in refused:
+        with pytest.raises(InvariantError, match="0/1"):
+            p.step(BOB, SignVector((1,) * n), lam, heard)
+    vectors = list(SignVector.all_vectors(n))
+    assert p._heard == {a.to_bits(): SignVector.from_bits(a.to_bits()) for a in vectors}
+    assert all(b._dot(p._heard[a.to_bits()]) == a.dot(b) for a, b in promise_pairs(n))
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -188,7 +180,7 @@ def test_send_all_reply_step_matches_fraction_bisect(n):
     every grid point and midpoint k / (2 n^3), off the grid and on the cuts."""
     p = SendAllReplyProtocol(n)
     cube = n**3
-    cut_points = [Fraction(c, cube) for dot in (0, n) for c in _cumulative_law(n, dot)]
+    cut_points = [Fraction(c, cube) for dot in (0, n) for c in _law(n, dot).cuts]
     lams = list(p.lambda_space.points)
     lams += [Fraction(k, 2 * cube) for k in range(2 * cube)]
     lams += [Fraction(k, 7) for k in range(-1, 9)]
@@ -198,7 +190,7 @@ def test_send_all_reply_step_matches_fraction_bisect(n):
     lams += [math.nextafter(float(c), side) for c in cut_points for side in (-1, 2)]
     a = SignVector((1,) * n)
     for b in (a, SignVector((1, -1) * (n // 2))):
-        cuts = [Fraction(c, cube) for c in _cumulative_law(n, a.dot(b))]
+        cuts = [Fraction(c, cube) for c in _law(n, a.dot(b)).cuts]
         for lam in lams:
             y_a, y_b = OUTCOMES[bisect.bisect_right(cuts, lam)]
             assert p.step(BOB, b, lam, a.to_bits()) == \
@@ -206,45 +198,46 @@ def test_send_all_reply_step_matches_fraction_bisect(n):
 
 
 def test_law_cache_has_two_keys_per_n():
-    _cumulative_law.cache_clear()
-    _exact_law.cache_clear()
+    """Every reader of send_all_reply's law shares one record per (n, a.b): over all
+    18,176 promise pairs at n = 8 the cache holds two keys, and an off-promise
+    key is refused by each reader and never kept."""
+    _law.cache_clear()
     p = SendAllReplyProtocol(8)
     lam = p.lambda_space.points[100]
     for a, b in promise_pairs(8):
         p.exact_distribution(a, b)
+        p.outcome_table(a, b)
         p.step(BOB, b, lam, a.to_bits())
+    info = _law.cache_info()
+    assert info.currsize == 2 and info.misses == 2 and info.hits == 3 * 18_176 - 2
     off = (SignVector.parse("++++++++"), SignVector.parse("+++++++-"))
-    with pytest.raises(PromiseViolationError):
-        p.step(BOB, off[0], lam, off[1].to_bits())
-    with pytest.raises(PromiseViolationError):
-        p.exact_distribution(*off)
-    info = _cumulative_law.cache_info()
-    assert info.currsize == 2  # a.b = 0 and a.b = n; off-promise keys are not kept
-    assert info.misses == 4 and info.hits == 18_176
-    laws = _exact_law.cache_info()
-    assert laws.currsize == 2 and laws.misses == 3 and laws.hits == 18_176 - 2
+    for refused in (lambda: p.step(BOB, off[0], lam, off[1].to_bits()),
+                    lambda: p.exact_distribution(*off), lambda: p.outcome_table(*off)):
+        with pytest.raises(PromiseViolationError, match="a.b = 6"):
+            refused()
+    assert _law.cache_info().currsize == 2  # a.b = 0 and a.b = n only
     run(SendAllReplyProtocol(4), SignVector.parse("++--"), SignVector.parse("++--"), 0)
-    assert _cumulative_law.cache_info().currsize == 3
+    assert _law.cache_info().currsize == 3
 
 
 def test_outcome_table_is_one_read_only_table_per_dot():
-    """Pairs with equal n and a.b share one cached table, whose columns are
-    read-only; an off-promise pair raises and leaves nothing in the cache."""
-    _outcome_columns.cache_clear()
-    p = SendAllReplyProtocol(4)
-    a, b, c = (SignVector.parse(text) for text in ("++++", "++--", "+-+-"))
-    equal, orthogonal = p.outcome_table(a, a), p.outcome_table(a, b)
-    for first, second in ((equal, p.outcome_table(c, c)),
-                          (orthogonal, SendAllReplyProtocol(4).outcome_table(b, c))):
-        assert all(x is y for x, y in zip(first, second))
-    for column in (*equal, *orthogonal):
-        assert not column.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            column[0] = 0
-    with pytest.raises(PromiseViolationError, match="a.b = 2"):
-        p.outcome_table(a, SignVector.parse("+++-"))
-    info = _outcome_columns.cache_info()
-    assert info.currsize == 2 and info.misses == 3 and info.hits == 2
+    """At each n and a.b the record's law is the law of its own read-only columns
+    over the grid and the oracle's closed form, and pairs with equal n and a.b
+    share its columns and its law."""
+    for n in (2, 4, 6, 8):
+        p = SendAllReplyProtocol(n)
+        for dot in (0, n):
+            record = _law(n, dot)
+            assert record.probs == harness._law_of(p.lambda_space, *record.columns)
+            assert record.probs == _sign_vector_law(n, dot)
+            for column in record.columns:
+                assert not column.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = 0
+            pairs = [(a, b) for a, b in promise_pairs(n) if a.dot(b) == dot][:3]
+            for a, b in pairs:
+                assert p.outcome_table(a, b) is record.columns
+                assert SendAllReplyProtocol(n).exact_distribution(a, b) is record.probs
 
 
 @pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf"),
