@@ -32,15 +32,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import InvariantError, NonHaltingError, ProtocolError
 from .oracle import JointProbs, SignVector, _at_least, _integer, _members
-
-# weight numerators are int64 while their den and sums stay below this
-_INT64_SAFE = 2**62
 
 
 class Party(Enum):
@@ -79,8 +76,7 @@ class Action:
             raise ProtocolError(f"output must be the int +1 or -1, got {output!r}")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Accept/reject verdict with a human-readable reason on reject."""
 
     accepted: bool
@@ -119,22 +115,13 @@ class Transcript:
         return "".join(f"{p.value}{b}" for p, b in self.entries)
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     """Outcome of one deterministic run."""
 
     y_a: int
     y_b: int
     transcript: Transcript
     t: int
-    lam: object
-
-    @classmethod
-    def _unchecked(cls, y_a, y_b, transcript, t, lam) -> "RunRecord":
-        """The record the constructor builds, without its frozen-field `__init__`."""
-        record = object.__new__(cls)
-        vars(record).update(y_a=y_a, y_b=y_b, transcript=transcript, t=t, lam=lam)
-        return record
 
     @property
     def g(self) -> int:
@@ -144,11 +131,9 @@ class RunRecord:
 
 def _over_common_denominator(values: Sequence[Fraction]) -> tuple[np.ndarray, int]:
     """Rationals as integer numerators over their least common denominator:
-    int64 while den and every sum of them stay below `_INT64_SAFE`, else object."""
+    read-only Python ints in an object array, so no sum of them can wrap."""
     den = math.lcm(*(v.denominator for v in values))
     nums = np.array([v.numerator * (den // v.denominator) for v in values], dtype=object)
-    if max(den, int(np.abs(nums).max()) * len(nums)) < _INT64_SAFE:
-        nums = nums.astype(np.int64)
     nums.setflags(write=False)
     return nums, den
 
@@ -181,7 +166,7 @@ class RandomnessSpace:
             raise InvariantError("weights must be nonnegative")
         if numerators.sum() != den:
             raise InvariantError(
-                f"weights sum to {Fraction(int(numerators.sum()), den)}, expected 1")
+                f"weights sum to {Fraction(numerators.sum(), den)}, expected 1")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "numerators", numerators)
@@ -211,9 +196,8 @@ class RandomnessSpace:
         return bisect_right(self._cdf, rng.random())
 
     def mass(self, mask: np.ndarray) -> int:
-        """Weight numerator, over `den`, of the points where mask holds; int64
-        numerators (den < `_INT64_SAFE`) are nonnegative and sum to den, so none wraps."""
-        return int(self.numerators[mask].sum())
+        """Weight numerator, over `den`, of the points where mask holds."""
+        return self.numerators[mask].sum()
 
 
 class Protocol(abc.ABC):
@@ -312,7 +296,7 @@ def run(protocol: Protocol, input_a, input_b, lam, *,
 
     transcript = object.__new__(Transcript)  # entries the runner built, not validated again
     vars(transcript)["entries"] = tuple(entries)
-    return RunRecord._unchecked(out_a, out_b, transcript, len(entries), lam)
+    return RunRecord(out_a, out_b, transcript, len(entries))
 
 
 def _over_cap(protocol: Protocol, cap: int, entries: list, sent: tuple) -> NonHaltingError:
@@ -438,8 +422,7 @@ def sample_distribution(protocol: Protocol, input_a, input_b, *,
     return SampleStats(probs, float(t.mean()), int(t.max()), samples, seed)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """One comparison target: protocol inputs plus the predicted joint law."""
 
     input_a: object

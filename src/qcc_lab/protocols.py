@@ -147,16 +147,18 @@ class SendAllReplyProtocol(Protocol):
         # integer cut c, c / n^3 <= lam iff c <= floor(lam n^3)
         return _BOB_REPLIES[bisect.bisect_right(cuts, _floor_scaled(lam, self._cube))]
 
-    # both hooks read a.b unchecked once `_own_vector` has checked both inputs
-    def outcome_table(self, input_a, input_b):
+    def _pair_law(self, input_a, input_b) -> _Law:
+        """The law of one input pair, which both hooks read; a.b is read
+        unchecked once `_own_vector` has checked both inputs."""
         a = self._own_vector(input_a)
         b = self._own_vector(input_b)
-        return _law(self.n, a._dot(b)).columns
+        return _law(self.n, a._dot(b))
+
+    def outcome_table(self, input_a, input_b):
+        return self._pair_law(input_a, input_b).columns
 
     def exact_distribution(self, input_a, input_b) -> JointProbs:
-        a = self._own_vector(input_a)
-        b = self._own_vector(input_b)
-        return _law(self.n, a._dot(b)).probs
+        return self._pair_law(input_a, input_b).probs
 
 
 # rows per sampled block: 2M samples take a median 0.26 s at 2^14, 0.27 s at 2^15 and

@@ -141,7 +141,9 @@ def test_randomness_space_validation():
     space = RandomnessSpace.uniform((0, 1, 2, 3))
     assert space.weights == (Fraction(1, 4),) * 4
     assert space.den == 4 and space.numerators.tolist() == [1, 1, 1, 1]
-    assert space.numerators.dtype == np.int64
+    # read-only Python ints, so no sum of them can wrap
+    assert space.numerators.dtype == object and not space.numerators.flags.writeable
+    assert all(type(x) is int for x in space.numerators)
     picks = [space.sample_index(np.random.default_rng(0)) for _ in range(3)]
     assert picks[0] == picks[1] == picks[2]  # same seed, same draw
     rng = np.random.default_rng(0)
@@ -373,7 +375,7 @@ def reference_run(protocol, input_a, input_b, lam, *, cap=None):
             )
 
     transcript = Transcript(tuple(entries))
-    return RunRecord(outputs[ALICE], outputs[BOB], transcript, len(transcript), lam)
+    return RunRecord(outputs[ALICE], outputs[BOB], transcript, len(transcript))
 
 
 def _outcome(runner, protocol, lam, cap):

@@ -16,7 +16,7 @@ from qcc_lab.dj import (RejectCertificate, auy_min_n1, n0_upper_bound, n1_lower_
                         promise_pairs)
 from qcc_lab.errors import InvariantError, PartitionError, QccLabError
 from qcc_lab.harness import (ALICE, BOB, Action, Protocol, RandomnessSpace, Scenario,
-                             Transcript, check_exact_blqms, cost_law,
+                             Transcript, _run_rows, check_exact_blqms, cost_law,
                              output_distribution, run, sample_distribution, tail_mass)
 from qcc_lab.oracle import JointProbs, RationalMatrix, SignVector, sign_vector_projector
 from qcc_lab.protocols import ConstantProtocol, SendAllReplyProtocol, TonerBaconProtocol
@@ -266,7 +266,8 @@ def _partition_outcome(partitioner, protocol, n, threshold):
        threshold=st.sampled_from((2, 3)))
 def test_partition_matches_reference_greedy(seed, density, threshold):
     """Cells, their order, members and points, failures and the run calls
-    agree with the dict-of-sets reference greedy."""
+    agree with the dict-of-sets reference greedy, and a partition stays within
+    the greedy cover bound of its least acceptance mass."""
     got_protocol, expected_protocol = Overlapping(seed, density), Overlapping(seed, density)
     got = _partition_outcome(partition_inputs, got_protocol, 4, threshold)
     expected = _partition_outcome(reference_partition, expected_protocol, 4, threshold)
@@ -274,6 +275,18 @@ def test_partition_matches_reference_greedy(seed, density, threshold):
     assert got_protocol.calls == expected_protocol.calls
     if isinstance(got, tuple) and isinstance(got[0], PartitionCell):
         assert all(type(cell.lam_index) is int for cell in got)
+        # each pick covers at least the fraction a/d of the inputs left, a/d being the
+        # least acceptance mass, so fewer than one of the 16 is left after k picks
+        # once 16 (d - a)^k < d^k; checked in integers
+        space = got_protocol.lambda_space
+        d = space.den
+        a = min(sum(space.numerators[(y_a == 1) & (y_b == 1) & (t < threshold)])
+                for y_a, y_b, t in (_run_rows(got_protocol, v, v, space.points)
+                                    for v in SignVector.all_vectors(4)))
+        k = 1
+        while 16 * (d - a) ** k >= d**k:
+            k += 1
+        assert len(got) <= k
 
 
 def test_partition_overlapping_cells_match_reference():
