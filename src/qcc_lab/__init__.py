@@ -4,9 +4,8 @@ for binary measurements on shared entangled states."""
 from .errors import (DimensionMismatchError, InvariantError, NonHaltingError,
                      PartitionError, PromiseViolationError, ProtocolError,
                      QccLabError)
-from .tolerances import OPERATOR_ATOL, TRACE_ATOL
-from .oracle import (BinaryObservable, DensityMatrix, ExpectationTriple,
-                     JointProbs, Projector, RationalMatrix, SignVector,
+from .oracle import (OPERATOR_ATOL, TRACE_ATOL, BinaryObservable, DensityMatrix,
+                     ExpectationTriple, JointProbs, Projector, RationalMatrix, SignVector,
                      bloch_observable, expectations_to_probs,
                      joint_plus_probability, maximally_entangled,
                      observable_to_projector, predict_expectations,

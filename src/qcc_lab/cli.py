@@ -77,10 +77,10 @@ def _scalar_text(value) -> Optional[str]:
         return "true" if value else "false"
     if value is None:
         return "null"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _float_text(float(value))
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return _float_text(value)
     if isinstance(value, Fraction):
         return json.dumps(f"{value.numerator}/{value.denominator}")
     if isinstance(value, str):
@@ -137,7 +137,7 @@ def canonical_json(report: dict) -> str:
 def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (float, np.floating, Fraction)):
+    if isinstance(value, (float, Fraction)):
         return _float_text(float(value))
     return str(value)
 

@@ -17,10 +17,6 @@ Costs count every transmitted bit from both parties.  A run that exceeds
 its bit budget raises NonHaltingError instead of truncating.  On a finite
 space the law of the cost T for one input pair is one `cost_law`: its
 support and integer masses, from which every tail mass and moment is read.
-
-Note: a party that halts silently while its peer keeps transmitting cannot
-be replayed from the transcript alone; none of the shipped protocols do
-this, and `verify_certificate` documents the same restriction.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ Conventions:
     * Sign-vector inputs (entries +/-1, even length n) index the rank-one
       family P_a = (1/n) |a><a| on the maximally entangled state; this
       family is handled in exact rational arithmetic.  Everything else runs
-      in double precision under the tolerances in `tolerances`.
+      in double precision under the tolerances `OPERATOR_ATOL` and
+      `TRACE_ATOL`, which the exact paths never consult.
 
 Expectations are derived from the joint law, which has two routes.  A
 state built by `maximally_entangled(n)` and a projector built by
@@ -41,9 +42,12 @@ from typing import Iterator, Optional, Union
 import numpy as np
 
 from .errors import DimensionMismatchError, InvariantError
-from .tolerances import OPERATOR_ATOL, TRACE_ATOL
 
 Array = np.ndarray
+# operator-level invariants: idempotence, unit spectrum, eigenvalue floors
+OPERATOR_ATOL = 1e-10
+# scalar bookkeeping: traces, Hermiticity residues, probability sums
+TRACE_ATOL = 1e-12
 Number = Union[Fraction, float]
 _SIGNS = frozenset((-1, 1))
 

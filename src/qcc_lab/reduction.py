@@ -29,7 +29,7 @@ import numpy as np
 
 from .dj import promise_pairs
 from .errors import InvariantError, PartitionError, QccLabError
-from .harness import (Action, CheckResult, Party, Protocol, Transcript, _finite_space,
+from .harness import (ALICE, Action, CheckResult, Party, Protocol, Transcript, _finite_space,
                       _run_rows, cost_law, pair_label, run)
 from .oracle import SignVector, _at_least, _integer
 
@@ -271,12 +271,12 @@ def verify_certificate(party: Party, own: SignVector, cert: DjCertificate,
     """Replay one side against the transcript; accept iff it matches and
     the own output is +1.
 
-    The party consumes peer bits from the transcript as its incoming
-    messages and checks every bit the transcript attributes to itself
-    against what it would actually send.  Protocol-level rejections
-    (promise violations, malformed actions) reject rather than raise.
-    Protocols whose parties halt silently before the peer stops
-    transmitting are outside this verifier's contract (see harness notes).
+    The party is asked on `run`'s schedule: Alice first with nothing heard,
+    Bob first with Alice's first move, and each again only once the peer's
+    next move (its next run of transcript bits) has reached it.  Each own
+    action's bits must be the transcript's next entries, as one block.
+    Protocol-level rejections (promise violations, malformed actions)
+    reject rather than raise.
     """
     if cert.n != table.n:
         return CheckResult(False, f"certificate n={cert.n} vs table n={table.n}")
@@ -284,37 +284,37 @@ def verify_certificate(party: Party, own: SignVector, cert: DjCertificate,
         return CheckResult(False, f"cell index {cert.j} outside 1..{len(table)}")
     lam = table.entries[cert.j - 1]
     entries = cert.transcript.entries
+    end = len(entries)
+    side = 0 if party is ALICE else 1  # this party's index in `Action._entries`
     received: list[int] = []
     pos = 0
-    while True:
-        while pos < len(entries) and entries[pos][0] is not party:
+    if side:  # Bob's first ask hears Alice's first move, which may be empty
+        while pos < end and entries[pos][0] is ALICE:
             received.append(entries[pos][1])
             pos += 1
+    while True:
         try:
             action = protocol.step(party, own, lam, tuple(received))
         except QccLabError as exc:
             return CheckResult(False, f"protocol rejected: {exc}")
         if not isinstance(action, Action):
             return CheckResult(False, "protocol returned a malformed action")
-        for bit in action.send:
-            if pos >= len(entries):
-                return CheckResult(False, "transcript ends before own bits do")
-            sender, logged = entries[pos]
-            if sender is not party:
-                return CheckResult(
-                    False, f"transcript entry {pos} is the peer's, not ours")
-            if logged != bit:
-                return CheckResult(
-                    False, f"own bit at entry {pos} is {bit}, transcript says {logged}")
-            pos += 1
+        sent = action._entries[side]
+        if entries[pos:pos + len(sent)] != sent:
+            return CheckResult(False, f"own bits differ from the transcript's at entry {pos}")
+        pos += len(sent)
         if action.output is not None:
             if any(sender is party for sender, _ in entries[pos:]):
                 return CheckResult(False, "transcript claims own bits after halting")
             if action.output != 1:
                 return CheckResult(False, "own output is -1")
             return CheckResult(True, "")
-        if not action.send:
-            if pos >= len(entries):
+        start = pos
+        while pos < end and entries[pos][0] is not party:
+            received.append(entries[pos][1])
+            pos += 1
+        if pos == start:  # nothing new heard, so `run` would not ask again
+            if pos >= end:
                 return CheckResult(False, "transcript exhausted before halting")
             return CheckResult(False, f"desync at entry {pos}: expected to receive")
 

@@ -8,6 +8,7 @@ asserts that the check indeed does not apply.
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import groupby, product
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -17,14 +18,16 @@ from hypothesis import given, settings, strategies as st
 from qcc_lab import harness
 from qcc_lab.dj import promise_pairs
 from qcc_lab.errors import PartitionError, QccLabError
-from qcc_lab.harness import (ALICE, BOB, OUTCOMES, RandomnessSpace, SampleStats, cost_law,
-                             output_distribution, run, sample_distribution)
+from qcc_lab.harness import (ALICE, BOB, OUTCOMES, Action, Protocol, RandomnessSpace,
+                             SampleStats, Transcript, cost_law, output_distribution, run,
+                             sample_distribution)
 from qcc_lab.oracle import JointProbs, SignVector
 from qcc_lab.protocols import PROTOCOL_NAMES, PROTOCOLS, make_protocol, protocol_parameters
 from qcc_lab.reduction import (DerandomizationTable, DjCertificate, build_certificate,
                                partition_inputs, verify_certificate)
 from test_harness import assert_checked_transcript
 from test_protocols import one_shot_pairs
+from test_reduction import SilentAlice
 
 
 class Case(NamedTuple):
@@ -219,3 +222,69 @@ def test_bad_points_are_refused_by_run_and_by_replay(name):
                    for party in (ALICE, BOB)]
         assert not all(replays)
         assert f"protocol rejected: {refusal.value}" in [replay.reason for replay in replays]
+
+
+class ScriptedPeer(Protocol):
+    """`party` answers with `protocol`'s own `step`; its peer plays `moves`, one
+    per action, halting with the last, or at once if there are none."""
+
+    def __init__(self, protocol, party, moves):
+        self.protocol, self.party, self.moves, self.asked = protocol, party, moves, 0
+
+    def step(self, party, own_input, lam, received):
+        if party is self.party:
+            return self.protocol.step(party, own_input, lam, received)
+        k, self.asked = self.asked, self.asked + 1
+        last = k >= len(self.moves) - 1
+        return Action(self.moves[k] if self.moves else (), output=1 if last else None)
+
+
+def reference_replay(party, own, transcript, lam, protocol) -> bool:
+    """One-party replay built on `run`: the peer plays the transcript's peer moves
+    (its maximal runs of bits), Alice's first one empty where Bob's bits open the
+    transcript; accept iff `run` raises no lab error, writes the certificate's
+    transcript, and `party` outputs +1."""
+    peer = BOB if party is ALICE else ALICE
+    moves = [tuple(bit for _, bit in block)
+             for sender, block in groupby(transcript.entries, key=lambda entry: entry[0])
+             if sender is peer]
+    if peer is ALICE and transcript.entries and transcript.entries[0][0] is BOB:
+        moves.insert(0, ())
+    try:  # the peer never reads its input, so `own` stands in for it
+        record = run(ScriptedPeer(protocol, party, moves), own, own, lam, cap=len(transcript))
+    except QccLabError:
+        return False
+    return record.transcript == transcript and (record.y_a if party is ALICE else record.y_b) == 1
+
+
+def replay_disagreements(protocol) -> list:
+    """Every (party, vector, transcript) at n = 2 at which `verify_certificate`
+    against a one-cell table of the protocol's first point disagrees with
+    `reference_replay`, over every transcript of at most 5 entries."""
+    n, lam = 2, protocol.lambda_space.points[0]
+    table = DerandomizationTable(n, (lam,))
+    tokens = [(sender, bit) for sender in (ALICE, BOB) for bit in (0, 1)]
+    transcripts = [Transcript(entries) for length in range(6)
+                   for entries in product(tokens, repeat=length)]
+    disagreements = []
+    for party, own, transcript in product((ALICE, BOB), SignVector.all_vectors(n), transcripts):
+        got = verify_certificate(party, own, DjCertificate(n, 1, transcript), table, protocol)
+        if bool(got) != reference_replay(party, own, transcript, lam, protocol):
+            disagreements.append((party.value, own.to_text(), transcript.tokens(), got.reason))
+    return disagreements
+
+
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+def test_replay_asks_each_party_as_run_does(name):
+    """A one-party replay accepts exactly the transcripts that `run` writes with
+    that party's own `step` and the transcript's peer moves, at n = 2, for both
+    parties, every vector and every transcript of at most 5 entries."""
+    for protocol, n, _ in built(name, sizes=(2,)):
+        if applies(name, "certificates", n is not None and finite(protocol)):
+            assert replay_disagreements(protocol) == []
+
+
+def test_replay_of_a_party_that_halts_silently_while_its_peer_transmits():
+    """`SilentAlice` halts at her first ask, with nothing heard, while Bob sends
+    two bits after, and outputs -1 if she is asked with his bits."""
+    assert replay_disagreements(SilentAlice()) == []

@@ -15,7 +15,7 @@ from qcc_lab import oracle
 from qcc_lab.dj import check_promise, promise_scenarios
 from qcc_lab.errors import (DimensionMismatchError, InvariantError,
                             PromiseViolationError)
-from qcc_lab.oracle import (BinaryObservable, DensityMatrix, ExpectationTriple,
+from qcc_lab.oracle import (OPERATOR_ATOL, BinaryObservable, DensityMatrix, ExpectationTriple,
                             JointProbs, Projector, RationalMatrix, SignVector,
                             bloch_observable, expectations_to_probs,
                             joint_plus_probability, maximally_entangled,
@@ -24,7 +24,6 @@ from qcc_lab.oracle import (BinaryObservable, DensityMatrix, ExpectationTriple,
                             projector_to_observable, sign_vector_observable,
                             sign_vector_projector, singlet)
 from qcc_lab.protocols import SendAllReplyProtocol
-from qcc_lab.tolerances import OPERATOR_ATOL
 
 
 # --- rational matrices ----------------------------------------------------

@@ -198,18 +198,23 @@ def test_partition_tie_break_order():
 
 
 class Overlapping(Protocol):
-    """A seeded acceptance table over the n = 4 inputs and six points: Bob
-    outputs +1 iff the input's entry at the point is set.  Alice sends two
-    bits at odd points, so a budget of 2 bits rejects those.  Every input
-    and point the runner tries is logged in call order."""
+    """A seeded acceptance table over the n = 4 inputs and `points` points (six
+    by default): Bob outputs +1 iff the input's entry at the point is set.
+    Alice sends two bits at odd points, so a budget of 2 bits rejects those;
+    with `even_accept`, each input's entry is also set at one drawn even point,
+    so every input accepts somewhere at any budget.  Every input and point the
+    runner tries is logged in call order."""
 
     name = "overlapping"
-    lambda_space = RandomnessSpace.uniform(range(6))
 
-    def __init__(self, seed, density):
+    def __init__(self, seed, density, points=6, even_accept=False):
         rng = random.Random(seed)
-        self.table = {v.coords: [rng.random() < density for _ in range(6)]
+        self.lambda_space = RandomnessSpace.uniform(range(points))
+        self.table = {v.coords: [rng.random() < density for _ in range(points)]
                       for v in SignVector.all_vectors(4)}
+        if even_accept:
+            for row in self.table.values():
+                row[2 * rng.randrange((points + 1) // 2)] = True
         self.calls = []
 
     def step(self, party, own, lam, received):
@@ -219,6 +224,21 @@ class Overlapping(Protocol):
         if lam % 2 and len(received) < 2:
             return Action()
         return Action(output=1 if self.table[own.coords][lam] else -1)
+
+
+class SilentAlice(Protocol):
+    """Alice halts at her first ask without sending, with +1 iff she has heard
+    nothing; Bob sends his input's two bits and halts with +1.  So Alice halts
+    silently while Bob still transmits, and a replay that hands her Bob's bits
+    makes her output -1."""
+
+    name = "silent_alice"
+    lambda_space = RandomnessSpace.uniform((0,))
+
+    def step(self, party, own, lam, received):
+        if party is ALICE:
+            return Action(output=-1 if received else 1)
+        return Action(own.to_bits(), output=1)
 
 
 def reference_partition(protocol, n, threshold_bits):
@@ -262,13 +282,16 @@ def _partition_outcome(partitioner, protocol, n, threshold):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**32 - 1), density=st.sampled_from((0.3, 0.5, 0.8)),
-       threshold=st.sampled_from((2, 3)))
-def test_partition_matches_reference_greedy(seed, density, threshold):
+@given(seed=st.integers(0, 2**32 - 1), density=st.sampled_from((0.1, 0.3, 0.5, 0.8)),
+       threshold=st.sampled_from((2, 3)), shape=st.sampled_from(((6, False), (12, True))))
+def test_partition_matches_reference_greedy(seed, density, threshold, shape):
     """Cells, their order, members and points, failures and the run calls
     agree with the dict-of-sets reference greedy, and a partition stays within
-    the greedy cover bound of its least acceptance mass."""
-    got_protocol, expected_protocol = Overlapping(seed, density), Overlapping(seed, density)
+    the greedy cover bound of its least acceptance mass.  The six-point tables
+    can fail to cover; the twelve-point ones accept every input at an even point,
+    so they always partition, into up to six cells."""
+    got_protocol, expected_protocol = Overlapping(seed, density, *shape), \
+        Overlapping(seed, density, *shape)
     got = _partition_outcome(partition_inputs, got_protocol, 4, threshold)
     expected = _partition_outcome(reference_partition, expected_protocol, 4, threshold)
     assert got == expected
@@ -433,6 +456,16 @@ def test_verify_rejects_forgeries():
     wrong_n = DjCertificate(4, 1, Transcript(((ALICE, 1),) * 4 + ((BOB, 1),)))
     res = verify_certificate(ALICE, a, wrong_n, table, p)
     assert not res and "n=4" in res.reason
+
+    # Alice is first asked with nothing heard, so Bob's bits cannot open her transcript,
+    # and she is asked again only once Bob's move has reached her
+    opens_with_bob = DjCertificate(2, cert.j, Transcript(((BOB, 1),)))
+    res = verify_certificate(ALICE, a, opens_with_bob, table, p)
+    assert not res and "own bit" in res.reason
+    repeated = DjCertificate(2, cert.j, Transcript(((ALICE, 1),) * 4 + ((BOB, 1),)))
+    assert entries == ((ALICE, 1),) * 2 + ((BOB, 1),)
+    res = verify_certificate(ALICE, a, repeated, table, p)
+    assert not res and res.reason == "desync at entry 2: expected to receive"
 
     # Bob waits for Alice's bits, and an empty transcript holds none
     silent = DjCertificate(2, cert.j, Transcript(()))
