@@ -60,8 +60,8 @@ from .oracle import (BinaryObservable, DensityMatrix, Projector,
                      observable_to_projector, predict_joint_probs,
                      probs_to_expectations, sign_vector_projector, singlet)
 from .protocols import PROTOCOLS, make_protocol, protocol_parameters
-from .reduction import (build_certificate, check_tail_hypothesis,
-                        contradiction_holds, m_of_n, moment_bound,
+from .reduction import (build_certificate, cell_bound, certificate_reference_bits,
+                        check_tail_hypothesis, contradiction_holds, m_of_n, moment_bound,
                         partition_inputs, verify_certificate)
 
 
@@ -282,8 +282,8 @@ def cmd_predict(args) -> Report:
     probs_map = probs.as_dict()
     expectations = probs_to_expectations(probs).as_dict()
     if args.format == "csv":
-        columns = ["p_pp", "p_mp", "p_pm", "p_mm", "e_ab", "e_a", "e_b"]
-        return render_csv(columns, [[*probs_map.values(), *expectations.values()]]), 0
+        return render_csv([*probs_map, *expectations],
+                          [[*probs_map.values(), *expectations.values()]]), 0
     report = {
         "command": "predict",
         "scenario": args.scenario,
@@ -396,11 +396,12 @@ def cmd_dj_bounds(args) -> Report:
         _at_least("dj bounds", "n", n, 2, even=True)
         trivial_cost = n + 1
         width = n0_upper_bound(n)
+        n1 = n1_lower_bound(n)
         rows.append({
             "n": n,
             "n0_upper_bound": width,
-            "n1_lower_bound": n1_lower_bound(n),
-            "n1_vacuous": n1_lower_bound(n) < 0,
+            "n1_lower_bound": n1,
+            "n1_vacuous": n1 < 0,
             "d_trivial": trivial_cost,
             "auy_min_n1": auy_min_n1(trivial_cost, width),
         })
@@ -456,7 +457,7 @@ def cmd_reduce(args) -> Report:
     report["partition"] = {
         "ok": True,
         "cells": partition.cell_count,
-        "cell_bound": 2 * n * n,
+        "cell_bound": cell_bound(n),
         "within_bound": partition.within_bound,
         "table_digest": table.digest,
     }
@@ -482,7 +483,7 @@ def cmd_reduce(args) -> Report:
                            "pairs": reject_pairs,
                            "jointly_accepted": jointly_accepted}
 
-    reference_bits = 2 * math.log2(n) + 2 * threshold
+    reference_bits = certificate_reference_bits(n, threshold)
     report["certificate_bits"] = {"max": max_bits,
                                   "reference": reference_bits,
                                   "within_reference": max_bits <= reference_bits}
@@ -506,9 +507,7 @@ def cmd_bounds(args) -> Report:
                 "contradiction": contradiction_holds(n),
             })
     if args.format == "csv":
-        columns = ["n", "k", "n1_lower_bound", "m_of_n", "moment_bound",
-                   "contradiction"]
-        return render_csv(columns, [[row[c] for c in columns] for row in rows]), 0
+        return render_csv(list(rows[0]), [list(row.values()) for row in rows]), 0
     return {"command": "bounds", "seed": args.seed, "rows": rows}, 0
 
 

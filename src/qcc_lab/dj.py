@@ -10,7 +10,6 @@ interesting lower bounds live.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -36,14 +35,13 @@ def check_promise(a: SignVector, b: SignVector) -> int:
 def promise_pairs(n: int) -> Iterator[tuple[SignVector, SignVector]]:
     """All ordered promise pairs: (a, a) plus every b agreeing on half.
 
-    The 2^n vectors are built once and shared between pairs.  In
-    `all_vectors` order, flipping coordinate i toggles bit n - 1 - i of a
-    vector's index, so each b is a lookup by index XOR mask.
+    The 2^n vectors are built once and shared.  Each b is a with the coordinates
+    flipped where a balanced v (sum 0) is +1, v running down `all_vectors` order:
+    a lookup at a's index XOR v's index.
     """
     n = _at_least("promise_pairs", "n", n, 2, even=True)
     vectors = list(SignVector.all_vectors(n))
-    masks = [sum(1 << (n - 1 - i) for i in flips)
-             for flips in itertools.combinations(range(n), n // 2)]
+    masks = [v.index for v in reversed(vectors) if sum(v.coords) == 0]
     for index, a in enumerate(vectors):
         yield a, a
         for mask in masks:

@@ -475,8 +475,7 @@ def _law_errors(computed: JointProbs, target: JointProbs) -> tuple:
     """Largest and p_pp absolute differences, exact for rational laws."""
     # equal entries give an exact 0 without a subtraction
     deltas = [0 if c == t else abs(c - t) for c, t in zip(
-        (computed.p_pp, computed.p_mp, computed.p_pm, computed.p_mm),
-        (target.p_pp, target.p_mp, target.p_pm, target.p_mm))]
+        computed.as_dict().values(), target.as_dict().values())]
     return max(deltas), deltas[0]
 
 

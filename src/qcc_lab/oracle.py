@@ -193,9 +193,6 @@ class SignVector:
     def __len__(self) -> int:
         return len(self.coords)
 
-    def __iter__(self):
-        return iter(self.coords)
-
     def __getitem__(self, i: int) -> int:
         return self.coords[i]
 
@@ -648,6 +645,5 @@ def bloch_observable(direction) -> BinaryObservable:
 
 
 def joint_plus_probability(a: SignVector, b: SignVector) -> Fraction:
-    """General closed form (a.b)^2 / n^3 for Pr[y_A = +1 and y_B = +1]."""
-    dot = a.dot(b)
-    return Fraction(dot * dot, a.n**3)
+    """Closed form (a.b)^2 / n^3 of Pr[y_A = +1 and y_B = +1], read from `_sign_vector_law`."""
+    return _sign_vector_law(a.n, a.dot(b)).p_pp

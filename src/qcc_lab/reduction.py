@@ -12,7 +12,7 @@ such certificates cannot stay short for protocols that are cheap at
 every order.
 
 Certificate length (`DjCertificate.bit_length`): the cell index field,
-ceil(log2(2 n^2)) bits, plus 2 bits per transcript entry, a sender bit
+`cell_index_width(n)` bits, plus 2 bits per transcript entry, a sender bit
 and a payload bit.
 """
 
@@ -27,17 +27,28 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .dj import promise_pairs
+from .dj import n1_lower_bound, promise_pairs
 from .errors import InvariantError, PartitionError, QccLabError
 from .harness import (ALICE, Action, CheckResult, Party, Protocol, Transcript, _finite_space,
                       _run_rows, cost_law, pair_label, run)
 from .oracle import SignVector, _at_least, _integer
 
 
+def cell_bound(n: int) -> int:
+    """2 n^2: the most cells the greedy partition needs when the tail check holds."""
+    n = _at_least("cell_bound", "n", n, 2)
+    return 2 * n * n
+
+
 def cell_index_width(n: int) -> int:
-    """ceil(log2(2 n^2)): bits reserved for the cell index field."""
-    n = _at_least("cell_index_width", "n", n, 2)
-    return (2 * n * n - 1).bit_length()
+    """ceil(log2(cell_bound(n))): bits reserved for the cell index field."""
+    return (cell_bound(n) - 1).bit_length()
+
+
+def certificate_reference_bits(n: int, threshold_bits) -> float:
+    """2 log2 n + 2 M: the length an accept certificate at budget M is held to."""
+    n = _at_least("certificate_reference_bits", "n", n, 2)
+    return 2 * math.log2(n) + 2 * threshold_bits
 
 
 @dataclass(frozen=True)
@@ -99,8 +110,8 @@ class Partition:
 
     @property
     def within_bound(self) -> bool:
-        """Cell count within 2 n^2, as guaranteed when the tail check holds."""
-        return self.cell_count <= 2 * self.n * self.n
+        """Cell count within `cell_bound(n)`, as guaranteed when the tail check holds."""
+        return self.cell_count <= cell_bound(self.n)
 
     @cached_property
     def _locator(self) -> dict:
@@ -351,14 +362,11 @@ def moment_bound(n: int, k: int) -> float:
 
 
 def contradiction_holds(n: int) -> bool:
-    """True when the certificate construction forces a budget the curve denies.
-
-    Compares 0.0035 n / (log2 n + 3) - log2 n - 0.5 against m_of_n(n);
-    strictly greater means no protocol can sit on the budget curve at n.
-    """
+    """True when `n1_lower_bound(n)` exceeds `certificate_reference_bits(n, m_of_n(n))`:
+    a protocol on the budget curve at n would then give accept certificates
+    shorter than N1 allows, so none can sit there."""
     n = _at_least("contradiction_holds", "n", n, 2, even=True)
-    lhs = 0.0035 * n / (math.log2(n) + 3) - math.log2(n) - 0.5
-    return lhs > m_of_n(n)
+    return n1_lower_bound(n) > certificate_reference_bits(n, m_of_n(n))
 
 
 def contradiction_threshold(limit: int = 10_000_002) -> int:

@@ -186,6 +186,11 @@ def test_sign_vector_roundtrips():
         vec = SignVector.parse(text)
         assert vec.to_text() == text
         assert SignVector.from_bits(vec.to_bits()) == vec
+        # iteration and membership go through `__getitem__`, as on the coordinates
+        flipped = SignVector(tuple(-c for c in vec.coords))
+        assert list(vec) == list(vec.coords) and tuple(vec) == vec.coords
+        assert list(zip(vec, flipped)) == list(zip(vec.coords, flipped.coords))
+        assert (-1 in vec) == (-1 in vec.coords) and (1 in flipped) == (1 in flipped.coords)
 
 
 def test_sign_vector_bits_are_computed_once():
@@ -402,7 +407,7 @@ def test_trace_law_matches_closed_form_all_pairs(n):
     for a in vectors:
         for b in vectors:
             probs = predict_joint_probs(projectors[a], projectors[b], state)
-            assert probs.p_pp == joint_plus_probability(a, b)
+            assert probs.p_pp == joint_plus_probability(a, b) == Fraction(a.dot(b) ** 2, n**3)
             assert probs.exact
 
 

@@ -17,7 +17,8 @@ from qcc_lab.dj import (RejectCertificate, auy_min_n1, n0_upper_bound, n1_lower_
 from qcc_lab.errors import InvariantError, PartitionError, QccLabError
 from qcc_lab.harness import (ALICE, BOB, Action, Protocol, RandomnessSpace, Scenario,
                              Transcript, _run_rows, check_exact_blqms, cost_law,
-                             output_distribution, run, sample_distribution, tail_mass)
+                             output_distribution, pair_label, run, sample_distribution,
+                             tail_mass)
 from qcc_lab.oracle import JointProbs, RationalMatrix, SignVector, sign_vector_projector
 from qcc_lab.protocols import ConstantProtocol, SendAllReplyProtocol, TonerBaconProtocol
 from qcc_lab.reduction import (DerandomizationTable, DjCertificate, Partition,
@@ -226,6 +227,46 @@ class Overlapping(Protocol):
         return Action(output=1 if self.table[own.coords][lam] else -1)
 
 
+class RandomRounds(Protocol):
+    """A seeded interactive protocol over 8 uniform points whose cost depends on
+    the input.  At point lam Alice plays R(lam, a) in {1, 2, 3} rounds; a round
+    is one Alice flag bit, "another round follows", then one seeded Bob bit.  Bob
+    halts with a seeded output after answering a 0 flag, and Alice halts with a
+    seeded output after that answer, so T = 2R.  R is a seeded table over the
+    length-n inputs.  Every bit and output is a seeded function of (own vector,
+    lam, bits heard), drawn once per instance; an output is +1 with chance 3/4.
+    Alice's asks are logged in call order."""
+
+    name = "random_rounds"
+    lambda_space = RandomnessSpace.uniform(range(8))
+
+    def __init__(self, seed, n):
+        rng = random.Random(seed)
+        self.rounds = {v.coords: [rng.choice((1, 2, 3)) for _ in range(8)]
+                       for v in SignVector.all_vectors(n)}
+        self.seed, self.calls, self.draws = seed, [], {}
+
+    def _draw(self, *key) -> float:
+        if key not in self.draws:
+            self.draws[key] = random.Random(repr((self.seed, *key))).random()
+        return self.draws[key]
+
+    def _output(self, party, own, lam, received) -> int:
+        return 1 if self._draw("output", party.value, own.coords, lam, received) < 0.75 else -1
+
+    def step(self, party, own, lam, received):
+        if party is ALICE:
+            self.calls.append((own.coords, lam, received))
+            rounds = self.rounds[own.coords][lam]
+            if len(received) < rounds:
+                return Action((int(len(received) + 1 < rounds),))
+            return Action(output=self._output(party, own, lam, received))
+        bit = int(self._draw("bit", own.coords, lam, received) < 0.5)
+        if received[-1:] == (1,):
+            return Action((bit,))
+        return Action((bit,), output=self._output(party, own, lam, received))
+
+
 class SilentAlice(Protocol):
     """Alice halts at her first ask without sending, with +1 iff she has heard
     nothing; Bob sends his input's two bits and halts with +1.  So Alice halts
@@ -281,17 +322,30 @@ def _partition_outcome(partitioner, protocol, n, threshold):
         return str(exc), exc.witness
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+# each shape builds a protocol on the n = 4 inputs from a seed and a density,
+# and names the budgets drawn for it
+PARTITION_SHAPES = {
+    "overlapping, 6 points": (lambda seed, density: Overlapping(seed, density), (2, 3)),
+    "overlapping, 12 points": (lambda seed, density: Overlapping(seed, density, 12, True),
+                               (2, 3)),
+    "random rounds": (lambda seed, density: RandomRounds(seed, 4), (3, 5, 7)),
+}
+
+
+@settings(max_examples=90, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), density=st.sampled_from((0.1, 0.3, 0.5, 0.8)),
-       threshold=st.sampled_from((2, 3)), shape=st.sampled_from(((6, False), (12, True))))
-def test_partition_matches_reference_greedy(seed, density, threshold, shape):
+       shape=st.sampled_from(sorted(PARTITION_SHAPES)), data=st.data())
+def test_partition_matches_reference_greedy(seed, density, shape, data):
     """Cells, their order, members and points, failures and the run calls
     agree with the dict-of-sets reference greedy, and a partition stays within
     the greedy cover bound of its least acceptance mass.  The six-point tables
     can fail to cover; the twelve-point ones accept every input at an even point,
-    so they always partition, into up to six cells."""
-    got_protocol, expected_protocol = Overlapping(seed, density, *shape), \
-        Overlapping(seed, density, *shape)
+    so they always partition, into up to six cells.  `RandomRounds` costs 2, 4
+    or 6 bits by input and point, so its budgets 3, 5 and 7 admit one, two or
+    three round counts."""
+    build, budgets = PARTITION_SHAPES[shape]
+    threshold = data.draw(st.sampled_from(budgets), label="threshold")
+    got_protocol, expected_protocol = build(seed, density), build(seed, density)
     got = _partition_outcome(partition_inputs, got_protocol, 4, threshold)
     expected = _partition_outcome(reference_partition, expected_protocol, 4, threshold)
     assert got == expected
@@ -321,6 +375,55 @@ def test_partition_overlapping_cells_match_reference():
     assert part.cells == reference_partition(Overlapping(0, 0.5), 4, 3).cells
     assert (partition_inputs(FourWindow(), 2, 1).cells
             == reference_partition(FourWindow(), 2, 1).cells)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from((2, 4)),
+       budget=st.sampled_from((3, 5, 7)))
+def test_tail_check_matches_run_when_the_cost_varies(seed, n, budget):
+    """`check_tail_hypothesis` on `RandomRounds` against a `Fraction` enumeration
+    of `run` over every promise pair: the worst mass, the first pair in pair
+    order that reaches it, `ok` and the pair count.  Its costs are even, so each
+    odd budget M is also checked at M - 1, where a cost equals the threshold and
+    mass(T >= M) is not mass(T > M)."""
+    protocol = RandomRounds(seed, n)
+    space = protocol.lambda_space
+    weights = [Fraction(w, space.den) for w in space.numerators]
+    pairs = list(promise_pairs(n))
+    costs = [[run(protocol, a, b, lam).t for lam in space.points] for a, b in pairs]
+    for threshold in (budget - 1, budget):
+        masses = [sum(w for t, w in zip(row, weights) if t >= threshold) for row in costs]
+        worst = max(masses)
+        report = check_tail_hypothesis(protocol, n, threshold)
+        assert report.worst_mass == worst and type(report.worst_mass) is Fraction
+        assert report.worst_pair == pair_label(*pairs[masses.index(worst)])
+        assert report.ok is (worst < Fraction(1, 2 * n))
+        assert report.pairs_checked == len(pairs)
+
+
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from((2, 4)))
+def test_joint_acceptance_is_the_run_on_the_pair_at_every_point(seed, n):
+    """The rectangle property on `RandomRounds`, at every point lam and every
+    reject pair (a, b): a's diagonal run at lam, certified with index 1 in a
+    one-entry table, is accepted by Alice's replay on a and Bob's replay on b iff
+    `run(a, b, lam)` writes the same transcript and outputs (+1, +1).  Some pair
+    is jointly accepted, so the check is not vacuous."""
+    protocol = RandomRounds(seed, n)
+    jointly_accepted = 0
+    for lam in protocol.lambda_space.points:
+        table = DerandomizationTable(n, (lam,))
+        for a, b in promise_pairs(n):
+            if a == b:
+                continue
+            cert = DjCertificate(n, 1, run(protocol, a, a, lam).transcript)
+            accepted = bool(verify_certificate(ALICE, a, cert, table, protocol)
+                            and verify_certificate(BOB, b, cert, table, protocol))
+            record = run(protocol, a, b, lam)
+            expected = record.transcript == cert.transcript and record.g == 1
+            assert accepted == expected, (a.to_text(), b.to_text(), lam)
+            jointly_accepted += accepted
+    assert jointly_accepted
 
 
 def test_partition_failure_witness():
@@ -526,7 +629,16 @@ def test_moment_bound_forms_agree():
         moment_bound(4, 0)
 
 
+def paper_contradiction(n):
+    """The contradiction in the paper's constants, the reference for its composed
+    form: 0.0035 n / (log2 n + 3) - log2 n - 0.5 > 0.003 n / log2 n."""
+    return 0.0035 * n / (math.log2(n) + 3) - math.log2(n) - 0.5 > 0.003 * n / math.log2(n)
+
+
 def test_contradiction_threshold():
+    # the composed form agrees with the paper's constants around the threshold
+    for n in range(5_873_024 - 2_000, 5_873_024 + 2_001, 2):
+        assert contradiction_holds(n) == paper_contradiction(n), n
     assert not contradiction_holds(1000)
     assert not contradiction_holds(2**20)
     assert contradiction_holds(10**7 + 2)
