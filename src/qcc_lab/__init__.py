@@ -13,10 +13,10 @@ from .oracle import (OPERATOR_ATOL, TRACE_ATOL, BinaryObservable, DensityMatrix,
                      projector_to_observable, sign_vector_observable,
                      sign_vector_projector, singlet)
 from .harness import (ALICE, BOB, Action, BlqmsReport, CheckResult, CostLaw,
-                      Party, Protocol, RandomnessSpace, RunRecord, SampleStats,
-                      Scenario, ScenarioResult, Transcript, check_exact_blqms,
-                      cost_law, output_distribution, pair_label, run,
-                      sample_distribution, tail_mass)
+                      OutcomeTable, Party, Protocol, RandomnessSpace, RunRecord,
+                      SampleStats, Scenario, ScenarioResult, Transcript,
+                      check_exact_blqms, cost_law, output_distribution, pair_label,
+                      run, sample_distribution, tail_mass)
 from .protocols import (PROTOCOL_NAMES, ConstantProtocol, SendAllReplyProtocol,
                         TonerBaconProtocol, make_protocol)
 from .dj import (RejectCertificate, auy_min_n1, check_promise, n0_certificate,
@@ -36,7 +36,7 @@ __all__ = [
     "Action", "BinaryObservable", "BlqmsReport", "CheckResult",
     "ConstantProtocol", "CostLaw", "DensityMatrix", "DerandomizationTable",
     "DimensionMismatchError", "DjCertificate", "ExpectationTriple",
-    "InvariantError", "JointProbs", "NonHaltingError", "Partition",
+    "InvariantError", "JointProbs", "NonHaltingError", "OutcomeTable", "Partition",
     "PartitionCell", "PartitionError", "Party",
     "Projector", "PromiseViolationError", "Protocol", "ProtocolError",
     "QccLabError", "RandomnessSpace", "RationalMatrix", "RejectCertificate",

@@ -24,7 +24,7 @@ from __future__ import annotations
 import abc
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -138,19 +138,19 @@ def _over_common_denominator(values: Sequence[Fraction]) -> tuple[np.ndarray, in
 class RandomnessSpace:
     """Finite weighted set of shared-randomness points; weights sum to 1.
 
-    The weights are also held as integer `numerators` over one common
+    The weights are held only as integer `numerators` over one common
     denominator `den`, so every exact mass is an integer sum divided once.
     """
 
     points: tuple
-    weights: tuple[Fraction, ...]
+    weights: InitVar[Sequence]
     numerators: np.ndarray = field(init=False, repr=False)
     den: int = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, weights):
         points = tuple(self.points)
         try:
-            weights = tuple(Fraction(w) for w in self.weights)
+            weights = tuple(Fraction(w) for w in weights)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvariantError(f"weights must be rationals: {exc}") from exc
         if not points:
@@ -164,7 +164,6 @@ class RandomnessSpace:
             raise InvariantError(
                 f"weights sum to {Fraction(numerators.sum(), den)}, expected 1")
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "numerators", numerators)
         object.__setattr__(self, "den", den)
 
@@ -184,7 +183,8 @@ class RandomnessSpace:
     def _cdf(self) -> tuple[float, ...]:
         """Float CDF, exactly 1.0 from the last positive weight on, so every
         draw in [0, 1) lands on a point of positive weight."""
-        cdf = np.cumsum(np.array([float(w) for w in self.weights]))
+        # int / int rounds the rational once, as float(Fraction) does
+        cdf = np.cumsum(np.array([w / self.den for w in self.numerators.tolist()]))
         cdf[np.flatnonzero(self.numerators)[-1]:] = 1.0
         return tuple(cdf.tolist())
 
@@ -194,6 +194,21 @@ class RandomnessSpace:
     def mass(self, mask: np.ndarray) -> int:
         """Weight numerator, over `den`, of the points where mask holds."""
         return self.numerators[mask].sum()
+
+
+class OutcomeTable(tuple):
+    """An `outcome_table` hook's (y_a, y_b, t), each column marked read-only as
+    given, neither copied nor cast.  The exact readers keep their results for it
+    in `summaries`, one per (reader, space), so a table cached per law is read once
+    per reader; a table shared between protocols should share their space too."""
+
+    def __new__(cls, y_a, y_b, t):
+        columns = tuple(map(np.asarray, (y_a, y_b, t)))
+        for column in columns:
+            column.setflags(write=False)
+        table = super().__new__(cls, columns)
+        table.summaries = {}
+        return table
 
 
 class Protocol(abc.ABC):
@@ -231,8 +246,8 @@ class Protocol(abc.ABC):
         Return None to use the generic per-point runner.  Implementations
         must agree with `run` exactly; `tests/test_conformance.py` compares
         them with `run` at every point of every promise pair up to n = 4.
-        A tuple of read-only columns must never change: the exact readers keep
-        their result for it and reuse it when the hook returns that tuple again.
+        Return an `OutcomeTable` to have its summaries kept; its columns must
+        never change, since its summaries are reused whenever it comes back.
         """
         return None
 
@@ -339,33 +354,16 @@ def _rows(table, count: int, hook: str) -> tuple[np.ndarray, ...]:
     return tuple(columns)
 
 
-# each exact summary's results per read-only table and space, keyed by their ids.  A hook
-# that caches its tables hands back the same tuple for every pair with the same law
-# (send_all_reply: one per (n, a.b)), whose summary is then reused without checking the
-# columns again.  Each entry holds its table and space, so neither id can be reused
-# while it is kept; a writeable column could change in place, so it is never kept.
-# Past `_SUMMARY_LIMIT` entries the dict is cleared, so fresh tables cannot grow it
-_SUMMARIES: dict = {}
-_SUMMARY_LIMIT = 16
-
-
 def _table_summary(summarise, protocol: Protocol, space: RandomnessSpace, input_a, input_b):
-    """`summarise(space, y_a, y_b, t)` over the protocol's rows on its finite space:
-    the `outcome_table` hook's, asked once per call, else the generic runner's."""
+    """`summarise(space, y_a, y_b, t)` over the `outcome_table` hook's rows, asked once
+    per call, else the generic runner's; kept only by an `OutcomeTable` it returns."""
     table = protocol.outcome_table(input_a, input_b)
-    key = summarise, id(table), id(space)
-    kept = _SUMMARIES.get(key)
-    if kept is not None:
-        return kept[2]
-    if table is None:
-        rows = _run_rows(protocol, input_a, input_b, space.points)
-    else:
-        rows = _rows(table, len(space), "outcome_table")
-    summary = summarise(space, *rows)
-    if type(table) is tuple and not any(column.flags.writeable for column in rows):
-        if len(_SUMMARIES) >= _SUMMARY_LIMIT:
-            _SUMMARIES.clear()
-        _SUMMARIES[key] = table, space, summary
+    kept = table.summaries if isinstance(table, OutcomeTable) else {}
+    summary = kept.get((summarise, space))
+    if summary is None:
+        rows = (_run_rows(protocol, input_a, input_b, space.points) if table is None
+                else _rows(table, len(space), "outcome_table"))
+        summary = kept[summarise, space] = summarise(space, *rows)
     return summary
 
 

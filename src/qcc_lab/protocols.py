@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvariantError, PromiseViolationError
-from .harness import _BITS, ALICE, OUTCOMES, Action, Party, Protocol, RandomnessSpace
+from .harness import _BITS, ALICE, OUTCOMES, Action, OutcomeTable, Party, Protocol, RandomnessSpace
 from .oracle import JointProbs, SignVector, _at_least, _integer, _members, _unit3
 
 
@@ -44,7 +44,7 @@ class _Law(NamedTuple):
 
     cuts: tuple[int, int, int]  # Bob's cumulative cuts, as numerators over n^3
     probs: JointProbs  # `exact_distribution`'s law
-    columns: tuple[np.ndarray, ...]  # `outcome_table`'s read-only (y_a, y_b, t)
+    columns: OutcomeTable  # `outcome_table`'s (y_a, y_b, t)
 
 
 @lru_cache(maxsize=None)
@@ -66,10 +66,15 @@ def _law(n: int, dot: int) -> _Law:
     # the point k / n^3 is at or past the cut c / n^3 iff k >= c, so each
     # outcome covers a run of consecutive grid points
     outcomes = np.repeat(np.array(OUTCOMES), counts, axis=0)
-    columns = outcomes[:, 0], outcomes[:, 1], np.full(cube, n + 1)
-    for column in columns:
-        column.setflags(write=False)
+    columns = OutcomeTable(outcomes[:, 0], outcomes[:, 1], np.full(cube, n + 1))
     return _Law(cuts, JointProbs(*(Fraction(c, cube) for c in counts)), columns)
+
+
+@lru_cache(maxsize=None)
+def _grid(n: int) -> RandomnessSpace:
+    """The uniform grid {k / n^3}, one space per n: every instance's tables are
+    then summarised over the same space, so each keeps one summary per reader."""
+    return RandomnessSpace.uniform(tuple(Fraction(k, n**3) for k in range(n**3)))
 
 
 def _floor_scaled(lam, scale: int) -> int:
@@ -108,8 +113,7 @@ class SendAllReplyProtocol(Protocol):
         n = _at_least(self.name, "n", self.n, 2, even=True)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_cube", n**3)  # grid size, and the scale of every cut
-        space = RandomnessSpace.uniform(tuple(Fraction(k, n**3) for k in range(n**3)))
-        object.__setattr__(self, "lambda_space", space)
+        object.__setattr__(self, "lambda_space", _grid(n))
         object.__setattr__(self, "_sends", {})  # Alice's send per vector index
         object.__setattr__(self, "_heard", {})  # Alice's vector per checked heard tuple
 
@@ -276,13 +280,10 @@ class TonerBaconProtocol(Protocol):
 
 
 @lru_cache(maxsize=None)
-def _constant_columns(y_a: int, y_b: int) -> tuple[np.ndarray, ...]:
-    """`ConstantProtocol.outcome_table`'s read-only (y_a, y_b, t) columns at its
-    one point, cached: one key per pair of outputs, of which there are four."""
-    columns = np.array([y_a]), np.array([y_b]), np.array([0])
-    for column in columns:
-        column.setflags(write=False)
-    return columns
+def _constant_columns(y_a: int, y_b: int) -> OutcomeTable:
+    """`ConstantProtocol.outcome_table`'s (y_a, y_b, t) at its one point, cached:
+    one key per pair of outputs, of which there are four."""
+    return OutcomeTable(np.array([y_a]), np.array([y_b]), np.array([0]))
 
 
 @dataclass(frozen=True, eq=False)

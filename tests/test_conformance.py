@@ -18,16 +18,16 @@ from hypothesis import given, settings, strategies as st
 from qcc_lab import harness
 from qcc_lab.dj import promise_pairs
 from qcc_lab.errors import PartitionError, QccLabError
-from qcc_lab.harness import (ALICE, BOB, OUTCOMES, Action, Protocol, RandomnessSpace,
-                             SampleStats, Transcript, cost_law, output_distribution, run,
-                             sample_distribution)
+from qcc_lab.harness import (ALICE, BOB, OUTCOMES, Action, OutcomeTable, Protocol,
+                             RandomnessSpace, SampleStats, Transcript, cost_law,
+                             output_distribution, run, sample_distribution)
 from qcc_lab.oracle import JointProbs, SignVector
 from qcc_lab.protocols import PROTOCOL_NAMES, PROTOCOLS, make_protocol, protocol_parameters
 from qcc_lab.reduction import (DerandomizationTable, DjCertificate, build_certificate,
                                partition_inputs, verify_certificate)
 from test_harness import assert_checked_transcript
 from test_protocols import one_shot_pairs
-from test_reduction import SilentAlice
+from test_reduction import RandomRounds, SilentAlice
 
 
 class Case(NamedTuple):
@@ -36,6 +36,7 @@ class Case(NamedTuple):
     pairs: tuple = ()  # the inputs, where they are not sign vectors
     bad_lams: tuple = ()  # randomness points that `run` refuses
     stream: Optional[Callable] = None  # batch hook's points: (rng, count) -> lambdas, in order
+    table_key: Optional[Callable] = None  # (a, b) -> the law key its cached tables are shared by
     not_applicable: dict = {}  # "rows", "exact", "certificates" or "bad_lams" -> why
 
 
@@ -44,8 +45,9 @@ Z, X, TILTED = (0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.6, 0.0, 0.8)
 CASES = {
     "constant": Case(
         params=({}, {"y_b": -1}, {"y_a": -1, "y_b": -1}),
+        table_key=lambda a, b: None,
         not_applicable={"bad_lams": "it never reads lambda: its outputs are fixed parameters"}),
-    "send_all_reply": Case(bad_lams=NOT_A_FINITE_NUMBER),
+    "send_all_reply": Case(bad_lams=NOT_A_FINITE_NUMBER, table_key=lambda a, b: a.dot(b)),
     "toner_bacon": Case(
         pairs=((Z, TILTED), (Z, X), (TILTED, TILTED)),
         bad_lams=(None, 0.5, "ab", (Z,), ((math.nan,) * 3, Z), (Z, (math.inf, 0.0, 0.0)),
@@ -108,6 +110,19 @@ def test_hook_rows_equal_the_runner_at_every_point(name):
 
 
 @pytest.mark.parametrize("name", PROTOCOL_NAMES)
+def test_hook_tables_are_outcome_tables_shared_per_law_key(name):
+    """Every table the hook returns is an `OutcomeTable`, so the exact readers keep
+    its summaries, and two pairs with the same law key get the same object."""
+    for protocol, _, pairs in built(name):
+        shared = {}
+        for a, b in pairs:
+            table = protocol.outcome_table(a, b)
+            if applies(name, "rows", table is not None):
+                assert isinstance(table, OutcomeTable)
+                assert shared.setdefault(CASES[name].table_key(a, b), table) is table
+
+
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_hook_rows_equal_the_runner_on_drawn_pairs_at_n6(name, data):
@@ -127,7 +142,8 @@ def test_law_and_cost_law_equal_a_fraction_enumeration_of_run(name):
         space = protocol.lambda_space
         for a, b in pairs:
             law, costs = Counter(), Counter()
-            for lam, weight in zip(space.points, space.weights):
+            for lam, numerator in zip(space.points, space.numerators):
+                weight = Fraction(numerator, space.den)
                 record = run(protocol, a, b, lam)
                 assert_checked_transcript(record)
                 law[record.y_a, record.y_b] += weight
@@ -288,3 +304,52 @@ def test_replay_of_a_party_that_halts_silently_while_its_peer_transmits():
     """`SilentAlice` halts at her first ask, with nothing heard, while Bob sends
     two bits after, and outputs -1 if she is asked with his bits."""
     assert replay_disagreements(SilentAlice()) == []
+
+
+def joint_acceptance_mismatches(protocol, n) -> list:
+    """Every (a, b, lam, transcript) at which the replays and `run` disagree, over
+    every promise pair at n, every point lam and every transcript of fewer than M
+    bits, M being the largest cost + 1: a transcript is jointly accepted, with a
+    one-cell table of lam, by Alice's replay on a and Bob's on b iff `run(a, b, lam)`
+    writes it and outputs (+1, +1).  Each party's accept set is computed once per
+    vector and point, and the two are intersected per pair."""
+    points = protocol.lambda_space.points
+    records = {(a, b, lam): run(protocol, a, b, lam)
+               for a, b in promise_pairs(n) for lam in points}
+    budget = max(record.t for record in records.values()) + 1
+    tokens = [(sender, bit) for sender in (ALICE, BOB) for bit in (0, 1)]
+    certs = [DjCertificate(n, 1, Transcript(entries)) for length in range(budget)
+             for entries in product(tokens, repeat=length)]
+    accepts = {}
+
+    def accepted(party, own, lam) -> set:
+        if (party, own, lam) not in accepts:
+            table = DerandomizationTable(n, (lam,))
+            accepts[party, own, lam] = {cert.transcript for cert in certs
+                                        if verify_certificate(party, own, cert, table, protocol)}
+        return accepts[party, own, lam]
+
+    mismatches = []
+    for (a, b, lam), record in records.items():
+        joint = accepted(ALICE, a, lam) & accepted(BOB, b, lam)
+        if joint != ({record.transcript} if record.g else set()):
+            mismatches.append((a.to_text(), b.to_text(), lam,
+                               sorted(transcript.tokens() for transcript in joint)))
+    return mismatches
+
+
+@pytest.mark.parametrize("name", PROTOCOL_NAMES)
+def test_joint_acceptance_of_every_short_transcript_is_the_run_on_the_pair(name):
+    """Brute-force soundness at n = 2: no transcript under M bits is jointly
+    accepted on a promise pair except the one its run writes, when that run
+    outputs (+1, +1)."""
+    for protocol, n, _ in built(name, sizes=(2,)):
+        if applies(name, "certificates", n is not None and finite(protocol)):
+            assert joint_acceptance_mismatches(protocol, n) == []
+
+
+def test_joint_acceptance_of_every_short_transcript_on_random_rounds():
+    """The same sweep on an interactive protocol of 1 to 3 rounds, whose costs
+    2, 4 and 6 make M = 7; at seed 0, 40 of the 64 runs on reject pairs output
+    (+1, +1)."""
+    assert joint_acceptance_mismatches(RandomRounds(0, 2), 2) == []

@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from qcc_lab.errors import InvariantError, NonHaltingError, ProtocolError
 from qcc_lab import harness
-from qcc_lab.harness import (ALICE, BOB, Action, BlqmsReport, CheckResult, Party, Protocol,
-                             RandomnessSpace, RunRecord, Scenario, ScenarioResult,
-                             Transcript, _law_errors, check_exact_blqms, cost_law,
-                             output_distribution, pair_label, run, sample_distribution,
-                             tail_mass)
+from qcc_lab.harness import (ALICE, BOB, Action, BlqmsReport, CheckResult, OutcomeTable,
+                             Party, Protocol, RandomnessSpace, RunRecord, Scenario,
+                             ScenarioResult, Transcript, _law_errors, check_exact_blqms,
+                             cost_law, output_distribution, pair_label, run,
+                             sample_distribution, tail_mass)
 from qcc_lab.dj import promise_scenarios
 from qcc_lab.oracle import JointProbs, SignVector
 from qcc_lab.protocols import ConstantProtocol, SendAllReplyProtocol
@@ -139,7 +139,7 @@ def test_randomness_space_validation():
     with pytest.raises(InvariantError, match="sum"):
         RandomnessSpace(tuple(range(9)), (1,) + (2**61,) * 8)
     space = RandomnessSpace.uniform((0, 1, 2, 3))
-    assert space.weights == (Fraction(1, 4),) * 4
+    assert not hasattr(space, "weights")  # one weight form: numerators over den
     assert space.den == 4 and space.numerators.tolist() == [1, 1, 1, 1]
     # read-only Python ints, so no sum of them can wrap
     assert space.numerators.dtype == object and not space.numerators.flags.writeable
@@ -205,11 +205,11 @@ class Tabled(TwoBranch):
         return self.table
 
 
-class Fresh(TwoBranch):
-    """TwoBranch whose table is a fresh tuple of the set columns on every call."""
+class ByInput(TwoBranch):
+    """TwoBranch whose table is the one set for Alice's input."""
 
     def outcome_table(self, input_a, input_b):
-        return tuple(self.columns)
+        return self.tables[input_a]
 
 
 MALFORMED_ROWS = {
@@ -624,10 +624,11 @@ def test_cost_law_leaves_out_costs_seen_only_at_zero_weight_points():
 
 
 def test_exact_summaries_reuse_only_the_same_read_only_table():
-    """`cost_law` and `output_distribution` reuse a kept result only for the
-    same tuple of read-only columns over the same space: a writeable column
-    changed in place changes the next result, and an equal table that is another
-    object, a list, or the same tuple over another space is read afresh."""
+    """`cost_law` and `output_distribution` keep their results in an `OutcomeTable`,
+    one per reader and space, and reuse them while the hook returns that table over
+    the same space.  Plain columns are read afresh on every call: a writeable column
+    changed in place changes the next result, and an equal tuple or list of the
+    table's columns is read again; so is the same table over another space."""
     p = Tabled()
     columns = [np.array([1, 1]), np.array([1, -1]), np.array([1, 3])]
     p.table = tuple(columns)
@@ -636,25 +637,27 @@ def test_exact_summaries_reuse_only_the_same_read_only_table():
     columns[1][1], columns[2][1] = 1, 5
     assert cost_law(p, None, None).costs == (1, 5)
     assert output_distribution(p, None, None) == JointProbs(1, 0, 0, 0)
-    for column in columns:
-        column.setflags(write=False)
+    table = p.table = OutcomeTable(*columns)
+    # the columns themselves, marked read-only: neither copied nor cast
+    assert all(kept is given and not kept.flags.writeable for kept, given in zip(table, columns))
     law, probs = cost_law(p, None, None), output_distribution(p, None, None)
     assert cost_law(p, None, None) is law and output_distribution(p, None, None) is probs
-    for table in (tuple(columns), list(columns)):
-        p.table = table
+    for plain in (tuple(columns), list(columns)):
+        p.table = plain
         assert cost_law(p, None, None) is not law
         assert cost_law(p, None, None) == law and output_distribution(p, None, None) == probs
-    p.table = tuple(columns)
-    law = cost_law(p, None, None)
+    p.table = table
     p.lambda_space = RandomnessSpace((0, 1), (Fraction(1, 4), Fraction(3, 4)))
     assert cost_law(p, None, None).masses == (1, 3)
     assert output_distribution(p, None, None) == JointProbs(1, 0, 0, 0)
+    assert len(table.summaries) == 4  # two readers over two spaces
 
 
 def test_tail_check_reads_a_cached_table_only_when_it_changes(monkeypatch):
     """send_all_reply's tail check asks its hook once per pair, and checks and
     sorts the columns of each distinct table once: promise order alternates the
-    a.b = n and a.b = 0 tables, and both stay kept."""
+    a.b = n and a.b = 0 tables, and each keeps its cost law, one entry over the
+    one grid space that every instance at this n shares."""
     calls = Counter()
 
     def counted(name, original):
@@ -665,30 +668,50 @@ def test_tail_check_reads_a_cached_table_only_when_it_changes(monkeypatch):
 
     n = 4
     p = SendAllReplyProtocol(n)
-    monkeypatch.setattr(harness, "_SUMMARIES", {})
+    a = SignVector.parse("++++")
+    tables = [p.outcome_table(a, SignVector.parse(b)) for b in ("++++", "++--")]
+    for table in tables:  # as no earlier reader left them
+        table.summaries.clear()
     monkeypatch.setattr(harness, "_rows", counted("rows", harness._rows))
     monkeypatch.setattr(SendAllReplyProtocol, "outcome_table",
                         counted("hook", SendAllReplyProtocol.outcome_table))
     report = check_tail_hypothesis(p, n, n + 2)
     assert report.ok and report.pairs_checked == calls["hook"] == 2**n * (1 + math.comb(n, n // 2))
     assert calls["rows"] == 2
+    assert [list(table.summaries) for table in tables] == \
+        [[(harness._cost_law_of, p.lambda_space)]] * 2
+    assert SendAllReplyProtocol(n).lambda_space is p.lambda_space
 
 
-def test_fresh_read_only_tables_keep_the_summaries_bounded(monkeypatch):
-    """A hook that returns a fresh tuple of read-only columns on every call leaves
-    at most `_SUMMARY_LIMIT` entries, and every result equals a fresh read."""
-    monkeypatch.setattr(harness, "_SUMMARIES", {})
-    columns = [np.array([1, 1]), np.array([1, -1]), np.array([1, 3])]
-    for column in columns:
-        column.setflags(write=False)
-    p = Fresh()
-    p.columns = columns
-    law, probs = harness._cost_law_of(p.lambda_space, *columns), \
-        harness._law_of(p.lambda_space, *columns)
-    for _ in range(3 * harness._SUMMARY_LIMIT):
-        assert cost_law(p, None, None) == law
-        assert output_distribution(p, None, None) == probs
-        assert 0 < len(harness._SUMMARIES) <= harness._SUMMARY_LIMIT
+def test_many_cached_tables_are_each_read_once_per_reader(monkeypatch):
+    """A hook that cycles through 20 cached `OutcomeTable`s (more than a memo of
+    16 entries would keep) has each table's columns checked once per reader over
+    3 passes, and every result equals a fresh read of that table.  A plain tuple
+    of read-only columns is read again on every call."""
+    reads = Counter()
+
+    def counted(table, count, hook):
+        reads[id(table)] += 1
+        return rows(table, count, hook)
+
+    rows = harness._rows
+    monkeypatch.setattr(harness, "_rows", counted)
+    p = ByInput()
+    space = p.lambda_space
+    p.tables = [OutcomeTable(np.array([1, 1]), np.array([1, (-1) ** k]), np.array([k, 2 * k]))
+                for k in range(20)]
+    for _ in range(3):
+        for k, table in enumerate(p.tables):
+            assert cost_law(p, k, None) == harness._cost_law_of(space, *table)
+            assert output_distribution(p, k, None) == harness._law_of(space, *table)
+    assert reads == {id(table): 2 for table in p.tables}
+    plain = tuple(p.tables[0])
+    p.tables = [plain]
+    reads.clear()
+    for _ in range(3):
+        cost_law(p, 0, None)
+        output_distribution(p, 0, None)
+    assert reads == {id(plain): 6}
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -697,11 +720,11 @@ def test_fresh_read_only_tables_keep_the_summaries_bounded(monkeypatch):
 def test_sample_index_matches_per_draw_cdf(raw, seed):
     """The CDF computed once draws the same sequence as rebuilding it on
     every draw, so seeded reports do not move."""
-    space = RandomnessSpace(tuple(range(len(raw))),
-                            [Fraction(r, sum(raw)) for r in raw])
+    weights = [Fraction(r, sum(raw)) for r in raw]
+    space = RandomnessSpace(tuple(range(len(raw))), weights)
     cached, rebuilt = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(1000):
-        cdf = np.cumsum(np.array([float(w) for w in space.weights]))
+        cdf = np.cumsum(np.array([float(w) for w in weights]))
         expected = int(np.searchsorted(cdf, rebuilt.random(), side="right"))
         assert space.sample_index(cached) == expected
 
