@@ -27,7 +27,7 @@ from .reduction import (DerandomizationTable, DjCertificate, Partition,
                         cell_index_width, check_tail_hypothesis,
                         contradiction_holds, contradiction_threshold,
                         m_of_n, moment_bound, moment_bound_forms,
-                        partition_inputs, verify_certificate)
+                        partition_inputs, reduce, verify_certificate)
 
 __version__ = "0.1.0"
 
@@ -52,7 +52,7 @@ __all__ = [
     "n0_verify", "n1_lower_bound", "observable_to_projector",
     "output_distribution", "pair_label", "partition_inputs",
     "predict_expectations", "predict_joint_probs", "probs_to_expectations",
-    "projector_to_observable", "promise_pairs", "promise_scenarios", "run",
+    "projector_to_observable", "promise_pairs", "promise_scenarios", "reduce", "run",
     "sample_distribution", "sign_vector_observable", "sign_vector_projector",
     "singlet", "tail_mass", "verify_certificate",
 ]

@@ -49,7 +49,7 @@ from typing import Optional
 import numpy as np
 
 from .dj import (auy_min_n1, n0_certificate, n0_upper_bound, n0_verify,
-                 n1_lower_bound, promise_pairs, promise_scenarios, RejectCertificate)
+                 n1_lower_bound, promise_scenarios, RejectCertificate)
 from .errors import (InvariantError, NonHaltingError, PartitionError,
                      QccLabError)
 from .harness import (ALICE, BOB, Protocol, RandomnessSpace,
@@ -60,9 +60,7 @@ from .oracle import (BinaryObservable, DensityMatrix, Projector,
                      observable_to_projector, predict_joint_probs,
                      probs_to_expectations, sign_vector_projector, singlet)
 from .protocols import PROTOCOLS, make_protocol, protocol_parameters
-from .reduction import (build_certificate, cell_bound, certificate_reference_bits,
-                        check_tail_hypothesis, contradiction_holds, m_of_n, moment_bound,
-                        partition_inputs, verify_certificate)
+from .reduction import contradiction_holds, m_of_n, moment_bound, reduce
 
 
 def _float_text(x: float) -> str:
@@ -413,83 +411,15 @@ def cmd_reduce(args) -> Report:
         raise InvariantError(f"--M is a bit budget and must be at least 1, got {args.M}")
     n, protocol = _promise_front(args)
     threshold = args.M if args.M is not None else n + 2
+    sections, ok = reduce(protocol, n, threshold)
     report = {
         "command": "reduce",
         "protocol": args.protocol,
         "n": n,
         "M": threshold,
         "seed": args.seed,
+        **sections,
     }
-
-    # the partition construction presumes the protocol reproduces the
-    # target acceptance mass on every promise pair; audit that first
-    law_report = check_exact_blqms(protocol, promise_scenarios(n))
-    witness = law_report.first_restricted_failure
-    report["acceptance_mass"] = {
-        "ok": witness is None,
-        "pairs": law_report.scenarios,
-        "witness": None if witness is None else {
-            "pair": witness.label,
-            "measured_p_pp": float(witness.computed.p_pp),
-            "target_p_pp": float(witness.target.p_pp),
-        },
-    }
-    if witness is not None:
-        report["partition"] = None
-        return report, 3
-
-    tail = check_tail_hypothesis(protocol, n, threshold)
-    report["tail"] = {
-        "ok": tail.ok,
-        "threshold_bits": tail.threshold_bits,
-        "mass_bound": tail.mass_bound,
-        "worst_mass": tail.worst_mass,
-        "worst_pair": tail.worst_pair,
-        "pairs_checked": tail.pairs_checked,
-    }
-
-    try:
-        partition = partition_inputs(protocol, n, threshold)
-    except PartitionError as exc:
-        report["partition"] = {"ok": False, "witness": str(exc)}
-        return report, 3
-    table = partition.table()
-    report["partition"] = {
-        "ok": True,
-        "cells": partition.cell_count,
-        "cell_bound": cell_bound(n),
-        "within_bound": partition.within_bound,
-        "table_digest": table.digest,
-    }
-
-    # a's honest certificate on every promise pair: completeness needs equal
-    # inputs jointly accepted, soundness needs every reject pair refused
-    total = passed = reject_pairs = jointly_accepted = max_bits = 0
-    for a, b in promise_pairs(n):
-        cert = build_certificate(a, partition, protocol)
-        max_bits = max(max_bits, cert.bit_length)
-        ok_a = verify_certificate(ALICE, a, cert, table, protocol)
-        ok_b = verify_certificate(BOB, b, cert, table, protocol)
-        accepted = bool(ok_a.accepted and ok_b.accepted)
-        if a == b:
-            total += 1
-            passed += accepted
-        else:
-            reject_pairs += 1
-            jointly_accepted += accepted
-    report["completeness"] = {"ok": passed == total, "passed": passed,
-                              "total": total}
-    report["soundness"] = {"ok": jointly_accepted == 0,
-                           "pairs": reject_pairs,
-                           "jointly_accepted": jointly_accepted}
-
-    reference_bits = certificate_reference_bits(n, threshold)
-    report["certificate_bits"] = {"max": max_bits,
-                                  "reference": reference_bits,
-                                  "within_reference": max_bits <= reference_bits}
-
-    ok = (tail.ok and partition.within_bound and passed == total
-          and jointly_accepted == 0 and max_bits <= reference_bits)
     return report, 0 if ok else 3
 
 

@@ -1,15 +1,15 @@
 """From cheap-on-average protocols to one-sided certificates.
 
-Pipeline: check that no promise input pair, equal (diagonal) or at
-a.b = 0, puts randomness mass 1/(2n) or more on runs costing at least M
-bits, read from each pair's `cost_law` (the partition itself runs only
-diagonal pairs); greedily partition the 2^n sign vectors into cells,
-each owning one shared-randomness point that makes every member accept
-below budget; then a certificate for "my input is in your cell" is just
-the cell index plus the full run transcript, which one party alone can
-replay and audit.  The formula evaluators at the bottom quantify why
-such certificates cannot stay short for protocols that are cheap at
-every order.
+Pipeline, run end to end by `reduce`: check that no promise input pair,
+equal (diagonal) or at a.b = 0, puts randomness mass 1/(2n) or more on
+runs costing at least M bits, read from each pair's `cost_law` (the
+partition itself runs only diagonal pairs); greedily partition the 2^n
+sign vectors into cells, each owning one shared-randomness point that
+makes every member accept below budget; then a certificate for "my input
+is in your cell" is just the cell index plus the full run transcript,
+which one party alone can replay and audit.  The formula evaluators at
+the bottom quantify why such certificates cannot stay short for
+protocols that are cheap at every order.
 
 Certificate length (`DjCertificate.bit_length`): the cell index field,
 `cell_index_width(n)` bits, plus 2 bits per transcript entry, a sender bit
@@ -23,14 +23,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .dj import n1_lower_bound, promise_pairs
+from .dj import n1_lower_bound, promise_pairs, promise_scenarios
 from .errors import InvariantError, PartitionError, QccLabError
-from .harness import (ALICE, Action, CheckResult, Party, Protocol, Transcript, _finite_space,
-                      _run_rows, cost_law, pair_label, run)
+from .harness import (ALICE, BOB, Action, CheckResult, Party, Protocol, Transcript,
+                      _finite_space, _run_rows, check_exact_blqms, cost_law, pair_label, run)
 from .oracle import SignVector, _at_least, _integer
 
 
@@ -46,17 +46,18 @@ def cell_index_width(n: int) -> int:
 
 
 def certificate_reference_bits(n: int, threshold_bits) -> float:
-    """2 log2 n + 2 M: the length an accept certificate at budget M is held to."""
+    """2 log2 n + 2 M: the length an accept certificate at budget M is held to.
+
+    An honest certificate's run sends at most M - 1 bits, so it is at most
+    ceil(log2 2n^2) + 2M - 2 < (1 + 2 log2 n) + 1 + 2M - 2 = 2 log2 n + 2M bits."""
     n = _at_least("certificate_reference_bits", "n", n, 2)
     return 2 * math.log2(n) + 2 * threshold_bits
 
 
-@dataclass(frozen=True)
-class TailReport:
+class TailReport(NamedTuple):
     """Worst-case mass of runs with T >= threshold over the checked pairs."""
 
     ok: bool
-    n: int
     threshold_bits: int
     mass_bound: Fraction  # masses must stay strictly below 1/(2n)
     worst_mass: Fraction
@@ -83,8 +84,7 @@ def check_tail_hypothesis(protocol: Protocol, n: int, threshold_bits: int,
     if not checked:
         raise InvariantError("no pairs to check; an empty tail check would pass vacuously")
     worst = Fraction(worst, law.den)
-    return TailReport(worst < bound, n, threshold_bits, bound, worst,
-                      worst_pair, checked)
+    return TailReport(worst < bound, threshold_bits, bound, worst, worst_pair, checked)
 
 
 @dataclass(frozen=True)
@@ -328,6 +328,74 @@ def verify_certificate(party: Party, own: SignVector, cert: DjCertificate,
             if pos >= end:
                 return CheckResult(False, "transcript exhausted before halting")
             return CheckResult(False, f"desync at entry {pos}: expected to receive")
+
+
+def reduce(protocol: Protocol, n: int, threshold_bits: int) -> tuple[dict, bool]:
+    """`qcc-lab reduce`'s report sections at budget M = threshold_bits, from
+    `acceptance_mass` on (ending at `partition` if the law audit or partition fails),
+    and whether the tail check, cell bound, completeness and soundness all hold; a
+    replay that breaks a cell's promise raises `PartitionError`."""
+    threshold_bits = _integer("reduce", "threshold_bits", threshold_bits)
+    # the partition construction presumes the protocol reproduces the
+    # target acceptance mass on every promise pair; audit that first
+    law_report = check_exact_blqms(protocol, promise_scenarios(n))
+    witness = law_report.first_restricted_failure
+    sections = {"acceptance_mass": {
+        "ok": witness is None,
+        "pairs": law_report.scenarios,
+        "witness": None if witness is None else {
+            "pair": witness.label,
+            "measured_p_pp": float(witness.computed.p_pp),
+            "target_p_pp": float(witness.target.p_pp),
+        },
+    }}
+    if witness is not None:
+        sections["partition"] = None
+        return sections, False
+
+    tail = check_tail_hypothesis(protocol, n, threshold_bits)
+    sections["tail"] = tail._asdict()
+
+    try:
+        partition = partition_inputs(protocol, n, threshold_bits)
+    except PartitionError as exc:
+        sections["partition"] = {"ok": False, "witness": str(exc)}
+        return sections, False
+    table = partition.table()
+    sections["partition"] = {
+        "ok": True,
+        "cells": partition.cell_count,
+        "cell_bound": cell_bound(n),
+        "within_bound": partition.within_bound,
+        "table_digest": table.digest,
+    }
+
+    # a's honest certificate on every promise pair: completeness needs equal
+    # inputs jointly accepted, soundness needs every reject pair refused
+    total = passed = reject_pairs = jointly_accepted = max_bits = 0
+    for a, b in promise_pairs(n):
+        cert = build_certificate(a, partition, protocol)
+        max_bits = max(max_bits, cert.bit_length)
+        ok_a = verify_certificate(ALICE, a, cert, table, protocol)
+        ok_b = verify_certificate(BOB, b, cert, table, protocol)
+        accepted = bool(ok_a.accepted and ok_b.accepted)
+        if a == b:
+            total += 1
+            passed += accepted
+        else:
+            reject_pairs += 1
+            jointly_accepted += accepted
+    sections["completeness"] = {"ok": passed == total, "passed": passed, "total": total}
+    sections["soundness"] = {"ok": jointly_accepted == 0, "pairs": reject_pairs,
+                             "jointly_accepted": jointly_accepted}
+
+    # holds for every honest certificate (see certificate_reference_bits), so
+    # the verdict does not read it
+    reference_bits = certificate_reference_bits(n, threshold_bits)
+    sections["certificate_bits"] = {"max": max_bits, "reference": reference_bits,
+                                    "within_reference": max_bits <= reference_bits}
+    return sections, partition.within_bound and all(
+        sections[key]["ok"] for key in ("tail", "completeness", "soundness"))
 
 
 def m_of_n(n: int) -> float:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcc_lab import cli, oracle, protocols
+from qcc_lab import cli, oracle, protocols, reduction
 from qcc_lab.cli import main
 from qcc_lab.dj import promise_pairs, promise_scenarios
 from qcc_lab.errors import InvariantError, PartitionError
@@ -238,6 +238,23 @@ PREDICT_DIGESTS = {
     "entangled_vectors": ("2390f5783ab120dfb865fc685ccfc565a50f49f9728ab59a69c63d5be5a8c8d1",
                           "8f22986d786100e3f587e7cbd501a3973fa0d54be4315c30c8f2fa445108083a"),
 }
+
+
+# sha256 of `reduce` reports that exit 3: a failed law audit ends at a null
+# `partition`, and a budget below every run's cost fails the tail check and the partition
+REDUCE_DIGESTS = {
+    ("--protocol", "constant", "--n", "4"):
+        "edd66b55dbf612fc28d82155e030572a5c7492220713fe3ed576ea16dfc014a0",
+    ("--protocol", "send_all_reply", "--n", "6", "--M", "5"):
+        "b2ed67ba6b755947794b5203c434e5abf8ba389a1d88780ecb3d9c945351f384",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(REDUCE_DIGESTS), ids=" ".join)
+def test_failing_reduce_reports_are_pinned(argv, capsys):
+    code, out, _ = run_cli(capsys, "reduce", *argv)
+    assert code == 3
+    assert hashlib.sha256(out.encode()).hexdigest() == REDUCE_DIGESTS[argv], out
 
 
 @pytest.mark.parametrize("name", sorted(PREDICT_SCENARIOS))
@@ -651,7 +668,7 @@ def test_partition_finding_prints_witness(capsys, monkeypatch):
     def broken(a, partition, protocol):
         raise PartitionError("replay broke the cell promise", witness=a)
 
-    monkeypatch.setattr(cli, "build_certificate", broken)
+    monkeypatch.setattr(reduction, "build_certificate", broken)
     code, out, err = run_cli(capsys, "reduce", "--protocol", "send_all_reply",
                              "--n", "2")
     assert code == 3

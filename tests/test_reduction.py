@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcc_lab import reduction
+from qcc_lab import cli, reduction
 from qcc_lab.dj import (RejectCertificate, auy_min_n1, n0_upper_bound, n1_lower_bound,
                         promise_pairs)
 from qcc_lab.errors import InvariantError, PartitionError, QccLabError
@@ -23,6 +24,7 @@ from qcc_lab.oracle import JointProbs, RationalMatrix, SignVector, sign_vector_p
 from qcc_lab.protocols import ConstantProtocol, SendAllReplyProtocol, TonerBaconProtocol
 from qcc_lab.reduction import (DerandomizationTable, DjCertificate, Partition,
                                PartitionCell, build_certificate, cell_index_width,
+                               certificate_reference_bits,
                                check_tail_hypothesis, contradiction_holds,
                                contradiction_threshold, m_of_n, moment_bound,
                                moment_bound_forms, partition_inputs,
@@ -526,6 +528,41 @@ def test_certificate_construction_limits():
     assert type(cert.n) is int and type(cert.j) is int
 
 
+def test_honest_certificates_stay_within_the_reference_length():
+    """A run below budget M sends at most M - 1 bits, so an honest certificate is
+    at most the index width plus 2 (M - 1) bits; `reduce`'s verdict does not read
+    `within_reference` because this holds, so a change to either side fails here."""
+    for n in range(2, 2001, 2):
+        width = cell_index_width(n)
+        for budget in range(1, 200):
+            assert width + 2 * (budget - 1) <= certificate_reference_bits(n, budget), (n, budget)
+
+
+REDUCE_HEADER = ["command", "protocol", "n", "M", "seed"]
+REDUCE_CASES = {
+    "send_all_reply n=2": (["send_all_reply", "--n", "2"], SendAllReplyProtocol(2), 2, 4, True),
+    "send_all_reply n=4": (["send_all_reply", "--n", "4"], SendAllReplyProtocol(4), 4, 6, True),
+    "send_all_reply n=4 M=5":
+        (["send_all_reply", "--n", "4", "--M", "5"], SendAllReplyProtocol(4), 4, 5, False),
+    "constant n=4": (["constant", "--n", "4"], ConstantProtocol(), 4, 6, False),
+}
+
+
+@pytest.mark.parametrize("argv, protocol, n, budget, passes", REDUCE_CASES.values(),
+                         ids=REDUCE_CASES.keys())
+def test_reduce_is_the_cli_report_without_its_header(argv, protocol, n, budget, passes,
+                                                     capsys):
+    code = cli.main(["reduce", "--protocol", *argv])
+    report = json.loads(capsys.readouterr().out)
+    sections, ok = reduction.reduce(protocol, n, budget)
+    assert list(report)[:len(REDUCE_HEADER)] == REDUCE_HEADER
+    assert report["M"] == budget
+    expected = {key: value for key, value in report.items() if key not in REDUCE_HEADER}
+    assert list(sections) == list(expected)
+    assert json.loads(cli.canonical_json(sections)) == expected
+    assert ok is passes is (code == 0)
+
+
 def build_fixture(n, threshold):
     p = SendAllReplyProtocol(n)
     part = partition_inputs(p, n, threshold)
@@ -684,6 +721,8 @@ BAD_SIZES = {
     "nan cost measure": lambda: auy_min_n1(float("nan"), 1),
     "infinite cost measure": lambda: auy_min_n1(1, float("inf")),
     "text cost measure": lambda: auy_min_n1("3", 1),
+    "odd reduce n": lambda: reduction.reduce(SendAllReplyProtocol(2), 3, 5),
+    "fractional reduce budget": lambda: reduction.reduce(SendAllReplyProtocol(2), 2, 2.5),
     "missing reject certificate n": lambda: RejectCertificate.decode((0, 0, 0), None),
     "text reject certificate n": lambda: RejectCertificate(1, 1).encode("4"),
     "missing sign vector text": lambda: SignVector.parse(None),
