@@ -32,18 +32,22 @@ def check_promise(a: SignVector, b: SignVector) -> int:
     return dot
 
 
-def promise_pairs(n: int) -> Iterator[tuple[SignVector, SignVector]]:
-    """All ordered promise pairs: (a, a) plus every b agreeing on half.
-
-    The 2^n vectors are built once and shared.  Each b is a with the coordinates
-    flipped where a balanced v (sum 0) is +1, v running down `all_vectors` order:
-    a lookup at a's index XOR v's index.
-    """
-    n = _at_least("promise_pairs", "n", n, 2, even=True)
+def _promise_family(owner: str, n: int) -> tuple[list[SignVector], list[int]]:
+    """The 2^n vectors in `all_vectors` order, and the masks that give each
+    vector's promise partners, in pair order: a's partners are the vectors at
+    a's index XOR each mask.  The first mask is 0, so (a, a) comes first; then
+    come the balanced v (sum 0), running down `all_vectors` order, each flipping
+    a where v is +1."""
+    n = _at_least(owner, "n", n, 2, even=True)
     vectors = list(SignVector.all_vectors(n))
-    masks = [v.index for v in reversed(vectors) if sum(v.coords) == 0]
+    return vectors, [0] + [v.index for v in reversed(vectors) if sum(v.coords) == 0]
+
+
+def promise_pairs(n: int) -> Iterator[tuple[SignVector, SignVector]]:
+    """All ordered promise pairs: (a, a) plus every b agreeing on half, the
+    2^n vectors built once and shared."""
+    vectors, masks = _promise_family("promise_pairs", n)
     for index, a in enumerate(vectors):
-        yield a, a
         for mask in masks:
             yield a, vectors[index ^ mask]
 
@@ -54,13 +58,16 @@ def promise_scenarios(n: int) -> Iterator[Scenario]:
 
     The state and one projector per vector, in `all_vectors` order, are
     built on the call, so a bad n raises here; the scenarios are then
-    yielded one per pair, each pair's projectors found by the vectors' indices.
+    yielded one per pair, each vector and projector read at its index.
     """
-    n = _at_least("promise_scenarios", "n", n, 2, even=True)
+    vectors, masks = _promise_family("promise_scenarios", n)
     state = maximally_entangled(n)
-    projectors = [sign_vector_projector(a) for a in SignVector.all_vectors(n)]
-    return (Scenario(a, b, predict_joint_probs(projectors[a.index], projectors[b.index], state))
-            for a, b in promise_pairs(n))
+    projectors = [sign_vector_projector(a) for a in vectors]
+    # a Scenario from its three fields at about half the cost of the NamedTuple's own constructor
+    new = tuple.__new__
+    return (new(Scenario, (a, vectors[index ^ mask],
+                           predict_joint_probs(proj_a, projectors[index ^ mask], state)))
+            for index, (a, proj_a) in enumerate(zip(vectors, projectors)) for mask in masks)
 
 
 def _index_width(n: int) -> int:

@@ -378,7 +378,11 @@ def output_distribution(protocol: Protocol, input_a, input_b) -> JointProbs:
     Protocols may supply the same law in closed form via
     `exact_distribution`; equivalence with enumeration is covered by tests.
     """
-    space = _finite_space(protocol, "the exact law")
+    return _exact_law(protocol, _finite_space(protocol, "the exact law"), input_a, input_b)
+
+
+def _exact_law(protocol: Protocol, space: RandomnessSpace, input_a, input_b) -> JointProbs:
+    """`output_distribution` over `space`, already checked to be the protocol's."""
     closed = protocol.exact_distribution(input_a, input_b)
     if closed is not None:
         return closed
@@ -486,32 +490,33 @@ def check_exact_blqms(protocol: Protocol, scenarios: Iterable[Scenario], *,
     With `samples` set, the law is estimated from a per-scenario seed
     instead and no scenario fails.  The scenarios are read once, in one
     pass; only a witness kept in the report builds a result and a label.
+    The exact audit checks the protocol's space once, before the first
+    scenario, and reads every law over it.
     """
     sampled = samples is not None
     if not sampled:
-        _finite_space(protocol, "exact checking")
+        space = _finite_space(protocol, "exact checking")
     else:
         seed = _at_least("check_exact_blqms", "seed", seed, 0)
     # the last comparison: consecutive promise pairs share both cached laws, and the
     # strong references keep the identity test sound on frozen laws
-    count, worst, last = 0, 0, (None, None, None)
+    count, worst, last_computed, last_target = 0, 0, None, None
     failures, failure_count, restricted_count, first_restricted = [], 0, 0, None
-    for index, scenario in enumerate(scenarios):
-        input_a, input_b, target = scenario.input_a, scenario.input_b, scenario.target
+    for count, (input_a, input_b, target) in enumerate(scenarios, start=1):
         if sampled:
             computed = sample_distribution(
                 protocol, input_a, input_b, samples=samples,
-                seed=np.random.SeedSequence([seed, index])).probs
+                seed=np.random.SeedSequence([seed, count - 1])).probs
         elif not target.exact:
             raise InvariantError(f"scenario {pair_label(input_a, input_b)!r} has a float "
                                  "target; exact checking needs a rational one")
         else:
-            computed = output_distribution(protocol, input_a, input_b)
-        if computed is not last[0] or target is not last[1]:
-            last = computed, target, _law_errors(computed, target)
-        error_max, error_pp = last[2]
-        count += 1
-        worst = max(worst, error_max)
+            computed = _exact_law(protocol, space, input_a, input_b)
+        if computed is not last_computed or target is not last_target:
+            last_computed, last_target = computed, target
+            error_max, error_pp = _law_errors(computed, target)
+            if error_max > worst:  # a repeated comparison has the same error
+                worst = error_max
         if error_max and not sampled:
             failure_count += 1
             restricted_count += error_pp != 0

@@ -532,9 +532,10 @@ def predict_joint_probs(proj_a: Projector, proj_b: Projector, state: DensityMatr
     with each probability admitted within OPERATOR_ATOL and clamped to [0, 1].
     """
     a, b = proj_a._sign_vector, proj_b._sign_vector
-    if a is not None and b is not None and state._entangled_n == a.n == b.n:
+    if (a is not None and b is not None
+            and state._entangled_n == (n := len(a.coords)) == len(b.coords)):
         # the tags fix the dims: n x n projectors on the n^2 x n^2 state
-        return _sign_vector_law(a.n, a._dot(b))
+        return _sign_vector_law(n, a._dot(b))
     if proj_a.dim * proj_b.dim != state.dim:
         raise DimensionMismatchError(
             f"party dims {proj_a.dim} x {proj_b.dim} do not match state dim {state.dim}")

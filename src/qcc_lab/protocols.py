@@ -153,10 +153,14 @@ class SendAllReplyProtocol(Protocol):
 
     def _pair_law(self, input_a, input_b) -> _Law:
         """The law of one input pair, which both hooks read; a.b is read
-        unchecked once `_own_vector` has checked both inputs."""
-        a = self._own_vector(input_a)
-        b = self._own_vector(input_b)
-        return _law(self.n, a._dot(b))
+        unchecked once both inputs are sign vectors of length n, and
+        `_own_vector` names the first input that is not."""
+        n = self.n
+        if not (isinstance(input_a, SignVector) and isinstance(input_b, SignVector)
+                and len(input_a.coords) == n == len(input_b.coords)):
+            self._own_vector(input_a)
+            self._own_vector(input_b)
+        return _law(n, input_a._dot(input_b))
 
     def outcome_table(self, input_a, input_b):
         return self._pair_law(input_a, input_b).columns

@@ -140,7 +140,7 @@ def partition_inputs(protocol: Protocol, n: int, threshold_bits: int) -> Partiti
     an input accepted nowhere raises PartitionError naming it.
     """
     n = _at_least("partition_inputs", "n", n, 2, even=True)
-    threshold_bits = _integer("partition_inputs", "threshold_bits", threshold_bits)
+    threshold_bits = _at_least("partition_inputs", "threshold_bits", threshold_bits, 1)
     space = _finite_space(protocol, "partitioning")
     vectors = list(SignVector.all_vectors(n))
     # accepts[v, i]: vector v accepts at point i; filled vector by vector
@@ -335,7 +335,7 @@ def reduce(protocol: Protocol, n: int, threshold_bits: int) -> tuple[dict, bool]
     `acceptance_mass` on (ending at `partition` if the law audit or partition fails),
     and whether the tail check, cell bound, completeness and soundness all hold; a
     replay that breaks a cell's promise raises `PartitionError`."""
-    threshold_bits = _integer("reduce", "threshold_bits", threshold_bits)
+    threshold_bits = _at_least("reduce", "threshold_bits", threshold_bits, 1)
     # the partition construction presumes the protocol reproduces the
     # target acceptance mass on every promise pair; audit that first
     law_report = check_exact_blqms(protocol, promise_scenarios(n))

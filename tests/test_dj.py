@@ -15,9 +15,12 @@ from qcc_lab.dj import (RejectCertificate, auy_min_n1, check_promise, n0_certifi
 from qcc_lab.errors import (DimensionMismatchError, InvariantError,
                             PromiseViolationError)
 from qcc_lab import harness
-from qcc_lab.harness import ALICE, BOB, check_exact_blqms, pair_label
-from qcc_lab.oracle import SignVector, joint_plus_probability
+from qcc_lab.harness import ALICE, BOB, OUTCOMES, Scenario, check_exact_blqms, pair_label
+from qcc_lab.oracle import (SignVector, joint_plus_probability, maximally_entangled,
+                            predict_joint_probs, sign_vector_projector)
 from qcc_lab.protocols import ConstantProtocol, SendAllReplyProtocol
+
+from test_harness import reference_check_exact
 
 
 def sv(text):
@@ -202,6 +205,31 @@ def test_promise_scenarios_match_closed_form():
             assert sc.target.p_pp == joint_plus_probability(sc.input_a, sc.input_b)
             expected = Fraction(1, n) if sc.input_a == sc.input_b else Fraction(0)
             assert sc.target.p_pp == expected
+
+
+def reference_scenarios(n):
+    """The scenarios built the plain way: `promise_pairs`, the NamedTuple
+    constructor and two fresh projectors per pair."""
+    state = maximally_entangled(n)
+    return [Scenario(a, b, predict_joint_probs(sign_vector_projector(a),
+                                               sign_vector_projector(b), state))
+            for a, b in promise_pairs(n)]
+
+
+@pytest.mark.parametrize("n", (2, 4, 6))
+def test_promise_scenarios_and_audit_match_the_plain_stream_and_loop(n):
+    """The indexed stream gives `promise_pairs`' pairs in order with equal
+    exact targets, and the audit over it reports what the reference loop
+    does, for a passing protocol and for every constant one."""
+    reference = reference_scenarios(n)
+    scenarios = list(promise_scenarios(n))
+    assert [sc[:2] for sc in scenarios] == [sc[:2] for sc in reference]
+    assert [sc.target for sc in scenarios] == [sc.target for sc in reference]
+    assert all(type(sc) is Scenario and sc.target.exact for sc in scenarios)
+    protocols = [SendAllReplyProtocol(n)] + [ConstantProtocol(*ys) for ys in OUTCOMES]
+    for protocol in protocols:
+        report = check_exact_blqms(protocol, promise_scenarios(n))
+        assert vars(report) == vars(reference_check_exact(protocol, reference))
 
 
 def test_promise_scenarios_refuse_bad_n_on_the_call():

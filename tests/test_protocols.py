@@ -88,6 +88,13 @@ def test_send_all_reply_enforces_promise():
                  lambda: p.exact_distribution(a, (1, 1, 1, 1))):
         with pytest.raises(InvariantError, match="send_all_reply takes SignVector inputs"):
             call()
+    # both hooks refuse a bad input on either side, naming it as `step` does
+    for bad, message in (((1, 1, 1, 1), "send_all_reply takes SignVector inputs"),
+                         (SignVector.parse("++"), "input length 2 does not match protocol n = 4")):
+        for hook in (p.outcome_table, p.exact_distribution):
+            for inputs in ((bad, a), (a, bad)):
+                with pytest.raises(InvariantError, match=re.escape(message)):
+                    hook(*inputs)
 
 
 def test_send_all_reply_bob_checks_the_heard_bits():

@@ -723,6 +723,8 @@ BAD_SIZES = {
     "text cost measure": lambda: auy_min_n1("3", 1),
     "odd reduce n": lambda: reduction.reduce(SendAllReplyProtocol(2), 3, 5),
     "fractional reduce budget": lambda: reduction.reduce(SendAllReplyProtocol(2), 2, 2.5),
+    "zero reduce budget": lambda: reduction.reduce(SendAllReplyProtocol(2), 2, 0),
+    "negative partition budget": lambda: partition_inputs(SendAllReplyProtocol(2), 2, -5),
     "missing reject certificate n": lambda: RejectCertificate.decode((0, 0, 0), None),
     "text reject certificate n": lambda: RejectCertificate(1, 1).encode("4"),
     "missing sign vector text": lambda: SignVector.parse(None),
@@ -757,3 +759,16 @@ def test_partition_refuses_a_fractional_budget_as_bad_input():
     with pytest.raises(InvariantError,
                        match="partition_inputs parameter threshold_bits must be an integer"):
         partition_inputs(SendAllReplyProtocol(2), 2, 2.5)
+
+
+def test_a_budget_below_one_bit_is_bad_input():
+    """No run sends fewer than 0 bits, so a budget below 1 is refused as a
+    parameter, before the law audit, not reported as a failed tail or as an
+    input that accepts nowhere below it."""
+    for budget in (0, -5):
+        with pytest.raises(InvariantError, match=f"partition_inputs parameter threshold_bits "
+                                                 f"must be at least 1, got {budget}"):
+            partition_inputs(SendAllReplyProtocol(2), 2, budget)
+        with pytest.raises(InvariantError, match=f"reduce parameter threshold_bits "
+                                                 f"must be at least 1, got {budget}"):
+            reduction.reduce(ConstantProtocol(), 2, budget)  # its law audit would fail
