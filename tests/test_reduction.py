@@ -762,13 +762,14 @@ def test_partition_refuses_a_fractional_budget_as_bad_input():
 
 
 def test_a_budget_below_one_bit_is_bad_input():
-    """No run sends fewer than 0 bits, so a budget below 1 is refused as a
-    parameter, before the law audit, not reported as a failed tail or as an
-    input that accepts nowhere below it."""
+    """Every run sends at least 0 bits, so no run is below a budget of 0 or
+    less: such a budget is refused as a parameter, before the law audit, not
+    reported as a failed tail or as an input that accepts nowhere below it."""
     for budget in (0, -5):
         with pytest.raises(InvariantError, match=f"partition_inputs parameter threshold_bits "
                                                  f"must be at least 1, got {budget}"):
             partition_inputs(SendAllReplyProtocol(2), 2, budget)
         with pytest.raises(InvariantError, match=f"reduce parameter threshold_bits "
                                                  f"must be at least 1, got {budget}"):
-            reduction.reduce(ConstantProtocol(), 2, budget)  # its law audit would fail
+            # constant's law audit fails, so a refusal after it would not be reached
+            reduction.reduce(ConstantProtocol(), 2, budget)
